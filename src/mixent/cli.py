@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .collisions import (
+    DENSE_DIM_CAP,
     CollisionSpec,
     run_collision_sequence,
 )
@@ -124,7 +125,9 @@ def resolve_config(args) -> ExperimentConfig:
     seed = args.seed if args.seed is not None else base.get("seed")
     units = args.units if args.units is not None else base.get("units", "nats")
     dense_cap = (
-        args.dense_cap if args.dense_cap is not None else base.get("dense_cap", 4096)
+        args.dense_cap
+        if args.dense_cap is not None
+        else base.get("dense_cap", DENSE_DIM_CAP)
     )
     return ExperimentConfig(
         command=args.subcommand,

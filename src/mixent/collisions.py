@@ -206,6 +206,38 @@ def run_collision_sequence(spec: CollisionSpec) -> CollisionLedger:
     )
 
 
+def kron_sum(
+    a: np.ndarray, b: np.ndarray, n: int, dense_cap: int = DENSE_DIM_CAP
+) -> np.ndarray:
+    """sum_k a^{(x)k} (x) b (x) a^{(x)(n-1-k)} for d x d matrices a and b.
+
+    Built by the recursion A_1 = b, A_N = A_{N-1} (x) a + a^{(x)(N-1)} (x) b,
+    which sums the terms left to right and allocates one full-size matrix per
+    step. The result is float64 when neither input has an imaginary part and
+    complex128 otherwise.
+    """
+    d = a.shape[0]
+    dim = d**n
+    if dim > dense_cap:
+        raise CapExceededError(
+            f"dense dimension {d}^{n} = {dim} exceeds cap {dense_cap}"
+        )
+    real = not (np.imag(a).any() or np.imag(b).any())
+    dtype = np.float64 if real else np.complex128
+    a, b = (np.array(np.real(x) if real else x, dtype=dtype) for x in (a, b))
+    acc, power = b, np.eye(1, dtype=dtype)
+    for _ in range(n - 1):
+        power = np.kron(power, a)
+        m = power.shape[0]
+        nxt = np.empty((m * d, m * d), dtype=dtype)
+        blocks = nxt.reshape(m, d, m, d)
+        np.multiply(acc[:, None, :, None], a[None, :, None, :], out=blocks)
+        for i, j in np.ndindex(d, d):
+            blocks[:, i, :, j] += power * b[i, j]
+        acc = nxt
+    return acc
+
+
 def reservoir_hamiltonian(
     h: HermitianOperator, n: int, dense_cap: int = DENSE_DIM_CAP
 ) -> HermitianOperator:
@@ -216,16 +248,5 @@ def reservoir_hamiltonian(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    d = h.dim
-    dim = d**n
-    if dim > dense_cap:
-        raise CapExceededError(
-            f"reservoir dimension {d}^{n} = {dim} exceeds dense cap {dense_cap}"
-        )
-    total = np.zeros((dim, dim), dtype=complex)
-    for k in range(n):
-        term = np.kron(
-            np.kron(np.eye(d**k), h.entries), np.eye(d ** (n - k - 1))
-        )
-        total += term
-    return HermitianOperator(total)
+    # + 0.0 turns the -0.0 that products by 0.0 leave into +0.0: H_R is bit-exact
+    return HermitianOperator(kron_sum(np.eye(h.dim), h.entries, n, dense_cap) + 0.0)

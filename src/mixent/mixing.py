@@ -26,7 +26,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidStateError,
 )
-from .collisions import reservoir_hamiltonian
+from .collisions import DENSE_DIM_CAP, kron_sum, reservoir_hamiltonian
 from .states import (
     ClassicalDistribution,
     DensityOperator,
@@ -38,7 +38,6 @@ from .states import (
     von_neumann_entropy,
 )
 
-DENSE_DIM_CAP = 4096
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
 COMMUTE_TOL = 1e-10
@@ -189,12 +188,12 @@ class GracefulReport:
 
 
 def dense_state_entropy(matrix: np.ndarray) -> float:
-    """Entropy of a dense state via full eigendecomposition, in nats."""
-    if np.all(matrix.imag == 0.0):
-        eigs = np.linalg.eigvalsh(matrix.real)
-    else:
-        eigs = np.linalg.eigvalsh(matrix)
-    return entropy_of_spectrum(clamp_spectrum(eigs))
+    """Entropy of a dense state via full eigendecomposition, in nats.
+
+    The dtype picks the solver: real symmetric for float64, Hermitian for
+    complex128.
+    """
+    return entropy_of_spectrum(clamp_spectrum(np.linalg.eigvalsh(matrix)))
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -204,39 +203,24 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _check_dense_cap(d: int, n_total: int, dense_cap: int) -> int:
-    dim = d**n_total
-    if dim > dense_cap:
-        raise CapExceededError(
-            f"dense dimension {d}^{n_total} = {dim} exceeds cap {dense_cap}"
-        )
-    return dim
-
-
 def symmetrized_state_dense(
     sigma: DensityOperator,
     rho: DensityOperator,
     n: int,
     dense_cap: int = DENSE_DIM_CAP,
 ) -> SymmetrizedMixture:
-    """Dense R = (1/(n+1)) sum_k rho^k (x) sigma (x) rho^(n-k)."""
+    """Dense R = (1/(n+1)) sum_k rho^k (x) sigma (x) rho^(n-k).
+
+    R is float64 when sigma and rho are both real, complex128 otherwise.
+    """
     if sigma.dim != rho.dim:
         raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    d = sigma.dim
     n_total = n + 1
-    dim = _check_dense_cap(d, n_total, dense_cap)
-
-    # prefix[k] = rho^{(x)k}; the suffix is prefix[n-k], so one table serves both
-    prefix = [np.eye(1, dtype=complex)]
-    for _ in range(n):
-        prefix.append(np.kron(prefix[-1], rho.entries))
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in range(n_total):
-        acc += np.kron(np.kron(prefix[k], sigma.entries), prefix[n - k])
+    acc = kron_sum(rho.entries, sigma.entries, n_total, dense_cap)
     acc /= n_total
-    return SymmetrizedMixture(dim=d, n_total=n_total, matrix=acc)
+    return SymmetrizedMixture(dim=sigma.dim, n_total=n_total, matrix=acc)
 
 
 def _type_count_matrix(n_total: int, d: int, budget: int) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 
 from .states import (
     ClassicalDistribution,
-    DensityOperator,
     HermitianOperator,
     UnitaryOperator,
 )
@@ -61,14 +60,6 @@ def hermitian_to_json(h: HermitianOperator) -> dict:
 
 def hermitian_from_json(obj: dict) -> HermitianOperator:
     return HermitianOperator(matrix_from_json(obj))
-
-
-def density_to_json(rho: DensityOperator) -> dict:
-    return matrix_to_json(rho.entries)
-
-
-def density_from_json(obj: dict) -> DensityOperator:
-    return DensityOperator(matrix_from_json(obj))
 
 
 def unitary_to_json(u: UnitaryOperator) -> dict:

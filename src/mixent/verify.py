@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .collisions import (
+    DENSE_DIM_CAP,
     CollisionSpec,
     collision_energy_transfer,
     commutator_norm,
@@ -75,7 +76,7 @@ SKIPPED_CAP = "skipped: cap"
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = DEFAULT_SEED
-    dense_cap: int = 4096
+    dense_cap: int = DENSE_DIM_CAP
     type_budget: int = TYPE_CLASS_BUDGET
     tolerances: dict = field(default_factory=dict)
 

@@ -5,6 +5,7 @@ import pytest
 
 from mixent import (
     CollisionSpec,
+    HermitianOperator,
     InvalidStateError,
     UnitaryOperator,
     apply_unitary,
@@ -21,6 +22,7 @@ from mixent import (
 )
 from mixent.collisions import LEDGER_CSV_HEADER
 from mixent.errors import CapExceededError
+from mixent.mixing import kron_all
 from conftest import seeded_density
 
 QUBIT_DELTA_E = (1.0 - math.exp(-1.0)) / (1.0 + math.exp(-1.0))  # p0 - p1 at beta=1
@@ -214,6 +216,19 @@ def test_reservoir_hamiltonian_permutation_invariant(qubit_h):
     t = h_r.reshape((2,) * 6)
     swapped = t.transpose((1, 0, 2, 4, 3, 5)).reshape(8, 8)
     assert np.array_equal(swapped, h_r)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reservoir_hamiltonian_is_exact_explicit_sum(d):
+    eye = np.eye(d)
+    for h in (random_hermitian(d, d), HermitianOperator(np.diag(np.arange(d) - 0.5))):
+        for n in range(1, 5):
+            explicit = sum(
+                kron_all([eye] * k + [h.entries] + [eye] * (n - 1 - k)) for k in range(n)
+            )
+            h_r = reservoir_hamiltonian(h, n).entries
+            assert np.array_equal(h_r, explicit)
+            assert h_r.tobytes() == explicit.tobytes()  # signed zeros too
 
 
 def test_reservoir_hamiltonian_cap(qubit_h):

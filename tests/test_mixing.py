@@ -26,7 +26,12 @@ from mixent import (
     type_class_spectrum,
     apply_unitary,
 )
-from mixent.mixing import kron_all, records_to_csv, simultaneous_classical_pair
+from mixent.mixing import (
+    dense_state_entropy,
+    kron_all,
+    records_to_csv,
+    simultaneous_classical_pair,
+)
 from conftest import seeded_density
 
 
@@ -106,6 +111,45 @@ def test_symmetrized_permutation_invariance_noncommuting(d, n):
     sigma = apply_unitary(rho, random_haar_unitary(3, d))
     mixture = symmetrized_state_dense(sigma, rho, n)
     mixture.validate(perm_tol=1e-10)
+
+
+def _noncommuting_pair(d, real):
+    """Seeded (sigma, rho): a Gibbs rho turned by a real rotation or a Haar unitary."""
+    if not real:
+        rho = seeded_density(21, d)
+        return apply_unitary(rho, random_haar_unitary(22, d)), rho
+    rho = gibbs_state(HermitianOperator(np.diag(np.arange(d, dtype=float))), 1.0)
+    rotation = np.linalg.qr(np.random.default_rng(d).normal(size=(d, d)))[0]
+    return DensityOperator(rotation @ rho.entries @ rotation.T), rho
+
+
+def test_symmetrized_dtype_follows_inputs():
+    pairs = [(SIGMA_CLASSICAL.as_density(), RHO_CLASSICAL.as_density())]
+    pairs += [_noncommuting_pair(d, real=True) for d in (2, 3)]
+    for sigma, rho in pairs:
+        assert symmetrized_state_dense(sigma, rho, 3).matrix.dtype == np.float64
+    sigma, rho = _noncommuting_pair(2, real=False)
+    assert np.any(sigma.entries.imag != 0.0)
+    assert symmetrized_state_dense(sigma, rho, 3).matrix.dtype == np.complex128
+
+
+@pytest.mark.parametrize("d,real,n_max", [(2, True, 6), (3, True, 4), (2, False, 5)])
+def test_symmetrized_matches_explicit_kron_sum(d, real, n_max):
+    sigma, rho = _noncommuting_pair(d, real)
+    for n in range(1, n_max + 1):
+        explicit = sum(
+            kron_all([rho.entries] * k + [sigma.entries] + [rho.entries] * (n - k))
+            for k in range(n + 1)
+        ) / (n + 1)
+        r = symmetrized_state_dense(sigma, rho, n).matrix
+        assert np.max(np.abs(r - explicit)) <= 1e-15
+
+
+def test_dense_entropy_same_on_real_and_complex_dtype():
+    r = symmetrized_state_dense(SIGMA_CLASSICAL.as_density(), RHO_CLASSICAL.as_density(), 8)
+    assert r.matrix.dtype == np.float64
+    real = dense_state_entropy(r.matrix)
+    assert abs(real - dense_state_entropy(r.matrix.astype(complex))) <= 1e-12
 
 
 def test_mixture_needs_exactly_one_representation():
