@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .collisions import (
     DENSE_DIM_CAP,
@@ -28,8 +26,13 @@ from .collisions import (
     run_collision_sequence,
 )
 from .combinatorics import (
-    classical_mixing_increase_formula,
-    insertion_factor,
+    FORMULA_PAIRS,
+    INSERTION_N,
+    INSERTION_RHO,
+    TYPICALITY_N,
+    insertion_factor_rows,
+    max_increase_formula_error,
+    random_distribution_pairs,
     typicality_entropy_check,
 )
 from .errors import CapExceededError, MixentError
@@ -48,10 +51,9 @@ from .states import (
     gibbs_state,
     random_haar_unitary,
     random_hermitian,
-    relative_entropy,
     von_neumann_entropy,
 )
-from .verify import VerifyConfig, run_acceptance
+from .verify import DEFAULT_TOLERANCES, VerifyConfig, run_acceptance
 
 LN2 = math.log(2.0)
 
@@ -407,11 +409,9 @@ APPENDIX_DEFAULT_PAIRS = [
 def cmd_appendix(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg)
     rho = ClassicalDistribution(cfg.params.get("rho", {"p": [0.5, 0.5]})["p"])
-    typicality_n = [int(n) for n in cfg.params.get("typicality_n", [100, 1000, 10_000])]
-    insertion_n = [int(n) for n in cfg.params.get("insertion_n", [10, 100, 1000, 10_000])]
-    insertion_rho = [float(r) for r in cfg.params.get(
-        "insertion_rho", [0.05, 0.1, 0.25, 0.5, 0.9, 1.0]
-    )]
+    typicality_n = [int(n) for n in cfg.params.get("typicality_n", TYPICALITY_N)]
+    insertion_n = [int(n) for n in cfg.params.get("insertion_n", INSERTION_N)]
+    insertion_rho = [float(r) for r in cfg.params.get("insertion_rho", INSERTION_RHO)]
 
     checks = [typicality_entropy_check(rho, n) for n in typicality_n]
     deficits = [c.deficit for c in checks]
@@ -419,36 +419,16 @@ def cmd_appendix(cfg: ExperimentConfig) -> int:
         d >= 0 for d in deficits
     )
 
-    insertion_rows = []
-    insertion_ok = True
-    for n in insertion_n:
-        for rho_a in insertion_rho:
-            fac = insertion_factor(n, rho_a)
-            bound = 2.0 / (n * rho_a)
-            insertion_ok = insertion_ok and fac.rel_err < bound
-            insertion_rows.append(
-                {"n": n, "rho_a": rho_a, "exact": fac.exact, "limit": fac.limit,
-                 "rel_err": fac.rel_err, "bound": bound}
-            )
+    insertion_rows = insertion_factor_rows(insertion_n, insertion_rho)
+    insertion_ok = all(row["rel_err"] < row["bound"] for row in insertion_rows)
 
     if cfg.seed is not None:
-        rng = np.random.default_rng(cfg.seed + 700)
-        pairs = []
-        for _ in range(int(cfg.params.get("pairs", 50))):
-            d = int(rng.integers(2, 6))
-            sig = rng.uniform(0.05, 1.0, size=d)
-            ref = rng.uniform(0.05, 1.0, size=d)
-            pairs.append((list(sig / sig.sum()), list(ref / ref.sum())))
+        count = int(cfg.params.get("pairs", FORMULA_PAIRS))
+        pairs = random_distribution_pairs(cfg.seed, count)
     else:
         pairs = APPENDIX_DEFAULT_PAIRS
-    max_formula_err = 0.0
-    for sig_p, rho_p in pairs:
-        sig_dist = ClassicalDistribution(sig_p)
-        rho_dist = ClassicalDistribution(rho_p)
-        direct = classical_mixing_increase_formula(sig_dist, rho_dist)
-        operator = relative_entropy(sig_dist.as_density(), rho_dist.as_density())
-        max_formula_err = max(max_formula_err, abs(direct - operator))
-    formula_ok = max_formula_err < 1e-12
+    max_formula_err = max_increase_formula_error(pairs)
+    formula_ok = max_formula_err < DEFAULT_TOLERANCES["increase_formula"]
 
     all_ok = typicality_ok and insertion_ok and formula_ok
 

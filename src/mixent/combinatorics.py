@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InfiniteRelativeEntropyError
-from .states import ClassicalDistribution, shannon_entropy
+from .states import ClassicalDistribution, relative_entropy, shannon_entropy
+
+# defaults shared by the `appendix` command and verify criterion 7
+TYPICALITY_N = (100, 1000, 10_000)
+INSERTION_N = (10, 100, 1000, 10_000)
+INSERTION_RHO = (0.05, 0.1, 0.25, 0.5, 0.9, 1.0)
+FORMULA_PAIRS = 50
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,19 @@ def insertion_factor(n: int, rho_a: float) -> InsertionFactor:
     return InsertionFactor(exact=exact, limit=limit, rel_err=abs(exact - limit) * rho_a)
 
 
+def insertion_factor_rows(ns: Sequence[int], rho_as: Sequence[float]) -> list:
+    """The insertion factor at each (n, rho_a), with the bound 2/(n rho_a) on rel_err."""
+    rows = []
+    for n in ns:
+        for rho_a in rho_as:
+            fac = insertion_factor(n, rho_a)
+            rows.append(
+                {"n": n, "rho_a": rho_a, "exact": fac.exact, "limit": fac.limit,
+                 "rel_err": fac.rel_err, "bound": 2.0 / (n * rho_a)}
+            )
+    return rows
+
+
 def classical_mixing_increase_formula(
     sigma: ClassicalDistribution, rho: ClassicalDistribution
 ) -> float:
@@ -134,3 +154,30 @@ def classical_mixing_increase_formula(
         )
     cross = -math.fsum(sigma.p[support] * np.log(rho.p[support]))
     return cross - shannon_entropy(sigma)
+
+
+def random_distribution_pairs(seed: int, count: int) -> list:
+    """count (sigma, rho) full-support probability vectors over 2..5 letters.
+
+    They are drawn from seed + 700, a stream apart from the run's other draws.
+    """
+    rng = np.random.default_rng(seed + 700)
+    pairs = []
+    for _ in range(count):
+        d = int(rng.integers(2, 6))
+        sig = rng.uniform(0.05, 1.0, size=d)
+        rho = rng.uniform(0.05, 1.0, size=d)
+        pairs.append((sig / sig.sum(), rho / rho.sum()))
+    return pairs
+
+
+def max_increase_formula_error(pairs: Sequence[tuple]) -> float:
+    """Largest |increase formula - operator relative entropy| over (sigma, rho) pairs."""
+    max_err = 0.0
+    for sig_p, rho_p in pairs:
+        sigma = ClassicalDistribution(sig_p)
+        rho = ClassicalDistribution(rho_p)
+        direct = classical_mixing_increase_formula(sigma, rho)
+        operator = relative_entropy(sigma.as_density(), rho.as_density())
+        max_err = max(max_err, abs(direct - operator))
+    return max_err

@@ -5,9 +5,10 @@ One sigma-molecule loses its identity among n rho-molecules:
     R = (1/(n+1)) * sum_k  rho^k (x) sigma (x) rho^(n-k)
 
 and the entropy of mixing S_mix = S[R] - n S[rho] - S[sigma] is computed by
-two independent routes (dense eigensolve; exact type-class enumeration for
-commuting states) so each can serve as the other's oracle. The conjectured
-n -> infinity limit is the relative entropy S[sigma|rho].
+two independent routes (the spectrum of a dense R, read off its diagonal when
+nothing off it is nonzero; exact type-class enumeration for commuting states)
+so each can serve as the other's oracle. The conjectured n -> infinity limit
+is the relative entropy S[sigma|rho].
 """
 
 from __future__ import annotations
@@ -188,12 +189,20 @@ class GracefulReport:
 
 
 def dense_state_entropy(matrix: np.ndarray) -> float:
-    """Entropy of a dense state via full eigendecomposition, in nats.
+    """Entropy of a dense state from its spectrum, in nats.
 
-    The dtype picks the solver: real symmetric for float64, Hermitian for
-    complex128.
+    With no nonzero entry off the diagonal (R of a commuting pair) the
+    spectrum is the diagonal: LAPACK returns it sorted, bit for bit, and fsum
+    does not depend on order. Any other matrix gets a full eigensolve, real
+    symmetric for float64 and Hermitian for complex128. Row 0 is checked
+    first, so a non-diagonal R is usually told in O(D).
     """
-    return entropy_of_spectrum(clamp_spectrum(np.linalg.eigvalsh(matrix)))
+    diagonal = matrix.diagonal()
+    is_diagonal = np.count_nonzero(matrix[0]) <= 1 and (
+        np.count_nonzero(matrix) == np.count_nonzero(diagonal)
+    )
+    eigs = diagonal.real if is_diagonal else np.linalg.eigvalsh(matrix)
+    return entropy_of_spectrum(clamp_spectrum(eigs))
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -544,9 +553,9 @@ def mixing_entropy(
 ) -> MixingRecord:
     """S_mix[sigma|rho; n] = S[R] - n S[rho] - S[sigma], in nats.
 
-    method 'dense' eigensolves the full d^(n+1) matrix; 'classical-exact'
-    requires commuting states and enumerates type classes; 'auto' picks
-    classical-exact when the states commute, else dense.
+    method 'dense' takes the spectrum of the full d^(n+1) matrix;
+    'classical-exact' requires commuting states and enumerates type classes;
+    'auto' picks classical-exact when the states commute, else dense.
     """
     sigma_op, rho_op = _coerce_states(sigma, rho)
     if method not in ("dense", "classical-exact", "auto"):

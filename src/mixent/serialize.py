@@ -1,20 +1,16 @@
 """JSON wire formats for matrices and distributions.
 
 Matrices serialize as {"dim": d, "re": [[...]], "im": [[...]]} with row-major
-nested arrays; distributions as {"p": [...]}. Floats are written with Python's
-shortest round-trip decimal representation (up to 17 significant digits), so
-serialize -> parse is bit-exact.
+nested arrays; distributions are read from {"p": [...]}. Floats are written
+with Python's shortest round-trip decimal representation (up to 17 significant
+digits), so serialize -> parse is bit-exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .states import (
-    ClassicalDistribution,
-    HermitianOperator,
-    UnitaryOperator,
-)
+from .states import ClassicalDistribution
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -42,29 +38,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return re + 1j * im
 
 
-def distribution_to_json(dist: ClassicalDistribution) -> dict:
-    return {"p": dist.p.tolist()}
-
-
 def distribution_from_json(obj: dict) -> ClassicalDistribution:
     try:
         p = obj["p"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distribution JSON: {exc}") from exc
     return ClassicalDistribution(np.asarray(p, dtype=float))
-
-
-def hermitian_to_json(h: HermitianOperator) -> dict:
-    return matrix_to_json(h.entries)
-
-
-def hermitian_from_json(obj: dict) -> HermitianOperator:
-    return HermitianOperator(matrix_from_json(obj))
-
-
-def unitary_to_json(u: UnitaryOperator) -> dict:
-    return matrix_to_json(u.entries)
-
-
-def unitary_from_json(obj: dict) -> UnitaryOperator:
-    return UnitaryOperator(matrix_from_json(obj))

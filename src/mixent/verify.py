@@ -25,8 +25,13 @@ from .collisions import (
     run_collision_sequence,
 )
 from .combinatorics import (
-    classical_mixing_increase_formula,
-    insertion_factor,
+    FORMULA_PAIRS,
+    INSERTION_N,
+    INSERTION_RHO,
+    TYPICALITY_N,
+    insertion_factor_rows,
+    max_increase_formula_error,
+    random_distribution_pairs,
     typicality_entropy_check,
 )
 from .errors import CapExceededError
@@ -99,10 +104,6 @@ class CriterionResult:
     status: str
     details: dict
     elapsed_s: float
-
-    @property
-    def budget_s(self):
-        return RUNTIME_BUDGETS_S.get(self.cid)
 
 
 @dataclass(frozen=True)
@@ -393,33 +394,19 @@ def _c7_appendix(ctx):
     formula_tol = cfg.tol("increase_formula")
 
     fair = ClassicalDistribution([0.5, 0.5])
-    checks = [typicality_entropy_check(fair, n) for n in (100, 1000, 10_000)]
+    checks = [typicality_entropy_check(fair, n) for n in TYPICALITY_N]
     deficits = [c.deficit for c in checks]
     typicality_ok = (
         all(b < a for a, b in zip(deficits, deficits[1:]))
         and deficits[-1] < final_tol
     )
 
-    insertion_ok = True
-    worst_margin = math.inf
-    for n in (10, 100, 1000, 10_000):
-        for rho_a in (0.05, 0.1, 0.25, 0.5, 0.9, 1.0):
-            fac = insertion_factor(n, rho_a)
-            bound = 2.0 / (n * rho_a)
-            insertion_ok = insertion_ok and fac.rel_err < bound
-            worst_margin = min(worst_margin, bound - fac.rel_err)
+    rows = insertion_factor_rows(INSERTION_N, INSERTION_RHO)
+    insertion_ok = all(row["rel_err"] < row["bound"] for row in rows)
+    worst_margin = min(row["bound"] - row["rel_err"] for row in rows)
 
-    rng = np.random.default_rng(cfg.seed + 700)
-    max_formula_err = 0.0
-    for _ in range(50):
-        d = int(rng.integers(2, 6))
-        sig = rng.uniform(0.05, 1.0, size=d)
-        rho = rng.uniform(0.05, 1.0, size=d)
-        sig_dist = ClassicalDistribution(sig / sig.sum())
-        rho_dist = ClassicalDistribution(rho / rho.sum())
-        direct = classical_mixing_increase_formula(sig_dist, rho_dist)
-        operator = relative_entropy(sig_dist.as_density(), rho_dist.as_density())
-        max_formula_err = max(max_formula_err, abs(direct - operator))
+    pairs = random_distribution_pairs(cfg.seed, FORMULA_PAIRS)
+    max_formula_err = max_increase_formula_error(pairs)
     formula_ok = max_formula_err < formula_tol
 
     ok = typicality_ok and insertion_ok and formula_ok

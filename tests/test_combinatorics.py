@@ -16,6 +16,14 @@ from mixent import (
     round_counts,
     typicality_entropy_check,
 )
+from mixent.combinatorics import (
+    FORMULA_PAIRS,
+    INSERTION_N,
+    INSERTION_RHO,
+    insertion_factor_rows,
+    max_increase_formula_error,
+    random_distribution_pairs,
+)
 
 
 def test_type_vector_validation():
@@ -181,6 +189,28 @@ def test_increase_formula_equals_relative_entropy():
         direct = classical_mixing_increase_formula(sig_dist, rho_dist)
         operator = relative_entropy(sig_dist.as_density(), rho_dist.as_density())
         assert abs(direct - operator) < 1e-12
+
+
+def test_insertion_factor_rows_cover_the_grid_within_bound():
+    rows = insertion_factor_rows(INSERTION_N, INSERTION_RHO)
+    assert [(r["n"], r["rho_a"]) for r in rows] == [
+        (n, rho_a) for n in INSERTION_N for rho_a in INSERTION_RHO
+    ]
+    for r in rows:
+        assert r["bound"] == 2.0 / (r["n"] * r["rho_a"])
+        assert r["rel_err"] == insertion_factor(r["n"], r["rho_a"]).rel_err < r["bound"]
+
+
+def test_random_distribution_pairs_are_seeded_full_support_pairs():
+    pairs = random_distribution_pairs(9, FORMULA_PAIRS)
+    assert len(pairs) == FORMULA_PAIRS
+    for (sig, rho), (sig2, rho2) in zip(pairs, random_distribution_pairs(9, FORMULA_PAIRS)):
+        assert np.array_equal(sig, sig2) and np.array_equal(rho, rho2)
+        assert 2 <= sig.size == rho.size <= 5
+        assert np.all(rho > 0.0)
+        assert abs(sig.sum() - 1.0) < 1e-12 and abs(rho.sum() - 1.0) < 1e-12
+    assert not np.array_equal(random_distribution_pairs(10, 1)[0][0], pairs[0][0])
+    assert max_increase_formula_error(pairs) < 1e-12
 
 
 def test_increase_formula_support_violation():

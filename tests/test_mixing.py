@@ -32,6 +32,8 @@ from mixent.mixing import (
     records_to_csv,
     simultaneous_classical_pair,
 )
+from mixent.states import EIG_FLOOR, clamp_spectrum, entropy_of_spectrum
+from mixent.verify import C4_FAMILIES
 from conftest import seeded_density
 
 
@@ -145,11 +147,75 @@ def test_symmetrized_matches_explicit_kron_sum(d, real, n_max):
         assert np.max(np.abs(r - explicit)) <= 1e-15
 
 
-def test_dense_entropy_same_on_real_and_complex_dtype():
-    r = symmetrized_state_dense(SIGMA_CLASSICAL.as_density(), RHO_CLASSICAL.as_density(), 8)
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (SIGMA_CLASSICAL.as_density(), RHO_CLASSICAL.as_density()),
+        _noncommuting_pair(2, real=True),
+    ],
+    ids=["classical", "real-noncommuting"],
+)
+def test_dense_entropy_same_on_real_and_complex_dtype(pair):
+    r = symmetrized_state_dense(*pair, 8)
     assert r.matrix.dtype == np.float64
     real = dense_state_entropy(r.matrix)
     assert abs(real - dense_state_entropy(r.matrix.astype(complex))) <= 1e-12
+
+
+def _full_eigensolve_entropy(matrix):
+    return entropy_of_spectrum(clamp_spectrum(np.linalg.eigvalsh(matrix)))
+
+
+@pytest.mark.parametrize(
+    "d,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 5)]
+)
+def test_dense_entropy_of_diagonal_r_equals_full_eigensolve(d, n):
+    rho_p, sig_p = {d: pair for d, _, pair in C4_FAMILIES}[d]
+    sigma = ClassicalDistribution(sig_p).as_density()
+    rho = ClassicalDistribution(rho_p).as_density()
+    r = symmetrized_state_dense(sigma, rho, n).matrix
+    assert dense_state_entropy(r) == _full_eigensolve_entropy(r)
+
+
+def _entropy_and_eigvalsh_calls(monkeypatch, matrix):
+    """dense_state_entropy(matrix) and the shapes np.linalg.eigvalsh saw."""
+    calls = []
+    solver = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or solver(m)
+    )
+    return dense_state_entropy(matrix), calls
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_dense_entropy_eigensolves_nondiagonal_r(real, monkeypatch):
+    sigma, rho = _noncommuting_pair(2, real)
+    r = symmetrized_state_dense(sigma, rho, 4).matrix
+    _, calls = _entropy_and_eigvalsh_calls(monkeypatch, r)
+    assert calls == [(32, 32)]
+
+
+def test_dense_entropy_reads_diagonal_r_without_eigensolve(monkeypatch):
+    r = symmetrized_state_dense(SIGMA_CLASSICAL.as_density(), RHO_CLASSICAL.as_density(), 4)
+    _, calls = _entropy_and_eigvalsh_calls(monkeypatch, r.matrix)
+    assert calls == []
+
+
+def test_dense_entropy_eigensolves_when_row_0_is_diagonal(monkeypatch):
+    m = np.zeros((3, 3))
+    m[0, 0] = 0.5
+    m[1:, 1:] = [[0.25, 0.125], [0.125, 0.25]]
+    entropy, calls = _entropy_and_eigvalsh_calls(monkeypatch, m)
+    expected = entropy_of_spectrum(np.array([0.5, 0.125, 0.375]))
+    assert entropy == pytest.approx(expected, abs=1e-15)
+    assert calls == [(3, 3)]
+
+
+def test_dense_entropy_diagonal_below_floor_rejected():
+    with pytest.raises(InvalidStateError):
+        dense_state_entropy(np.diag([0.5, 0.5 + 2 * EIG_FLOOR, -2 * EIG_FLOOR]))
+    clamped = dense_state_entropy(np.diag([0.5, 0.5 + EIG_FLOOR / 2, -EIG_FLOOR / 2]))
+    assert clamped == entropy_of_spectrum(np.array([0.5, 0.5 + EIG_FLOOR / 2]))
 
 
 def test_mixture_needs_exactly_one_representation():

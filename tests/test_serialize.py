@@ -3,17 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from mixent import ClassicalDistribution, random_haar_unitary, random_hermitian
-from mixent.serialize import (
-    distribution_from_json,
-    distribution_to_json,
-    hermitian_from_json,
-    hermitian_to_json,
-    matrix_from_json,
-    matrix_to_json,
-    unitary_from_json,
-    unitary_to_json,
+from mixent import (
+    ClassicalDistribution,
+    HermitianOperator,
+    InvalidStateError,
+    UnitaryOperator,
+    random_haar_unitary,
+    random_hermitian,
 )
+from mixent.serialize import distribution_from_json, matrix_from_json, matrix_to_json
 
 
 def test_matrix_round_trip_is_bit_exact():
@@ -32,16 +30,26 @@ def test_matrix_json_schema_keys():
     assert obj["im"] == [[0.0, 0.0], [0.0, 0.0]]
 
 
-def test_typed_wrappers_round_trip():
+def _json_round_trip(m):
+    return matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+
+
+def test_operators_round_trip_and_validate_on_parse():
     h = random_hermitian(3, 4)
-    assert np.array_equal(hermitian_from_json(hermitian_to_json(h)).entries, h.entries)
+    assert np.array_equal(HermitianOperator(_json_round_trip(h.entries)).entries, h.entries)
     u = random_haar_unitary(3, 4)
-    assert np.array_equal(unitary_from_json(unitary_to_json(u)).entries, u.entries)
+    assert np.array_equal(UnitaryOperator(_json_round_trip(u.entries)).entries, u.entries)
+    skew = h.entries.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(InvalidStateError):
+        HermitianOperator(_json_round_trip(skew))
+    with pytest.raises(InvalidStateError):
+        UnitaryOperator(_json_round_trip(2 * u.entries))
 
 
 def test_distribution_round_trip():
     dist = ClassicalDistribution([0.7, 0.2, 0.1])
-    text = json.dumps(distribution_to_json(dist))
+    text = json.dumps({"p": dist.p.tolist()})
     back = distribution_from_json(json.loads(text))
     assert np.array_equal(back.p, dist.p)
 
