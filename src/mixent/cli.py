@@ -43,6 +43,7 @@ from .serialize import (
     matrix_to_json,
 )
 from .states import (
+    LN2,
     ClassicalDistribution,
     DensityOperator,
     HermitianOperator,
@@ -54,8 +55,6 @@ from .states import (
     von_neumann_entropy,
 )
 from .verify import DEFAULT_TOLERANCES, VerifyConfig, run_acceptance
-
-LN2 = math.log(2.0)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -42,6 +42,8 @@ from .states import (
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
 COMMUTE_TOL = 1e-10
+# largest entry change a subsystem swap may make to a permutation-invariant R
+PERMUTATION_TOL = 1e-10
 NORMALIZATION_TOL = 1e-9
 # rho eigenvalues closer than this are one degenerate block when
 # simultaneously diagonalizing a commuting pair
@@ -88,9 +90,6 @@ class TypeClassSpectrum:
     log_q: np.ndarray
     log_mult: np.ndarray
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(self.log_q)
-
     def exact_multiplicities(self) -> list:
         """Exact integer multiplicities (big ints; intended for small N)."""
         mults = []
@@ -117,7 +116,7 @@ class TypeClassSpectrum:
         if np.any(self.counts.sum(axis=1) != self.n_total):
             raise InvalidStateError("type vector does not sum to the system count")
         total = self.total_weight()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise InvalidStateError(
                 f"type-class spectrum sums to {total!r}, not 1 to {NORMALIZATION_TOL}"
             )
@@ -125,37 +124,27 @@ class TypeClassSpectrum:
 
 @dataclass(frozen=True)
 class SymmetrizedMixture:
-    """Symmetrized mixture of one (or more) sigma among rho factors.
+    """Dense d^N x d^N symmetrized mixture of sigma among rho factors.
 
-    Exactly one representation is populated: a dense d^N x d^N matrix, or a
-    classical type-class spectrum.
+    Commuting states need no dense matrix: their spectrum is a
+    TypeClassSpectrum (see type_class_spectrum).
     """
 
     dim: int
     n_total: int
-    matrix: Optional[np.ndarray] = None
-    spectrum: Optional[TypeClassSpectrum] = None
-
-    def __post_init__(self):
-        if (self.matrix is None) == (self.spectrum is None):
-            raise ValueError("exactly one of matrix/spectrum must be set")
+    matrix: np.ndarray
 
     def entropy(self) -> float:
-        if self.spectrum is not None:
-            return self.spectrum.entropy()
         return dense_state_entropy(self.matrix)
 
-    def validate(self, perm_tol: float = 1e-10):
-        """Enforce the representation invariants (meant for moderate sizes)."""
-        if self.spectrum is not None:
-            self.spectrum.validate()
-            return
+    def validate(self):
+        """Check R is a state and permutation invariant (meant for moderate sizes)."""
         DensityOperator(self.matrix)  # hermitian, unit trace, PSD
         t = _as_tensor(self.matrix, self.dim, self.n_total)
         for k in range(self.n_total - 1):
             swapped = _transposition_conjugate(t, k, k + 1, self.n_total)
             dev = float(np.max(np.abs(swapped - t)))
-            if dev > perm_tol:
+            if not dev <= PERMUTATION_TOL:
                 raise InvalidStateError(
                     f"not permutation invariant: swap ({k},{k + 1}) moves it by {dev}"
                 )
@@ -232,12 +221,12 @@ def symmetrized_state_dense(
     return SymmetrizedMixture(dim=sigma.dim, n_total=n_total, matrix=acc)
 
 
-def _type_count_matrix(n_total: int, d: int, budget: int) -> np.ndarray:
+def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
     """All count vectors (m_1..m_d) with sum n_total, as an int array."""
     num_types = math.comb(n_total + d - 1, d - 1)
-    if num_types > budget:
+    if num_types > TYPE_CLASS_BUDGET:
         raise CapExceededError(
-            f"{num_types} type classes exceed the enumeration budget {budget}"
+            f"{num_types} type classes exceed the enumeration budget {TYPE_CLASS_BUDGET}"
         )
     if d == 1:
         return np.array([[n_total]], dtype=np.int64)
@@ -255,16 +244,39 @@ def _type_count_matrix(n_total: int, d: int, budget: int) -> np.ndarray:
     return counts
 
 
-def _require_full_support(rho: ClassicalDistribution):
+def _type_spectrum(
+    sigma: ClassicalDistribution,
+    rho: ClassicalDistribution,
+    n_total: int,
+    log_q,
+) -> TypeClassSpectrum:
+    """Type classes of n_total symbols with their multinomial multiplicities.
+
+    log_q(counts, log_rho, ratios) gives the log-eigenvalue of each type (row
+    of counts), with ratios = sigma/rho; it is the only part that depends on
+    how the sigma factors are placed. The spectrum is validated before use.
+    """
+    if sigma.dim != rho.dim:
+        raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
     if np.any(rho.p <= 0.0):
         raise InvalidStateError("rho must have full support (all rho_a > 0)")
+    counts = _type_count_matrix(n_total, sigma.dim)
+    log_mult = gammaln(n_total + 1) - gammaln(counts + 1).sum(axis=1)
+    spec = TypeClassSpectrum(
+        dim=sigma.dim,
+        n_total=n_total,
+        counts=counts,
+        log_q=log_q(counts, np.log(rho.p), sigma.p / rho.p),
+        log_mult=log_mult,
+    )
+    spec.validate()
+    return spec
 
 
 def type_class_spectrum(
     sigma: ClassicalDistribution,
     rho: ClassicalDistribution,
     n_total: int,
-    budget: int = TYPE_CLASS_BUDGET,
 ) -> TypeClassSpectrum:
     """Exact spectrum of the classical symmetrized mixture of one sigma.
 
@@ -274,57 +286,51 @@ def type_class_spectrum(
 
     with multiplicity N!/prod m_a!. Everything is kept in the log domain and
     the normalization sum mult*q = 1 is verified before the spectrum is used.
+    Its entropy() is S[R] without a dense R.
     """
-    if sigma.dim != rho.dim:
-        raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
-    _require_full_support(rho)
     if n_total < 2:
         raise ValueError(f"need at least 2 systems, got {n_total}")
-    counts = _type_count_matrix(n_total, sigma.dim, budget)
-    log_rho = np.log(rho.p)
-    ratios = sigma.p / rho.p
 
-    log_mult = gammaln(n_total + 1) - gammaln(counts + 1).sum(axis=1)
-    ratio_mean = counts @ ratios / n_total
-    with np.errstate(divide="ignore"):
-        log_q = counts @ log_rho + np.log(ratio_mean)
+    def log_q(counts, log_rho, ratios):
+        ratio_mean = counts @ ratios / n_total
+        with np.errstate(divide="ignore"):
+            return counts @ log_rho + np.log(ratio_mean)
 
-    spec = TypeClassSpectrum(
-        dim=sigma.dim,
-        n_total=n_total,
-        counts=counts,
-        log_q=log_q,
-        log_mult=log_mult,
+    return _type_spectrum(sigma, rho, n_total, log_q)
+
+
+def _record(n, s_mix, s_rel, method) -> MixingRecord:
+    return MixingRecord(n=n, s_mix=s_mix, s_rel=s_rel, gap=s_rel - s_mix, method=method)
+
+
+def _classical_record(
+    spec: TypeClassSpectrum,
+    sigma: ClassicalDistribution,
+    rho: ClassicalDistribution,
+    m_sigma: int,
+    method: str,
+) -> MixingRecord:
+    """S_mix = S[R] - (N-m) S[rho] - m S[sigma] against S_rel = m S[sigma|rho]."""
+    n_rho = spec.n_total - m_sigma
+    s_mix = (
+        spec.entropy()
+        - n_rho * shannon_entropy(rho)
+        - m_sigma * shannon_entropy(sigma)
     )
-    spec.validate()
-    return spec
-
-
-def _record(n, s_mix, s_rel, method, wall_ms=0.0) -> MixingRecord:
-    return MixingRecord(
-        n=n,
-        s_mix=s_mix,
-        s_rel=s_rel,
-        gap=s_rel - s_mix,
-        method=method,
-        wall_time_ms=wall_ms,
-    )
+    s_rel = m_sigma * relative_entropy(sigma.as_density(), rho.as_density())
+    return _record(n_rho, s_mix, s_rel, method)
 
 
 def classical_mixing_entropy_exact(
     sigma: ClassicalDistribution,
     rho: ClassicalDistribution,
     n: int,
-    budget: int = TYPE_CLASS_BUDGET,
 ) -> MixingRecord:
     """Exact S_mix[sigma|rho; n] for commuting (diagonal) states."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    spec = type_class_spectrum(sigma, rho, n + 1, budget=budget)
-    mixture = SymmetrizedMixture(dim=sigma.dim, n_total=n + 1, spectrum=spec)
-    s_mix = mixture.entropy() - n * shannon_entropy(rho) - shannon_entropy(sigma)
-    s_rel = relative_entropy(sigma.as_density(), rho.as_density())
-    return _record(n, s_mix, s_rel, "classical-exact")
+    spec = type_class_spectrum(sigma, rho, n + 1)
+    return _classical_record(spec, sigma, rho, 1, "classical-exact")
 
 
 def _log_esp(ratios: np.ndarray, multiplicities: np.ndarray, k: int) -> float:
@@ -366,7 +372,6 @@ def classical_mixing_entropy_multi(
     rho: ClassicalDistribution,
     n_total: int,
     m_sigma: int,
-    budget: int = TYPE_CLASS_BUDGET,
 ) -> MixingRecord:
     """Exact mixing entropy with m_sigma sigma-factors spread over n_total slots.
 
@@ -377,35 +382,19 @@ def classical_mixing_entropy_multi(
     """
     if not 1 <= m_sigma <= n_total:
         raise ValueError(f"need 1 <= m_sigma <= {n_total}, got {m_sigma}")
-    if sigma.dim != rho.dim:
-        raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
-    _require_full_support(rho)
-    counts = _type_count_matrix(n_total, sigma.dim, budget)
-    log_rho = np.log(rho.p)
-    ratios = sigma.p / rho.p
     log_choose = gammaln(n_total + 1) - gammaln(m_sigma + 1) - gammaln(n_total - m_sigma + 1)
 
-    log_mult = gammaln(n_total + 1) - gammaln(counts + 1).sum(axis=1)
-    log_q = np.empty(len(counts))
-    for t, row in enumerate(counts):
-        log_q[t] = row @ log_rho + _log_esp(ratios, row, m_sigma) - log_choose
+    def log_q(counts, log_rho, ratios):
+        # row by row: the matrix product counts @ log_rho rounds differently
+        return np.array([
+            row @ log_rho + _log_esp(ratios, row, m_sigma) - log_choose
+            for row in counts
+        ])
 
-    spec = TypeClassSpectrum(
-        dim=sigma.dim,
-        n_total=n_total,
-        counts=counts,
-        log_q=log_q,
-        log_mult=log_mult,
+    spec = _type_spectrum(sigma, rho, n_total, log_q)
+    return _classical_record(
+        spec, sigma, rho, m_sigma, f"classical-multi(m_sigma={m_sigma})"
     )
-    spec.validate()
-    mixture = SymmetrizedMixture(dim=sigma.dim, n_total=n_total, spectrum=spec)
-    s_mix = (
-        mixture.entropy()
-        - (n_total - m_sigma) * shannon_entropy(rho)
-        - m_sigma * shannon_entropy(sigma)
-    )
-    s_rel = m_sigma * relative_entropy(sigma.as_density(), rho.as_density())
-    return _record(n_total - m_sigma, s_mix, s_rel, f"classical-multi(m_sigma={m_sigma})")
 
 
 def _as_tensor(x: np.ndarray, d: int, n_total: int) -> np.ndarray:
@@ -499,11 +488,7 @@ def _commutator_max(sigma: DensityOperator, rho: DensityOperator) -> float:
     return float(np.max(np.abs(c)))
 
 
-def simultaneous_classical_pair(
-    sigma: DensityOperator,
-    rho: DensityOperator,
-    tol: float = COMMUTE_TOL,
-) -> tuple:
+def simultaneous_classical_pair(sigma: DensityOperator, rho: DensityOperator) -> tuple:
     """Diagonalize a commuting pair in a joint eigenbasis.
 
     Returns (sigma_dist, rho_dist) as classical distributions. Degenerate
@@ -512,9 +497,9 @@ def simultaneous_classical_pair(
     """
     if sigma.dim != rho.dim:
         raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
-    if _commutator_max(sigma, rho) > tol:
+    if _commutator_max(sigma, rho) > COMMUTE_TOL:
         raise InvalidStateError(
-            f"[sigma, rho] exceeds {tol}: states do not commute"
+            f"[sigma, rho] exceeds {COMMUTE_TOL}: states do not commute"
         )
     rho_eigs, basis = np.linalg.eigh(rho.entries)
     sigma_in_basis = basis.conj().T @ sigma.entries @ basis
@@ -549,7 +534,6 @@ def mixing_entropy(
     n: int,
     method: str = "auto",
     dense_cap: int = DENSE_DIM_CAP,
-    budget: int = TYPE_CLASS_BUDGET,
 ) -> MixingRecord:
     """S_mix[sigma|rho; n] = S[R] - n S[rho] - S[sigma], in nats.
 
@@ -568,7 +552,7 @@ def mixing_entropy(
         )
     if method == "classical-exact":
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
-        return classical_mixing_entropy_exact(sigma_dist, rho_dist, n, budget=budget)
+        return classical_mixing_entropy_exact(sigma_dist, rho_dist, n)
 
     mixture = symmetrized_state_dense(sigma_op, rho_op, n, dense_cap=dense_cap)
     s_mix = (
@@ -616,7 +600,6 @@ def convergence_sweep(
     n_list: Sequence[int],
     method: str = "auto",
     dense_cap: int = DENSE_DIM_CAP,
-    budget: int = TYPE_CLASS_BUDGET,
 ) -> tuple:
     """One MixingRecord per n plus a fitted extrapolation to n -> infinity.
 
@@ -628,20 +611,9 @@ def convergence_sweep(
     records = []
     for n in sorted(n_list):
         t0 = time.perf_counter()
-        rec = mixing_entropy(
-            sigma, rho, n, method=method, dense_cap=dense_cap, budget=budget
-        )
+        rec = mixing_entropy(sigma, rho, n, method=method, dense_cap=dense_cap)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(
-            MixingRecord(
-                n=rec.n,
-                s_mix=rec.s_mix,
-                s_rel=rec.s_rel,
-                gap=rec.gap,
-                method=rec.method,
-                wall_time_ms=wall_ms,
-            )
-        )
+        records.append(replace(rec, wall_time_ms=wall_ms))
     return records, _fit_tail(records)
 
 

@@ -17,6 +17,7 @@ from .errors import (
 )
 
 # Elementwise tolerance for algebraic invariants (hermiticity, unitarity, trace).
+# Every tolerance test below reads "not within", so that NaN fails it.
 ALGEBRA_TOL = 1e-12
 # Eigenvalues of a density operator in [-EIG_FLOOR, 0) are rounding noise and
 # clamp to 0; anything below -EIG_FLOOR is a genuinely invalid state.
@@ -42,7 +43,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = _as_square_complex(self.entries)
-        if np.max(np.abs(m - m.conj().T)) > ALGEBRA_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= ALGEBRA_TOL:
             raise InvalidStateError("matrix is not Hermitian to 1e-12")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -56,24 +57,23 @@ class HermitianOperator:
 class DensityOperator:
     """d x d positive-semidefinite unit-trace matrix.
 
-    Eigenvalues in [-eig_floor, 0) are treated as rounding noise and clamp to
-    zero for entropy purposes; anything below -eig_floor is rejected.
+    Eigenvalues in [-EIG_FLOOR, 0) are treated as rounding noise and clamp to
+    zero for entropy purposes; anything below -EIG_FLOOR is rejected.
     """
 
     entries: np.ndarray
-    eig_floor: float = EIG_FLOOR
 
     def __post_init__(self):
         m = _as_square_complex(self.entries)
-        if np.max(np.abs(m - m.conj().T)) > ALGEBRA_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= ALGEBRA_TOL:
             raise InvalidStateError("density matrix is not Hermitian to 1e-12")
         tr = m.trace()
-        if abs(tr - 1.0) > ALGEBRA_TOL:
+        if not abs(tr - 1.0) <= ALGEBRA_TOL:
             raise InvalidStateError(f"density matrix trace {tr} != 1 to 1e-12")
         lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -self.eig_floor:
+        if not lo >= -EIG_FLOOR:
             raise InvalidStateError(
-                f"density matrix has eigenvalue {lo} below -{self.eig_floor}"
+                f"density matrix has eigenvalue {lo} below -{EIG_FLOOR}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -83,8 +83,8 @@ class DensityOperator:
         return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues with the [-eig_floor, 0) band clamped to 0."""
-        return clamp_spectrum(np.linalg.eigvalsh(self.entries), self.eig_floor)
+        """Ascending eigenvalues with the [-EIG_FLOOR, 0) band clamped to 0."""
+        return clamp_spectrum(np.linalg.eigvalsh(self.entries))
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class UnitaryOperator:
 
     def __post_init__(self):
         m = _as_square_complex(self.entries)
-        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > ALGEBRA_TOL:
+        if not np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= ALGEBRA_TOL:
             raise InvalidStateError("matrix is not unitary to 1e-12")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -144,9 +144,9 @@ class ClassicalDistribution:
         v = np.asarray(self.p, dtype=float).reshape(-1)
         if v.size == 0:
             raise InvalidStateError("empty distribution")
-        if np.any(v < 0.0):
+        if not np.all(v >= 0.0):
             raise InvalidStateError("probabilities must be nonnegative")
-        if abs(v.sum() - 1.0) > ALGEBRA_TOL:
+        if not abs(v.sum() - 1.0) <= ALGEBRA_TOL:
             raise InvalidStateError(f"probabilities sum to {v.sum()}, not 1 to 1e-12")
         v.setflags(write=False)
         object.__setattr__(self, "p", v)
@@ -159,11 +159,11 @@ class ClassicalDistribution:
         return DensityOperator(np.diag(self.p.astype(complex)))
 
 
-def clamp_spectrum(eigs: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Clamp eigenvalues in [-floor, 0) to 0; reject anything below -floor."""
+def clamp_spectrum(eigs: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues in [-EIG_FLOOR, 0) to 0; reject anything below or NaN."""
     lo = float(np.min(eigs))
-    if lo < -floor:
-        raise InvalidStateError(f"eigenvalue {lo} below -{floor}: not a valid state")
+    if not lo >= -EIG_FLOOR:
+        raise InvalidStateError(f"eigenvalue {lo} below -{EIG_FLOOR}: not a valid state")
     return np.where(eigs < 0.0, 0.0, eigs)
 
 
@@ -219,7 +219,7 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     """
     _check_same_dim(sigma.entries, rho.entries)
     rho_eigs, rho_basis = np.linalg.eigh(rho.entries)
-    rho_eigs = clamp_spectrum(rho_eigs, rho.eig_floor)
+    rho_eigs = clamp_spectrum(rho_eigs)
     # sigma's weight on each eigenvector of rho
     weights = np.real(np.einsum(
         "ij,jk,ki->i", rho_basis.conj().T, sigma.entries, rho_basis

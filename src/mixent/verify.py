@@ -36,7 +36,6 @@ from .combinatorics import (
 )
 from .errors import CapExceededError
 from .mixing import (
-    TYPE_CLASS_BUDGET,
     classical_mixing_entropy_exact,
     classical_mixing_entropy_multi,
     convergence_sweep,
@@ -82,7 +81,6 @@ SKIPPED_CAP = "skipped: cap"
 class VerifyConfig:
     seed: int = DEFAULT_SEED
     dense_cap: int = DENSE_DIM_CAP
-    type_budget: int = TYPE_CLASS_BUDGET
     tolerances: dict = field(default_factory=dict)
 
     def tol(self, name: str) -> float:
@@ -287,9 +285,7 @@ def _c4_oracle_equivalence(ctx):
                 sig.as_density(), rho.as_density(), n, method="dense",
                 dense_cap=cfg.dense_cap,
             )
-            classical = classical_mixing_entropy_exact(
-                sig, rho, n, budget=cfg.type_budget
-            )
+            classical = classical_mixing_entropy_exact(sig, rho, n)
             max_diff = max(max_diff, abs(dense.s_mix - classical.s_mix))
             ctx["records"].extend([dense, classical])
             ran.append(f"d={d},n={n}")
@@ -297,15 +293,10 @@ def _c4_oracle_equivalence(ctx):
     # type-class spectrum against direct string enumeration
     spectrum_ok = True
     max_spec_rel = 0.0
-    for d, n_total, (rho_p, sig_p) in [
-        (2, 12, ([0.62, 0.38], [0.2, 0.8])),
-        (3, 7, ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45])),
-    ]:
+    for d, n_max, (rho_p, sig_p) in C4_FAMILIES:
+        n_total = n_max + 1
         spec = type_class_spectrum(
-            ClassicalDistribution(sig_p),
-            ClassicalDistribution(rho_p),
-            n_total,
-            budget=cfg.type_budget,
+            ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n_total
         )
         eig_by_type = {
             tuple(row): (math.exp(lq) if math.isfinite(lq) else 0.0)
@@ -347,8 +338,7 @@ def _c5_convergence(ctx):
     rho = ClassicalDistribution([0.7, 0.3])
     sig = ClassicalDistribution([0.3, 0.7])
     records, summary = convergence_sweep(
-        sig, rho, [2**k for k in range(13)],
-        method="classical-exact", budget=cfg.type_budget,
+        sig, rho, [2**k for k in range(13)], method="classical-exact"
     )
     ctx["records"].extend(records)
     # independent oracle for the limit
@@ -451,16 +441,14 @@ def _c8_multi(ctx):
 
     max_diff = 0.0
     for n_total, m_sigma in [(3, 1), (4, 1), (4, 2), (5, 2), (6, 2)]:
-        rec = classical_mixing_entropy_multi(
-            sig, rho, n_total, m_sigma, budget=cfg.type_budget
-        )
+        rec = classical_mixing_entropy_multi(sig, rho, n_total, m_sigma)
         oracle = _brute_multi_mixing(sig, rho, n_total, m_sigma)
         max_diff = max(max_diff, abs(rec.s_mix - oracle))
 
     # limit trend for m_sigma = 2: emitted, not asserted (open question)
     trend = []
     for n_total in (8, 16, 32, 64, 128):
-        rec = classical_mixing_entropy_multi(sig, rho, n_total, 2, budget=cfg.type_budget)
+        rec = classical_mixing_entropy_multi(sig, rho, n_total, 2)
         trend.append({"n_total": n_total, "s_mix": rec.s_mix, "gap_to_2_s_rel": rec.gap})
 
     ok = max_diff < tol

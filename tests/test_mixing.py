@@ -27,6 +27,7 @@ from mixent import (
     apply_unitary,
 )
 from mixent.mixing import (
+    TYPE_CLASS_BUDGET,
     dense_state_entropy,
     kron_all,
     records_to_csv,
@@ -112,7 +113,7 @@ def test_symmetrized_permutation_invariance_noncommuting(d, n):
     rho = gibbs_state(HermitianOperator(np.diag(np.arange(d, dtype=float))), 1.0)
     sigma = apply_unitary(rho, random_haar_unitary(3, d))
     mixture = symmetrized_state_dense(sigma, rho, n)
-    mixture.validate(perm_tol=1e-10)
+    mixture.validate()
 
 
 def _noncommuting_pair(d, real):
@@ -218,25 +219,12 @@ def test_dense_entropy_diagonal_below_floor_rejected():
     assert clamped == entropy_of_spectrum(np.array([0.5, 0.5 + EIG_FLOOR / 2]))
 
 
-def test_mixture_needs_exactly_one_representation():
-    from mixent import SymmetrizedMixture
-
-    with pytest.raises(ValueError):
-        SymmetrizedMixture(dim=2, n_total=2)
-    spec = type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, 3)
-    with pytest.raises(ValueError):
-        SymmetrizedMixture(dim=2, n_total=3, matrix=np.eye(8) / 8, spectrum=spec)
-
-
 def test_mixture_spectrum_representation_validates():
-    from mixent import SymmetrizedMixture
-
     spec = type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, 4)
-    mixture = SymmetrizedMixture(dim=2, n_total=4, spectrum=spec)
-    mixture.validate()
+    spec.validate()
     probs = string_probs(SIGMA_CLASSICAL.p, RHO_CLASSICAL.p, 4)
     expected = -np.sum(probs * np.log(probs))
-    assert mixture.entropy() == pytest.approx(expected, abs=1e-12)
+    assert spec.entropy() == pytest.approx(expected, abs=1e-12)
 
 
 def test_dense_validate_rejects_asymmetric_matrix():
@@ -304,8 +292,9 @@ def test_type_class_spectrum_requires_full_support():
 
 
 def test_type_class_budget():
+    # d=2 has n_total + 1 types: one past the budget raises before enumerating
     with pytest.raises(CapExceededError):
-        type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, 100, budget=10)
+        type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, TYPE_CLASS_BUDGET)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from mixent import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from mixent.mixing import dense_state_entropy
+from mixent.states import clamp_spectrum
 from conftest import seeded_density
 
 
@@ -77,6 +79,26 @@ def test_distribution_invariants():
         ClassicalDistribution([0.5, 0.6])
     with pytest.raises(InvalidStateError):
         ClassicalDistribution([1.2, -0.2])
+
+
+NAN_QUBIT = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HermitianOperator(NAN_QUBIT),
+        lambda: DensityOperator(NAN_QUBIT),
+        lambda: UnitaryOperator(NAN_QUBIT),
+        lambda: ClassicalDistribution([np.nan, 1.0]),
+        lambda: clamp_spectrum(np.array([np.nan, 0.5])),
+        lambda: dense_state_entropy(np.diag([np.nan, 1.0])),
+    ],
+    ids=["hermitian", "density", "unitary", "distribution", "clamp", "dense-entropy"],
+)
+def test_nan_is_rejected(build):
+    with pytest.raises(InvalidStateError):
+        build()
 
 
 # ---------------------------------------------------------------------------
