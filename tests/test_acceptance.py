@@ -88,6 +88,20 @@ def test_criterion_8_multi_collision_variant(outcome):
           f"{[round(t['gap_to_2_s_rel'], 5) for t in trend]}")
 
 
+def test_criterion_8_numbers_are_pinned(outcome):
+    # exact reprs: criterion 8's 1e-10 tolerance would let a rounding change through
+    details = next(r for r in outcome.results if r.cid == 8).details
+    assert repr(details["max_brute_diff"]) == "8.881784197001252e-16"
+    assert [(t["n_total"], repr(t["s_mix"]), repr(t["gap_to_2_s_rel"]))
+            for t in details["trend_m_sigma_2"]] == [
+        (8, "0.5016773645815382", "0.16791320884713046"),
+        (16, "0.5858024157459347", "0.08378815768273395"),
+        (32, "0.6277937790060744", "0.04179679442259432"),
+        (64, "0.6487228280086565", "0.02086774542001213"),
+        (128, "0.6591650802699913", "0.010425493158677357"),
+    ]
+
+
 def test_criterion_9_determinism(outcome, tmp_path):
     # the engine's own spot check
     result = _check(outcome, 9)

@@ -183,6 +183,20 @@ def test_mix_sweep_classical_convergence(tmp_path):
     assert verify_manifest(out)
 
 
+@pytest.mark.parametrize("grid", [
+    {"n_list": [4, 4, 4]},
+    {"n_list": "4,4,4"},
+    {"n_grid": {"start": 4, "factor": 1, "count": 3}},
+])
+def test_mix_sweep_rejects_repeated_n(tmp_path, grid):
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {"command": {"name": "mix-sweep", "params": {
+            "sigma": {"p": [0.3, 0.7]}, "rho": {"p": [0.7, 0.3]}, **grid}}},
+    )
+    assert main(["mix-sweep", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+
+
 def test_mix_sweep_dense_quantum_within_cap(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",

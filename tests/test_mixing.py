@@ -28,6 +28,7 @@ from mixent import (
 )
 from mixent.mixing import (
     TYPE_CLASS_BUDGET,
+    _type_count_matrix,
     dense_state_entropy,
     kron_all,
     records_to_csv,
@@ -295,6 +296,52 @@ def test_type_class_budget():
     # d=2 has n_total + 1 types: one past the budget raises before enumerating
     with pytest.raises(CapExceededError):
         type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, TYPE_CLASS_BUDGET)
+
+
+def test_type_class_budget_checked_before_allocating(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(np, "repeat", enumerated)
+    monkeypatch.setattr(np, "column_stack", enumerated)
+    # C(3165, 2) = 5006630 types at d=3
+    for n_total, d in [(TYPE_CLASS_BUDGET, 2), (3163, 3)]:
+        with pytest.raises(CapExceededError):
+            _type_count_matrix(n_total, d)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_type_count_matrix_is_stars_and_bars_in_order(d):
+    for n_total in range(1, 13):
+        # counts are the gaps between the d - 1 bars among n_total + d - 1 slots
+        expected = np.array([
+            np.diff((-1,) + bars + (n_total + d - 1,)) - 1
+            for bars in itertools.combinations(range(n_total + d - 1), d - 1)
+        ], dtype=np.int64)
+        counts = _type_count_matrix(n_total, d)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+
+
+# s_mix of the criterion-4 pairs as exact reprs, so that any change in how the
+# classical route rounds (enumeration order, log-gamma, sums) fails here
+PINNED_S_MIX = {
+    (2, 1): "0.17237007772836943",
+    (2, 64): "0.3634919645504153",
+    (2, 2048): "0.3690892309575444",
+    (3, 1): "0.11110346672429738",
+    (3, 64): "0.23175707920986532",
+    (3, 2048): "0.2354909694950269",
+}
+
+
+@pytest.mark.parametrize("d,n", sorted(PINNED_S_MIX))
+def test_classical_s_mix_bits_are_pinned(d, n):
+    rho_p, sig_p = next(pair for dim, _, pair in C4_FAMILIES if dim == d)
+    rec = classical_mixing_entropy_exact(
+        ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n
+    )
+    assert repr(rec.s_mix) == PINNED_S_MIX[d, n]
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +625,13 @@ def test_sweep_bounds_hold():
 def test_sweep_needs_three_points():
     with pytest.raises(ValueError):
         convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, [1, 2])
+
+
+@pytest.mark.parametrize("n_list", [[4, 4, 4], [1, 2, 2, 4]])
+def test_sweep_rejects_repeated_n(n_list):
+    # one repeated n fits a "limit" with zero residual that is not S[sigma|rho]
+    with pytest.raises(ValueError, match="more than once"):
+        convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, n_list)
 
 
 def test_records_csv_format():
