@@ -30,10 +30,9 @@ from .combinatorics import (
     INSERTION_N,
     INSERTION_RHO,
     TYPICALITY_N,
-    insertion_factor_rows,
-    max_increase_formula_error,
+    TYPICALITY_RHO,
+    appendix_checks,
     random_distribution_pairs,
-    typicality_entropy_check,
 )
 from .errors import CapExceededError, MixentError
 from .mixing import convergence_sweep, records_to_csv
@@ -43,13 +42,13 @@ from .serialize import (
     matrix_to_json,
 )
 from .states import (
-    LN2,
     ClassicalDistribution,
     DensityOperator,
     HermitianOperator,
     InverseTemperature,
     UnitaryOperator,
     gibbs_state,
+    nats_to_bits,
     random_haar_unitary,
     random_hermitian,
     von_neumann_entropy,
@@ -77,12 +76,12 @@ class ExperimentConfig:
                  out_dir: Path, params: dict):
         if units not in ("nats", "bits"):
             raise ConfigError(f"units must be 'nats' or 'bits', got {units!r}")
-        if dense_cap < 1:
+        if _checked("dense_cap", dense_cap, int) < 1:
             raise ConfigError(f"dense_cap must be positive, got {dense_cap}")
         self.command = command
-        self.seed = None if seed is None else int(seed)
+        self.seed = None if seed is None else _checked("seed", seed, int)
         self.units = units
-        self.dense_cap = int(dense_cap)
+        self.dense_cap = dense_cap
         self.out_dir = Path(out_dir)
         self.params = params
 
@@ -107,18 +106,14 @@ def resolve_config(args) -> ExperimentConfig:
     base = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
-            raise ConfigError("config file must hold a JSON object")
-    command = base.get("command", {})
-    if command and not isinstance(command, dict):
-        raise ConfigError("config 'command' must be an object")
+            base = _checked("config file", json.load(fh), dict)
+    command = _checked("command", base.get("command", {}), dict)
     name = command.get("name")
     if name is not None and name != args.subcommand:
         raise ConfigError(
             f"config names command {name!r} but subcommand {args.subcommand!r} was invoked"
         )
-    params = dict(command.get("params", {}))
+    params = _checked("params", command.get("params", {}), dict)
     for key, value in vars(args).items():
         if key.startswith("param_") and value is not None:
             params[key[len("param_"):]] = value
@@ -140,25 +135,41 @@ def resolve_config(args) -> ExperimentConfig:
     )
 
 
-def _load_matrix_param(params: dict, key: str):
-    """A matrix parameter is an inline {dim, re, im} object or a file path."""
-    value = params.get(key)
-    if value is None:
-        return None
-    if isinstance(value, str):
-        with open(value, encoding="utf-8") as fh:
-            value = json.load(fh)
-    return matrix_from_json(value)
+def _checked(key: str, value, kind):
+    """value as kind (int, float, list or dict; an int passes as a float)."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
-def _load_state_param(params: dict, key: str):
-    """A state is a distribution {p: [...]}, a matrix object, or a file path."""
+def _param(params: dict, key: str, kind, default=None):
+    """params[key] read by _checked; default if absent, required if that is None."""
+    if key not in params:
+        if default is None:
+            raise ConfigError(f"missing required parameter {key!r}")
+        return default
+    return _checked(key, params[key], kind)
+
+
+def _list_param(params: dict, key: str, kind, default=None) -> list:
+    return [_checked(key, x, kind) for x in _param(params, key, list, default)]
+
+
+def _object_param(params: dict, key: str) -> dict:
+    """A required JSON object, inline or as the path of a file holding one."""
     value = params.get(key)
     if value is None:
         raise ConfigError(f"missing required parameter {key!r}")
     if isinstance(value, str):
         with open(value, encoding="utf-8") as fh:
             value = json.load(fh)
+    return _checked(key, value, dict)
+
+
+def _load_state_param(params: dict, key: str):
+    """A state is a distribution {p: [...]}, a matrix object, or a file path."""
+    value = _object_param(params, key)
     if "p" in value:
         return distribution_from_json(value)
     return DensityOperator(matrix_from_json(value))
@@ -171,13 +182,13 @@ def _load_state_param(params: dict, key: str):
 def _entropy_fields(prefix: str, nats: float, units: str) -> dict:
     fields = {f"{prefix}_nats": nats}
     if units == "bits":
-        fields[f"{prefix}_bits"] = nats / LN2
+        fields[f"{prefix}_bits"] = nats_to_bits(nats)
     return fields
 
 
 def _display(nats: float, units: str) -> str:
     if units == "bits":
-        return f"{nats / LN2:.6f} bits"
+        return f"{nats_to_bits(nats):.6f} bits"
     return f"{nats:.6f} nats"
 
 
@@ -232,13 +243,8 @@ def verify_manifest(out_dir: Path) -> bool:
 
 def cmd_gibbs(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg)
-    matrix = _load_matrix_param(cfg.params, "hamiltonian")
-    if matrix is None:
-        raise ConfigError("gibbs needs a 'hamiltonian' parameter")
-    if "beta" not in cfg.params:
-        raise ConfigError("gibbs needs a 'beta' parameter")
-    beta = InverseTemperature(float(cfg.params["beta"]))
-    h = HermitianOperator(matrix)
+    h = HermitianOperator(matrix_from_json(_object_param(cfg.params, "hamiltonian")))
+    beta = InverseTemperature(_param(cfg.params, "beta", float))
     rho = gibbs_state(h, beta)
     entropy = von_neumann_entropy(rho)
     out = {
@@ -257,34 +263,26 @@ def cmd_gibbs(cfg: ExperimentConfig) -> int:
 
 
 def _collide_instance(cfg: ExperimentConfig):
-    matrix = _load_matrix_param(cfg.params, "hamiltonian")
-    unitary = cfg.params.get("unitary", "haar")
-    if matrix is None:
-        d = int(cfg.params.get("dim", 0))
+    if cfg.params.get("hamiltonian") is None:
+        d = _param(cfg.params, "dim", int, 0)
         if d < 2:
             raise ConfigError("collide needs 'hamiltonian' or a random-instance 'dim'")
         h = random_hermitian(cfg.require_seed(), d)
     else:
-        h = HermitianOperator(matrix)
-    if isinstance(unitary, str) and unitary == "haar":
+        h = HermitianOperator(matrix_from_json(_object_param(cfg.params, "hamiltonian")))
+    if cfg.params.get("unitary", "haar") == "haar":
         u = random_haar_unitary(cfg.require_seed() + 1, h.dim)
     else:
-        if isinstance(unitary, str):
-            with open(unitary, encoding="utf-8") as fh:
-                unitary = json.load(fh)
-        u = UnitaryOperator(matrix_from_json(unitary))
+        u = UnitaryOperator(matrix_from_json(_object_param(cfg.params, "unitary")))
     return h, u
 
 
 def cmd_collide(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg)
     h, u = _collide_instance(cfg)
-    try:
-        beta = float(cfg.params["beta"])
-        collisions = int(cfg.params["collisions"])
-        reservoir = int(cfg.params["reservoir_size"])
-    except KeyError as exc:
-        raise ConfigError(f"collide needs parameter {exc}") from exc
+    beta = _param(cfg.params, "beta", float)
+    collisions = _param(cfg.params, "collisions", int)
+    reservoir = _param(cfg.params, "reservoir_size", int)
     spec = CollisionSpec(
         h=h, beta=beta, u=u, collisions=collisions, reservoir_size=reservoir
     )
@@ -319,15 +317,14 @@ def cmd_collide(cfg: ExperimentConfig) -> int:
 
 def _resolve_n_list(params: dict) -> list:
     if "n_list" in params:
-        raw = params["n_list"]
-        if isinstance(raw, str):
-            raw = [part for part in raw.split(",") if part]
-        return [int(x) for x in raw]
-    grid = params.get("n_grid")
-    if grid:
-        start = int(grid.get("start", 1))
-        factor = int(grid.get("factor", 2))
-        count = int(grid.get("count", 10))
+        if isinstance(params["n_list"], str):
+            return [int(part) for part in params["n_list"].split(",") if part]
+        return _list_param(params, "n_list", int)
+    if params.get("n_grid"):
+        grid = _param(params, "n_grid", dict)
+        start = _param(grid, "start", int, 1)
+        factor = _param(grid, "factor", int, 2)
+        count = _param(grid, "count", int, 10)
         return [start * factor**k for k in range(count)]
     raise ConfigError("mix-sweep needs 'n_list' or 'n_grid'")
 
@@ -407,51 +404,48 @@ APPENDIX_DEFAULT_PAIRS = [
 
 def cmd_appendix(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg)
-    rho = ClassicalDistribution(cfg.params.get("rho", {"p": [0.5, 0.5]})["p"])
-    typicality_n = [int(n) for n in cfg.params.get("typicality_n", TYPICALITY_N)]
-    insertion_n = [int(n) for n in cfg.params.get("insertion_n", INSERTION_N)]
-    insertion_rho = [float(r) for r in cfg.params.get("insertion_rho", INSERTION_RHO)]
-
-    checks = [typicality_entropy_check(rho, n) for n in typicality_n]
-    deficits = [c.deficit for c in checks]
-    typicality_ok = all(b < a for a, b in zip(deficits, deficits[1:])) and all(
-        d >= 0 for d in deficits
-    )
-
-    insertion_rows = insertion_factor_rows(insertion_n, insertion_rho)
-    insertion_ok = all(row["rel_err"] < row["bound"] for row in insertion_rows)
-
+    rho = ClassicalDistribution(TYPICALITY_RHO)
+    if "rho" in cfg.params:
+        rho = _load_state_param(cfg.params, "rho")
+    if not isinstance(rho, ClassicalDistribution):
+        raise ConfigError("appendix 'rho' must be a distribution {\"p\": [...]}")
     if cfg.seed is not None:
-        count = int(cfg.params.get("pairs", FORMULA_PAIRS))
+        count = _param(cfg.params, "pairs", int, FORMULA_PAIRS)
         pairs = random_distribution_pairs(cfg.seed, count)
     else:
         pairs = APPENDIX_DEFAULT_PAIRS
-    max_formula_err = max_increase_formula_error(pairs)
-    formula_ok = max_formula_err < DEFAULT_TOLERANCES["increase_formula"]
-
-    all_ok = typicality_ok and insertion_ok and formula_ok
+    checks = appendix_checks(
+        rho,
+        pairs,
+        typicality_n=_list_param(cfg.params, "typicality_n", int, TYPICALITY_N),
+        insertion_n=_list_param(cfg.params, "insertion_n", int, INSERTION_N),
+        insertion_rho=_list_param(cfg.params, "insertion_rho", float, INSERTION_RHO),
+    )
+    typicality_ok = checks["deficits_decreasing"] and all(d >= 0 for d in checks["deficits"])
+    formula_ok = checks["max_formula_err"] < DEFAULT_TOLERANCES["increase_formula"]
+    all_ok = typicality_ok and checks["insertion_ok"] and formula_ok
 
     def typicality_row(c):
         row = c.as_dict()
         if cfg.units == "bits":
             for key in ("lhs_per_symbol", "S_rho", "deficit"):
-                row[f"{key}_bits"] = row[key] / LN2
+                row[f"{key}_bits"] = nats_to_bits(row[key])
         return row
 
     report = {
         "units": cfg.units,
-        "typicality": [typicality_row(c) for c in checks],
+        "typicality": [typicality_row(c) for c in checks["typicality"]],
         "typicality_ok": typicality_ok,
-        "insertion": insertion_rows,
-        "insertion_ok": insertion_ok,
+        "insertion": checks["insertion_rows"],
+        "insertion_ok": checks["insertion_ok"],
         "increase_formula_pairs": len(pairs),
-        "max_formula_err": max_formula_err,
+        "max_formula_err": checks["max_formula_err"],
         "formula_ok": formula_ok,
         "all_pass": all_ok,
     }
     writer.write_json("report.json", report)
     writer.finish()
-    for c in checks:
+    for c in checks["typicality"]:
         print(
             f"appendix: n={c.n} per-symbol {c.lhs_per_symbol:.6f} vs "
             f"S[rho]={c.s_rho:.6f} (deficit {c.deficit:.3e})"
@@ -461,16 +455,14 @@ def cmd_appendix(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
+    if set(cfg.params) - {"criteria"}:
+        raise ConfigError(f"verify takes only 'criteria', got {sorted(cfg.params)}; its "
+                          "tolerances are pinned in mixent.verify.DEFAULT_TOLERANCES")
+    only = None
+    if "criteria" in cfg.params:
+        only = tuple(_list_param(cfg.params, "criteria", int))
+    vcfg = VerifyConfig(seed=cfg.require_seed(), dense_cap=cfg.dense_cap)
     writer = RunWriter(cfg)
-    tolerances = cfg.params.get("tolerances", {})
-    only = cfg.params.get("criteria")
-    if only is not None:
-        only = tuple(int(c) for c in only)
-    vcfg = VerifyConfig(
-        seed=cfg.require_seed(),
-        dense_cap=cfg.dense_cap,
-        tolerances={k: float(v) for k, v in tolerances.items()},
-    )
     outcome = run_acceptance(vcfg, only=only)
     writer.write_json("verify_report.json", outcome.report)
     timings = {f"criterion_{r.cid}": r.elapsed_s * 1e3 for r in outcome.results}
@@ -482,7 +474,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         f"verify: {rep['passed']} passed, {rep['failed']} failed, "
         f"{rep['skipped']} skipped"
     )
-    return EXIT_OK if outcome.all_pass else EXIT_VERIFY_FAIL
+    return EXIT_OK if outcome.report["all_pass"] else EXIT_VERIFY_FAIL
 
 
 HANDLERS = {

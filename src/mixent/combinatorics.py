@@ -18,6 +18,7 @@ from .errors import InfiniteRelativeEntropyError
 from .states import ClassicalDistribution, relative_entropy, shannon_entropy
 
 # defaults shared by the `appendix` command and verify criterion 7
+TYPICALITY_RHO = (0.5, 0.5)
 TYPICALITY_N = (100, 1000, 10_000)
 INSERTION_N = (10, 100, 1000, 10_000)
 INSERTION_RHO = (0.05, 0.1, 0.25, 0.5, 0.9, 1.0)
@@ -181,3 +182,25 @@ def max_increase_formula_error(pairs: Sequence[tuple]) -> float:
         operator = relative_entropy(sigma.as_density(), rho.as_density())
         max_err = max(max_err, abs(direct - operator))
     return max_err
+
+
+def appendix_checks(rho: ClassicalDistribution, pairs: Sequence[tuple],
+                    typicality_n=TYPICALITY_N, insertion_n=INSERTION_N,
+                    insertion_rho=INSERTION_RHO) -> dict:
+    """What the `appendix` command and verify criterion 7 both compute.
+
+    Typicality of rho with the deficits' ordering, the insertion rows against
+    their bound, and the largest increase-formula error over the pairs. Each
+    caller adds its own rule on the deficits' values.
+    """
+    typicality = [typicality_entropy_check(rho, n) for n in typicality_n]
+    deficits = [c.deficit for c in typicality]
+    rows = insertion_factor_rows(insertion_n, insertion_rho)
+    return {
+        "typicality": typicality,
+        "deficits": deficits,
+        "deficits_decreasing": all(b < a for a, b in zip(deficits, deficits[1:])),
+        "insertion_rows": rows,
+        "insertion_ok": all(row["rel_err"] < row["bound"] for row in rows),
+        "max_formula_err": max_increase_formula_error(pairs),
+    }

@@ -17,6 +17,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -103,16 +104,23 @@ class TypeClassSpectrum:
             mults.append(m)
         return mults
 
+    @cached_property
+    def _weights(self) -> tuple:
+        """(mult * q, ln q) over the types with a nonzero eigenvalue."""
+        finite = np.isfinite(self.log_q)
+        if finite.all():    # no copies: the cache then holds only the weights
+            return np.exp(self.log_mult + self.log_q), self.log_q
+        lq = self.log_q[finite]
+        return np.exp(self.log_mult[finite] + lq), lq
+
     def total_weight(self) -> float:
         """sum over types of multiplicity * eigenvalue; must be 1."""
-        finite = np.isfinite(self.log_q)
-        return exact_sum(np.exp(self.log_mult[finite] + self.log_q[finite]))
+        return exact_sum(self._weights[0])
 
     def entropy(self) -> float:
         """S[R] = -sum_m mult(m) q(m) ln q(m), in nats."""
-        finite = np.isfinite(self.log_q)
-        lq = self.log_q[finite]
-        return exact_sum(-np.exp(self.log_mult[finite] + lq) * lq)
+        weights, lq = self._weights
+        return exact_sum(-weights * lq)
 
     def validate(self):
         if np.any(self.counts.sum(axis=1) != self.n_total):

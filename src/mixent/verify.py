@@ -1,9 +1,12 @@
 """One-shot acceptance matrix: every headline claim checked at a pinned tolerance.
 
-Each criterion is a pure function of the seed and caps, so a verify run is
-reproducible bit-for-bit. Results carry semantic outcomes only; wall-clock
-times are returned alongside (for manifests and budget tests) but are kept
-out of the report so two runs with one seed serialize identically.
+The tolerances are the constants in DEFAULT_TOLERANCES. Each criterion is a
+pure function of the seed and dense cap (VerifyConfig), so a verify run is
+reproducible bit-for-bit; run_acceptance hands criteria 4 and 5's records to
+criterion 6 and this run's probe results to criterion 9. Results carry
+semantic outcomes only; wall-clock times are returned alongside (for manifests
+and budget tests) but are kept out of the report so two runs with one seed
+serialize identically.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +29,9 @@ from .collisions import (
 )
 from .combinatorics import (
     FORMULA_PAIRS,
-    INSERTION_N,
-    INSERTION_RHO,
-    TYPICALITY_N,
-    insertion_factor_rows,
-    max_increase_formula_error,
+    TYPICALITY_RHO,
+    appendix_checks,
     random_distribution_pairs,
-    typicality_entropy_check,
 )
 from .errors import CapExceededError
 from .mixing import (
@@ -70,29 +69,21 @@ DEFAULT_TOLERANCES = {
     "multi_brute": 1e-10,         # multi variant vs placement enumeration
 }
 
+QUBIT_H = HermitianOperator(np.diag([0.0, 1.0]))
+EXCHANGE = UnitaryOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+
 RUNTIME_BUDGETS_S = {1: 10.0, 3: 30.0, 4: 120.0, 5: 60.0, 7: 10.0, 8: 30.0}
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED_CAP = "skipped: cap"
+SKIPPED_NO_RECORDS = "skipped: needs criterion 4 or 5"
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = DEFAULT_SEED
     dense_cap: int = DENSE_DIM_CAP
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, name: str) -> float:
-        if name not in DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance {name!r}")
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
-
-    def resolved_tolerances(self) -> dict:
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        return {k: self.tol(k) for k in DEFAULT_TOLERANCES}
 
 
 @dataclass(frozen=True)
@@ -109,14 +100,6 @@ class VerifyOutcome:
     results: tuple
     report: dict
 
-    @property
-    def all_pass(self) -> bool:
-        return all(r.status != FAIL for r in self.results)
-
-    @property
-    def failed(self) -> int:
-        return sum(r.status == FAIL for r in self.results)
-
 
 def _status(ok: bool) -> str:
     return PASS if ok else FAIL
@@ -126,11 +109,10 @@ def _status(ok: bool) -> str:
 # criterion 1: beta * Delta E = S[sigma|rho], Delta E > 0
 # ---------------------------------------------------------------------------
 
-def _c1_dissipation(ctx):
-    cfg = ctx["config"]
-    rel_tol = cfg.tol("dissipation_rel")
-    comm_floor = cfg.tol("commutator_floor")
-    gap_floor = cfg.tol("state_gap_floor")
+def _c1_dissipation(cfg):
+    rel_tol = DEFAULT_TOLERANCES["dissipation_rel"]
+    comm_floor = DEFAULT_TOLERANCES["commutator_floor"]
+    gap_floor = DEFAULT_TOLERANCES["state_gap_floor"]
     rng = np.random.default_rng(cfg.seed)
 
     max_rel = 0.0
@@ -172,29 +154,18 @@ def _c1_dissipation(ctx):
 # criterion 2: reservoir informatic entropy constant to 0 ulp
 # ---------------------------------------------------------------------------
 
-def _c2_reversibility(ctx):
-    cfg = ctx["config"]
-    specs = []
-    exchange = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    specs.append(
+def _c2_reversibility(cfg):
+    qubit = CollisionSpec(h=QUBIT_H, beta=1.0, u=EXCHANGE, collisions=5, reservoir_size=9)
+    specs = [qubit] + [
         CollisionSpec(
-            h=HermitianOperator(np.diag([0.0, 1.0])),
-            beta=1.0,
-            u=UnitaryOperator(exchange),
-            collisions=5,
-            reservoir_size=9,
+            h=random_hermitian(cfg.seed + 100 + j, d),
+            beta=beta,
+            u=random_haar_unitary(cfg.seed + 200 + j, d),
+            collisions=k,
+            reservoir_size=n,
         )
-    )
-    for j, (d, beta, k, n) in enumerate([(3, 0.5, 4, 7), (4, 2.0, 7, 7)]):
-        specs.append(
-            CollisionSpec(
-                h=random_hermitian(cfg.seed + 100 + j, d),
-                beta=beta,
-                u=random_haar_unitary(cfg.seed + 200 + j, d),
-                collisions=k,
-                reservoir_size=n,
-            )
-        )
+        for j, (d, beta, k, n) in enumerate([(3, 0.5, 4, 7), (4, 2.0, 7, 7)])
+    ]
 
     ok = True
     for spec in specs:
@@ -213,26 +184,21 @@ def _c2_reversibility(ctx):
 # criterion 3: gracefulness residuals
 # ---------------------------------------------------------------------------
 
-def _c3_gracefulness(ctx):
-    cfg = ctx["config"]
-    tol = cfg.tol("graceful_residual")
+def _c3_gracefulness(cfg):
+    tol = DEFAULT_TOLERANCES["graceful_residual"]
     if cfg.dense_cap < 2**4:
         return SKIPPED_CAP, {"required_dim": 16, "dense_cap": cfg.dense_cap}
-    h = HermitianOperator(np.diag([0.0, 1.0]))
-    rho = gibbs_state(h, 1.0)
-    exchange = UnitaryOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    rho = gibbs_state(QUBIT_H, 1.0)
     cases = {
-        "commuting": apply_unitary(rho, exchange),
+        "commuting": apply_unitary(rho, EXCHANGE),
         "non-commuting": apply_unitary(rho, random_haar_unitary(cfg.seed + 7, 2)),
     }
     max_energy = 0.0
     max_comm = 0.0
     ran = []
     for n in (1, 2, 3):
-        if 2 ** (n + 1) > cfg.dense_cap:
-            return SKIPPED_CAP, {"required_dim": 2 ** (n + 1), "dense_cap": cfg.dense_cap}
         for label, sigma in cases.items():
-            rep = graceful_checks(sigma, rho, n, h, dense_cap=cfg.dense_cap)
+            rep = graceful_checks(sigma, rho, n, QUBIT_H, dense_cap=cfg.dense_cap)
             max_energy = max(max_energy, rep.energy_residual)
             max_comm = max(max_comm, rep.commutation_residual)
             ran.append(f"n={n},{label}")
@@ -267,13 +233,12 @@ def _string_eigenvalue(sig_p, rho_p, s):
     return q / n_total
 
 
-def _c4_oracle_equivalence(ctx):
-    cfg = ctx["config"]
-    tol = cfg.tol("oracle_equivalence")
-    spec_tol = cfg.tol("spectrum_rel")
+def _c4_oracle_equivalence(cfg):
+    tol = DEFAULT_TOLERANCES["oracle_equivalence"]
+    spec_tol = DEFAULT_TOLERANCES["spectrum_rel"]
 
     max_diff = 0.0
-    ran, skipped = [], []
+    ran, skipped, records = [], [], []
     for d, n_max, (rho_p, sig_p) in C4_FAMILIES:
         rho = ClassicalDistribution(rho_p)
         sig = ClassicalDistribution(sig_p)
@@ -287,7 +252,7 @@ def _c4_oracle_equivalence(ctx):
             )
             classical = classical_mixing_entropy_exact(sig, rho, n)
             max_diff = max(max_diff, abs(dense.s_mix - classical.s_mix))
-            ctx["records"].extend([dense, classical])
+            records.extend([dense, classical])
             ran.append(f"d={d},n={n}")
 
     # type-class spectrum against direct string enumeration
@@ -324,23 +289,21 @@ def _c4_oracle_equivalence(ctx):
     if skipped:
         details["skipped_cases"] = skipped
         if max_diff < tol and spectrum_ok:
-            return SKIPPED_CAP, details
-    return _status(max_diff < tol and spectrum_ok), details
+            return SKIPPED_CAP, details, records
+    return _status(max_diff < tol and spectrum_ok), details, records
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: the conjecture, classical sweep to n = 4096
 # ---------------------------------------------------------------------------
 
-def _c5_convergence(ctx):
-    cfg = ctx["config"]
-    window = cfg.tol("limit_window")
+def _c5_convergence(cfg):
+    window = DEFAULT_TOLERANCES["limit_window"]
     rho = ClassicalDistribution([0.7, 0.3])
     sig = ClassicalDistribution([0.3, 0.7])
     records, summary = convergence_sweep(
         sig, rho, [2**k for k in range(13)], method="classical-exact"
     )
-    ctx["records"].extend(records)
     # independent oracle for the limit
     s_rel_oracle = 0.4 * math.log(7.0 / 3.0)
     gaps = [r.gap for r in records]
@@ -348,7 +311,7 @@ def _c5_convergence(ctx):
     tenfold = gaps[-1] < gaps[0] / 10.0
     limit_ok = abs(summary.limit - s_rel_oracle) < window
     ok = decreasing and tenfold and limit_ok
-    return _status(ok), {
+    details = {
         "gap_first": gaps[0],
         "gap_last": gaps[-1],
         "strictly_decreasing": decreasing,
@@ -359,14 +322,17 @@ def _c5_convergence(ctx):
         "limit_abs_err": abs(summary.limit - s_rel_oracle),
         "window": window,
     }
+    return _status(ok), details, records
 
 
 # ---------------------------------------------------------------------------
 # criterion 6: bounds on every record from criteria 4-5
 # ---------------------------------------------------------------------------
 
-def _c6_bounds(ctx):
-    records = ctx["records"]
+def _c6_bounds(records):
+    """Bound the records criteria 4 and 5 returned; None when neither did."""
+    if records is None:
+        return SKIPPED_NO_RECORDS, {}
     violations = [
         r.n for r in records if not (0.0 <= r.s_mix <= math.log(r.n + 1))
     ]
@@ -378,35 +344,26 @@ def _c6_bounds(ctx):
 # criterion 7: appendix combinatorics
 # ---------------------------------------------------------------------------
 
-def _c7_appendix(ctx):
-    cfg = ctx["config"]
-    final_tol = cfg.tol("typicality_final")
-    formula_tol = cfg.tol("increase_formula")
-
-    fair = ClassicalDistribution([0.5, 0.5])
-    checks = [typicality_entropy_check(fair, n) for n in TYPICALITY_N]
-    deficits = [c.deficit for c in checks]
-    typicality_ok = (
-        all(b < a for a, b in zip(deficits, deficits[1:]))
-        and deficits[-1] < final_tol
+def _c7_appendix(cfg):
+    final_tol = DEFAULT_TOLERANCES["typicality_final"]
+    formula_tol = DEFAULT_TOLERANCES["increase_formula"]
+    checks = appendix_checks(
+        ClassicalDistribution(TYPICALITY_RHO),
+        random_distribution_pairs(cfg.seed, FORMULA_PAIRS),
     )
+    deficits = checks["deficits"]
+    typicality_ok = checks["deficits_decreasing"] and deficits[-1] < final_tol
+    formula_ok = checks["max_formula_err"] < formula_tol
+    rows = checks["insertion_rows"]
 
-    rows = insertion_factor_rows(INSERTION_N, INSERTION_RHO)
-    insertion_ok = all(row["rel_err"] < row["bound"] for row in rows)
-    worst_margin = min(row["bound"] - row["rel_err"] for row in rows)
-
-    pairs = random_distribution_pairs(cfg.seed, FORMULA_PAIRS)
-    max_formula_err = max_increase_formula_error(pairs)
-    formula_ok = max_formula_err < formula_tol
-
-    ok = typicality_ok and insertion_ok and formula_ok
+    ok = typicality_ok and checks["insertion_ok"] and formula_ok
     return _status(ok), {
         "deficits": deficits,
         "deficit_final_tol": final_tol,
         "typicality_ok": typicality_ok,
-        "insertion_bound_ok": insertion_ok,
-        "insertion_worst_margin": worst_margin,
-        "max_formula_err": max_formula_err,
+        "insertion_bound_ok": checks["insertion_ok"],
+        "insertion_worst_margin": min(row["bound"] - row["rel_err"] for row in rows),
+        "max_formula_err": checks["max_formula_err"],
         "formula_tol": formula_tol,
     }
 
@@ -433,9 +390,8 @@ def _brute_multi_mixing(sig: ClassicalDistribution, rho: ClassicalDistribution,
     return s_r - (n_total - m_sigma) * shannon_entropy(rho) - m_sigma * shannon_entropy(sig)
 
 
-def _c8_multi(ctx):
-    cfg = ctx["config"]
-    tol = cfg.tol("multi_brute")
+def _c8_multi(cfg):
+    tol = DEFAULT_TOLERANCES["multi_brute"]
     rho = ClassicalDistribution([0.6, 0.4])
     sig = ClassicalDistribution([0.2, 0.8])
 
@@ -466,21 +422,21 @@ def _c8_multi(ctx):
 PROBE_CRITERIA = (1, 2, 5, 7, 8)
 
 
-def _probe_serialization(cfg: VerifyConfig) -> str:
-    ctx = {"config": cfg, "records": []}
-    chunks = []
-    for cid, name, fn in _CRITERIA:
-        if cid in PROBE_CRITERIA:
-            status, details = fn(ctx)
-            chunks.append({"id": cid, "status": status, "details": details})
-    return json.dumps(chunks, sort_keys=True)
+def _c9_determinism(cfg, observed):
+    """Evaluate the probe criteria once more; compare with this run's results.
 
+    A probe criterion the run left out, so absent from observed, is evaluated
+    here twice.
+    """
+    def probe_pass(reuse):
+        chunks = []
+        for cid, _, fn in _CRITERIA:
+            if cid in PROBE_CRITERIA:
+                status, details = reuse.get(cid) or _evaluate(fn, cfg)[:2]
+                chunks.append({"id": cid, "status": status, "details": details})
+        return json.dumps(chunks, sort_keys=True)
 
-def _c9_determinism(ctx):
-    cfg = ctx["config"]
-    first = _probe_serialization(cfg)
-    second = _probe_serialization(cfg)
-    ok = first == second
+    ok = probe_pass(observed) == probe_pass({})
     return _status(ok), {
         "probe_criteria": list(PROBE_CRITERIA),
         "byte_identical": ok,
@@ -500,34 +456,48 @@ _CRITERIA = (
 )
 
 
+def _evaluate(fn, cfg) -> tuple:
+    """(status, details), plus their S_mix records from criteria 4 and 5."""
+    try:
+        return fn(cfg)
+    except CapExceededError as exc:
+        return SKIPPED_CAP, {"reason": str(exc)}
+
+
 def run_acceptance(config: VerifyConfig | None = None,
                    only: tuple | None = None) -> VerifyOutcome:
-    """Run the acceptance matrix (optionally a subset of criterion ids)."""
+    """Run the acceptance matrix, or the criteria whose ids `only` names.
+
+    An empty `only`, or one naming an unknown id, raises ValueError.
+    """
     cfg = config or VerifyConfig()
-    tolerances = cfg.resolved_tolerances()
-    ctx = {"config": cfg, "records": []}
+    known = [cid for cid, _, _ in _CRITERIA]
+    if only is not None and (not only or set(only) - set(known)):
+        raise ValueError(f"criteria {list(only)}: name one or more of {known}")
+    records = None   # S_mix records of criteria 4 and 5, bounded by criterion 6
+    observed = {}    # (status, details) by criterion id, compared by criterion 9
     results = []
     for cid, name, fn in _CRITERIA:
         if only is not None and cid not in only:
             continue
         t0 = time.perf_counter()
-        try:
-            status, details = fn(ctx)
-        except CapExceededError as exc:
-            status, details = SKIPPED_CAP, {"reason": str(exc)}
-        elapsed = time.perf_counter() - t0
-        results.append(
-            CriterionResult(
-                cid=cid, name=name, status=status, details=details, elapsed_s=elapsed
-            )
-        )
+        if cid == 6:
+            status, details = fn(records)
+        elif cid == 9:
+            status, details = fn(cfg, observed)
+        else:
+            status, details, *produced = _evaluate(fn, cfg)
+            if produced:
+                records = (records or []) + produced[0]
+        results.append(CriterionResult(cid, name, status, details, time.perf_counter() - t0))
+        observed[cid] = (status, details)
 
     report = {
         "tool": "mixent",
         "version": __version__,
         "seed": cfg.seed,
         "dense_cap": cfg.dense_cap,
-        "tolerances": tolerances,
+        "tolerances": dict(DEFAULT_TOLERANCES),
         "criteria": [
             {"id": r.cid, "name": r.name, "status": r.status, "details": r.details}
             for r in results

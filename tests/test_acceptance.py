@@ -5,12 +5,20 @@ Criteria 1-8 run once through the shared engine (same code path as the
 compares report bytes. Each test prints one pass/fail line.
 """
 
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
+from mixent import verify
 from mixent.cli import main
-from mixent.verify import RUNTIME_BUDGETS_S, VerifyConfig, run_acceptance
+from mixent.verify import (
+    PROBE_CRITERIA,
+    RUNTIME_BUDGETS_S,
+    VerifyConfig,
+    run_acceptance,
+)
 
 SEED = 9
 
@@ -116,3 +124,53 @@ def test_criterion_9_determinism(outcome, tmp_path):
     assert b1 == b2
     report = json.loads(b1)
     assert report["all_pass"] is True
+
+
+def _patched_table(monkeypatch, replace):
+    """Swap criterion functions: replace maps (cid, fn) to the function to run."""
+    table = tuple((cid, name, replace(cid, fn)) for cid, name, fn in verify._CRITERIA)
+    monkeypatch.setattr(verify, "_CRITERIA", table)
+
+
+@pytest.mark.parametrize("only", [None, (9,), (1, 5, 9)])
+def test_criterion_9_evaluates_each_probe_twice(monkeypatch, only):
+    calls = Counter()
+
+    def counted(cid, fn):
+        def wrapper(*args):
+            calls[cid] += 1
+            return fn(*args)
+        return wrapper
+
+    _patched_table(monkeypatch, counted)
+    outcome = run_acceptance(VerifyConfig(seed=SEED), only=only)
+    assert outcome.report["all_pass"]
+    # this run's own pass plus one re-evaluation; a left-out probe is run twice by 9
+    assert {cid: calls[cid] for cid in PROBE_CRITERIA} == dict.fromkeys(PROBE_CRITERIA, 2)
+    assert all(calls[cid] == 1 for cid in set(calls) - set(PROBE_CRITERIA))
+
+
+@pytest.mark.parametrize("only", [(2, 9), (9,)])
+def test_criterion_9_catches_a_nondeterministic_probe(monkeypatch, only):
+    draws = itertools.count()
+
+    def drifting(cfg):
+        return "pass", {"draw": next(draws)}
+
+    _patched_table(monkeypatch, lambda cid, fn: drifting if cid == 2 else fn)
+    result = run_acceptance(VerifyConfig(seed=SEED), only=only).results[-1]
+    assert result.cid == 9
+    assert result.status == "fail"
+    assert result.details["byte_identical"] is False
+
+
+def test_criterion_6_bounds_the_records_of_the_criteria_that_ran():
+    bounds = run_acceptance(VerifyConfig(seed=SEED), only=(5, 6)).results[-1]
+    assert bounds.status == "pass"
+    assert bounds.details == {"records": 13, "violations": []}
+
+
+@pytest.mark.parametrize("only", [(), (10,), (0, 1)])
+def test_empty_or_unknown_selection_raises(only):
+    with pytest.raises(ValueError, match="criteri"):
+        run_acceptance(VerifyConfig(seed=SEED), only=only)

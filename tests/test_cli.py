@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from mixent import verify
 from mixent.cli import main, verify_manifest
 
 
@@ -316,11 +317,11 @@ def test_verify_subset_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_verify_tampered_tolerance_reports_residuals(tmp_path):
+def test_verify_tampered_tolerance_reports_residuals(tmp_path, monkeypatch):
+    monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "dissipation_rel", 1e-30)
     cfg = write_json(
         tmp_path / "cfg.json",
-        {"seed": 9, "command": {"name": "verify", "params": {
-            "criteria": [1], "tolerances": {"dissipation_rel": 1e-30}}}},
+        {"seed": 9, "command": {"name": "verify", "params": {"criteria": [1]}}},
     )
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
@@ -344,6 +345,32 @@ def test_verify_lowered_cap_skips(tmp_path):
 
 def test_verify_requires_seed(tmp_path):
     assert main(["verify", "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_verify_criterion_6_alone_is_skipped(tmp_path):
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {"seed": 9, "command": {"name": "verify", "params": {"criteria": [6]}}},
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 0
+    entry = load(out, "verify_report.json")["criteria"][0]
+    assert entry["status"] == "skipped: needs criterion 4 or 5"
+    assert entry["details"] == {}
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"criteria": []}, "criteria []: name one or more of"),
+    ({"criteria": [10]}, "criteria [10]: name one or more of"),
+    ({"criteria": [1], "tolerances": {"dissipation_rel": 1e-30}}, "tolerances are pinned"),
+])
+def test_verify_rejects_empty_unknown_or_tolerance_params(tmp_path, capsys, params,
+                                                          message):
+    cfg = write_json(
+        tmp_path / "cfg.json", {"seed": 9, "command": {"name": "verify", "params": params}}
+    )
+    assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +405,41 @@ def test_malformed_config_rejected(tmp_path):
 def test_nonpositive_dense_cap_rejected(tmp_path):
     rc = main(["appendix", "--dense-cap", "0", "--out-dir", str(tmp_path / "o")])
     assert rc == 2
+
+
+SWEEP_STATES = {"sigma": {"p": [0.3, 0.7]}, "rho": {"p": [0.7, 0.3]}}
+
+
+@pytest.mark.parametrize("command, top, params, key", [
+    # rho.json holds a density matrix; appendix needs a distribution
+    ("appendix", {}, {"rho": "rho.json"}, "rho"),
+    ("appendix", {}, {"rho": [0.5, 0.5]}, "rho"),
+    ("verify", {"seed": 9}, {"criteria": 5}, "criteria"),
+    ("mix-sweep", {}, {**SWEEP_STATES, "n_grid": [1, 2, 3]}, "n_grid"),
+    ("mix-sweep", {}, {**SWEEP_STATES, "n_list": 5}, "n_list"),
+    ("appendix", {"dense_cap": "16"}, {}, "dense_cap"),
+])
+def test_malformed_input_exits_2_naming_the_parameter(tmp_path, monkeypatch, capsys,
+                                                      command, top, params, key):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "rho.json",
+               {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+    cfg = write_json(tmp_path / "cfg.json",
+                     {**top, "command": {"name": command, "params": params}})
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_appendix_rho_from_a_path_matches_inline(tmp_path):
+    rho = {"p": [0.3, 0.7]}
+    inline = write_json(tmp_path / "a.json",
+                        {"command": {"name": "appendix", "params": {"rho": rho}}})
+    by_path = write_json(
+        tmp_path / "b.json",
+        {"command": {"name": "appendix",
+                     "params": {"rho": write_json(tmp_path / "rho.json", rho)}}},
+    )
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["appendix", "--config", inline, "--out-dir", str(out1)]) == 0
+    assert main(["appendix", "--config", by_path, "--out-dir", str(out2)]) == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()

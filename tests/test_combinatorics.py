@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,10 +17,14 @@ from mixent import (
     round_counts,
     typicality_entropy_check,
 )
+from mixent import verify
+from mixent.cli import main
 from mixent.combinatorics import (
     FORMULA_PAIRS,
     INSERTION_N,
     INSERTION_RHO,
+    TYPICALITY_RHO,
+    appendix_checks,
     insertion_factor_rows,
     max_increase_formula_error,
     random_distribution_pairs,
@@ -236,3 +241,24 @@ def test_consistency_triangle():
     # the limit cannot be sharper than the fit's own truncation scale
     assert abs(summary.limit - formula) < 2 * summary.residual
     assert abs(summary.limit - formula) < summary.final_gap
+
+
+def test_appendix_checks_feed_both_callers(tmp_path):
+    # criterion 7 and the `appendix` command report what appendix_checks computes
+    seed = 9
+    checks = appendix_checks(ClassicalDistribution(TYPICALITY_RHO),
+                             random_distribution_pairs(seed, FORMULA_PAIRS))
+    rows = checks["insertion_rows"]
+    status, details = verify._c7_appendix(verify.VerifyConfig(seed=seed))
+    assert status == "pass"
+    assert details["deficits"] == checks["deficits"]
+    assert details["insertion_bound_ok"] is checks["insertion_ok"] is True
+    assert details["insertion_worst_margin"] == min(r["bound"] - r["rel_err"] for r in rows)
+    assert details["max_formula_err"] == checks["max_formula_err"]
+
+    assert main(["appendix", "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["typicality"] == [c.as_dict() for c in checks["typicality"]]
+    assert report["insertion"] == rows
+    assert report["max_formula_err"] == checks["max_formula_err"]
+    assert report["typicality_ok"] is checks["deficits_decreasing"] is True

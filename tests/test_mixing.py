@@ -34,7 +34,7 @@ from mixent.mixing import (
     records_to_csv,
     simultaneous_classical_pair,
 )
-from mixent.states import EIG_FLOOR, clamp_spectrum, entropy_of_spectrum
+from mixent.states import EIG_FLOOR, clamp_spectrum, entropy_of_spectrum, exact_sum
 from mixent.verify import C4_FAMILIES
 from conftest import seeded_density
 
@@ -342,6 +342,28 @@ def test_classical_s_mix_bits_are_pinned(d, n):
         ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n
     )
     assert repr(rec.s_mix) == PINNED_S_MIX[d, n]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("zero_in_sigma", [False, True])
+def test_spectrum_sums_keep_the_per_call_formula_bits(d, zero_in_sigma):
+    # total_weight and entropy share one weight pass; each must give the bits
+    # of recomputing mask, gathers and exp per call, -inf eigenvalues included
+    rng = np.random.default_rng(500 + d)
+    for n_total in (3, 17, 40):
+        sig_p = rng.uniform(0.05, 1.0, size=d)
+        if zero_in_sigma:
+            sig_p[0] = 0.0
+        rho_p = rng.uniform(0.05, 1.0, size=d)
+        spec = type_class_spectrum(ClassicalDistribution(sig_p / sig_p.sum()),
+                                   ClassicalDistribution(rho_p / rho_p.sum()), n_total)
+        finite = np.isfinite(spec.log_q)
+        assert finite.all() != zero_in_sigma
+        lq = spec.log_q[finite]
+        total = exact_sum(np.exp(spec.log_mult[finite] + spec.log_q[finite]))
+        entropy = exact_sum(-np.exp(spec.log_mult[finite] + lq) * lq)
+        assert spec.entropy().hex() == entropy.hex()
+        assert spec.total_weight().hex() == total.hex()
 
 
 # ---------------------------------------------------------------------------
