@@ -1,9 +1,10 @@
 """Command-line front end: config ingestion, seeded runs, result persistence.
 
 One tool, five subcommands (gibbs | collide | mix-sweep | appendix | verify).
-A run is described by one JSON config file plus flag overrides; every run
-writes its outputs plus a manifest with the resolved config, version, wall
-times, and sha256 digests of each output file.
+A run is one JSON config file plus flag overrides; PARAMS lists each
+subcommand's parameters and flags, and any other config key exits 2. A valid
+run writes its outputs plus a manifest with the resolved config, version, wall
+times, and sha256 digests of each output file; an invalid one writes nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 resource
 cap exceeded.
@@ -27,15 +28,12 @@ from .collisions import (
 )
 from .combinatorics import (
     FORMULA_PAIRS,
-    INSERTION_N,
-    INSERTION_RHO,
-    TYPICALITY_N,
     TYPICALITY_RHO,
     appendix_checks,
     random_distribution_pairs,
 )
 from .errors import CapExceededError, MixentError
-from .mixing import convergence_sweep, records_to_csv
+from .mixing import METHODS, convergence_sweep, records_to_csv
 from .serialize import (
     distribution_from_json,
     matrix_from_json,
@@ -78,8 +76,10 @@ class ExperimentConfig:
             raise ConfigError(f"units must be 'nats' or 'bits', got {units!r}")
         if _checked("dense_cap", dense_cap, int) < 1:
             raise ConfigError(f"dense_cap must be positive, got {dense_cap}")
+        if seed is not None and _checked("seed", seed, int) < 0:
+            raise ConfigError(f"'seed' must be >= 0, got {seed}")
         self.command = command
-        self.seed = None if seed is None else _checked("seed", seed, int)
+        self.seed = seed
         self.units = units
         self.dense_cap = dense_cap
         self.out_dir = Path(out_dir)
@@ -107,13 +107,17 @@ def resolve_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = _checked("config file", json.load(fh), dict)
+    _refuse_unknown(base, ("seed", "units", "dense_cap", "command"), "config key")
     command = _checked("command", base.get("command", {}), dict)
+    _refuse_unknown(command, ("name", "params"), "'command' key")
     name = command.get("name")
     if name is not None and name != args.subcommand:
         raise ConfigError(
             f"config names command {name!r} but subcommand {args.subcommand!r} was invoked"
         )
     params = _checked("params", command.get("params", {}), dict)
+    _, help_text, accepted = PARAMS[args.subcommand]
+    _refuse_unknown(params, accepted, f"{args.subcommand} parameter", f" ({help_text})")
     for key, value in vars(args).items():
         if key.startswith("param_") and value is not None:
             params[key[len("param_"):]] = value
@@ -135,10 +139,16 @@ def resolve_config(args) -> ExperimentConfig:
     )
 
 
+def _refuse_unknown(given: dict, accepted, what: str, note: str = "") -> None:
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}; accepted: {sorted(accepted)}{note}")
+
+
 def _checked(key: str, value, kind):
-    """value as kind (int, float, list or dict; an int passes as a float)."""
+    """value as kind (a bool only as bool; an int passes as a float)."""
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
     return kind(value)
 
@@ -152,8 +162,8 @@ def _param(params: dict, key: str, kind, default=None):
     return _checked(key, params[key], kind)
 
 
-def _list_param(params: dict, key: str, kind, default=None) -> list:
-    return [_checked(key, x, kind) for x in _param(params, key, list, default)]
+def _list_param(params: dict, key: str, kind) -> list:
+    return [_checked(key, x, kind) for x in _param(params, key, list)]
 
 
 def _object_param(params: dict, key: str) -> dict:
@@ -199,12 +209,11 @@ class RunWriter:
         self.cfg = cfg
         self.t0 = time.perf_counter()
         self.outputs = {}
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_text(self, name: str, text: str):
-        path = self.cfg.out_dir / name
         data = text.encode("utf-8")
-        path.write_bytes(data)
+        self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        (self.cfg.out_dir / name).write_bytes(data)
         self.outputs[name] = hashlib.sha256(data).hexdigest()
 
     def write_json(self, name: str, obj: dict):
@@ -220,6 +229,7 @@ class RunWriter:
             },
             "outputs": self.outputs,
         }
+        self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.cfg.out_dir / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
@@ -263,14 +273,14 @@ def cmd_gibbs(cfg: ExperimentConfig) -> int:
 
 
 def _collide_instance(cfg: ExperimentConfig):
-    if cfg.params.get("hamiltonian") is None:
+    if "hamiltonian" not in cfg.params:
         d = _param(cfg.params, "dim", int, 0)
         if d < 2:
             raise ConfigError("collide needs 'hamiltonian' or a random-instance 'dim'")
         h = random_hermitian(cfg.require_seed(), d)
     else:
         h = HermitianOperator(matrix_from_json(_object_param(cfg.params, "hamiltonian")))
-    if cfg.params.get("unitary", "haar") == "haar":
+    if "unitary" not in cfg.params or cfg.params["unitary"] == "haar":
         u = random_haar_unitary(cfg.require_seed() + 1, h.dim)
     else:
         u = UnitaryOperator(matrix_from_json(_object_param(cfg.params, "unitary")))
@@ -317,11 +327,10 @@ def cmd_collide(cfg: ExperimentConfig) -> int:
 
 def _resolve_n_list(params: dict) -> list:
     if "n_list" in params:
-        if isinstance(params["n_list"], str):
-            return [int(part) for part in params["n_list"].split(",") if part]
         return _list_param(params, "n_list", int)
-    if params.get("n_grid"):
+    if "n_grid" in params:
         grid = _param(params, "n_grid", dict)
+        _refuse_unknown(grid, ("start", "factor", "count"), "'n_grid' key")
         start = _param(grid, "start", int, 1)
         factor = _param(grid, "factor", int, 2)
         count = _param(grid, "count", int, 10)
@@ -371,7 +380,8 @@ def cmd_mix_sweep(cfg: ExperimentConfig) -> int:
     sigma = _load_state_param(cfg.params, "sigma")
     rho = _load_state_param(cfg.params, "rho")
     n_list = _resolve_n_list(cfg.params)
-    method = cfg.params.get("method", "auto")
+    method = _param(cfg.params, "method", str, "auto")
+    svg = _param(cfg.params, "svg", bool, False)
     records, summary = convergence_sweep(
         sigma, rho, n_list, method=method, dense_cap=cfg.dense_cap
     )
@@ -379,7 +389,7 @@ def cmd_mix_sweep(cfg: ExperimentConfig) -> int:
     writer.write_json("extrapolation.json", summary.as_dict())
     plot_lines = ["n,gap_nats"] + [f"{r.n},{r.gap!r}" for r in records]
     writer.write_text("gap_plot.csv", "\n".join(plot_lines) + "\n")
-    if cfg.params.get("svg"):
+    if svg:
         writer.write_text("plot.svg", _gap_plot_svg(records))
     writer.finish()
     last = records[-1]
@@ -410,17 +420,10 @@ def cmd_appendix(cfg: ExperimentConfig) -> int:
     if not isinstance(rho, ClassicalDistribution):
         raise ConfigError("appendix 'rho' must be a distribution {\"p\": [...]}")
     if cfg.seed is not None:
-        count = _param(cfg.params, "pairs", int, FORMULA_PAIRS)
-        pairs = random_distribution_pairs(cfg.seed, count)
+        pairs = random_distribution_pairs(cfg.seed, FORMULA_PAIRS)
     else:
         pairs = APPENDIX_DEFAULT_PAIRS
-    checks = appendix_checks(
-        rho,
-        pairs,
-        typicality_n=_list_param(cfg.params, "typicality_n", int, TYPICALITY_N),
-        insertion_n=_list_param(cfg.params, "insertion_n", int, INSERTION_N),
-        insertion_rho=_list_param(cfg.params, "insertion_rho", float, INSERTION_RHO),
-    )
+    checks = appendix_checks(rho, pairs)
     typicality_ok = checks["deficits_decreasing"] and all(d >= 0 for d in checks["deficits"])
     formula_ok = checks["max_formula_err"] < DEFAULT_TOLERANCES["increase_formula"]
     all_ok = typicality_ok and checks["insertion_ok"] and formula_ok
@@ -455,9 +458,6 @@ def cmd_appendix(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    if set(cfg.params) - {"criteria"}:
-        raise ConfigError(f"verify takes only 'criteria', got {sorted(cfg.params)}; its "
-                          "tolerances are pinned in mixent.verify.DEFAULT_TOLERANCES")
     only = None
     if "criteria" in cfg.params:
         only = tuple(_list_param(cfg.params, "criteria", int))
@@ -477,18 +477,39 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return EXIT_OK if outcome.report["all_pass"] else EXIT_VERIFY_FAIL
 
 
-HANDLERS = {
-    "gibbs": cmd_gibbs,
-    "collide": cmd_collide,
-    "mix-sweep": cmd_mix_sweep,
-    "appendix": cmd_appendix,
-    "verify": cmd_verify,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+def _int_list(text: str) -> list:
+    return [int(part) for part in text.split(",")]
+
+
+# subcommand -> (handler, help, {parameter: argparse options of its flag, or
+# None when only a config sets it}); a config key a row does not list exits 2
+PARAMS = {
+    "gibbs": (cmd_gibbs, "build a Gibbs state and report its entropy", {
+        "hamiltonian": {"help": "matrix JSON file"}, "beta": {"type": float}}),
+    "collide": (cmd_collide, "run a collision sequence, emit the ledger", {
+        "hamiltonian": {"help": "matrix JSON file"},
+        "unitary": {"help": "matrix JSON file or 'haar'"},
+        "beta": {"type": float},
+        "collisions": {"type": int},
+        "reservoir_size": {"type": int},
+        "dim": {"type": int, "help": "random-instance dimension"}}),
+    "mix-sweep": (cmd_mix_sweep, "entropy-of-mixing convergence sweep", {
+        "sigma": {"help": "state JSON file"},
+        "rho": {"help": "state JSON file"},
+        "n_list": {"type": _int_list, "help": "comma-separated n values"},
+        "n_grid": None,
+        "method": {"choices": METHODS},
+        "svg": {"action": "store_const", "const": True, "help": "also write a line chart"}}),
+    "appendix": (cmd_appendix, "typicality / insertion-factor checks, criterion 7's grids",
+                 {"rho": None}),
+    "verify": (cmd_verify, "run the acceptance matrix; its tolerances are pinned in "
+                           "mixent.verify.DEFAULT_TOLERANCES", {"criteria": None}),
+}
+
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file")
@@ -506,38 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mixent {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gibbs", help="build a Gibbs state and report its entropy")
-    _add_common(p)
-    p.add_argument("--hamiltonian", dest="param_hamiltonian", help="matrix JSON file")
-    p.add_argument("--beta", dest="param_beta", type=float)
-
-    p = sub.add_parser("collide", help="run a collision sequence, emit the ledger")
-    _add_common(p)
-    p.add_argument("--hamiltonian", dest="param_hamiltonian", help="matrix JSON file")
-    p.add_argument("--unitary", dest="param_unitary", help="matrix JSON file or 'haar'")
-    p.add_argument("--beta", dest="param_beta", type=float)
-    p.add_argument("--collisions", dest="param_collisions", type=int)
-    p.add_argument("--reservoir-size", dest="param_reservoir_size", type=int)
-    p.add_argument("--dim", dest="param_dim", type=int, help="random-instance dimension")
-
-    p = sub.add_parser("mix-sweep", help="entropy-of-mixing convergence sweep")
-    _add_common(p)
-    p.add_argument("--sigma", dest="param_sigma", help="state JSON file")
-    p.add_argument("--rho", dest="param_rho", help="state JSON file")
-    p.add_argument("--n-list", dest="param_n_list", help="comma-separated n values")
-    p.add_argument(
-        "--method", dest="param_method", choices=["auto", "dense", "classical-exact"]
-    )
-    p.add_argument("--svg", dest="param_svg", action="store_const", const=True,
-                   default=None, help="also write a line chart")
-
-    p = sub.add_parser("appendix", help="typicality / insertion-factor checks")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run the acceptance matrix")
-    _add_common(p)
-
+    for name, (_, help_text, params) in PARAMS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for key, flag in params.items():
+            if flag is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest="param_" + key, **flag)
     return parser
 
 
@@ -545,7 +540,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return HANDLERS[args.subcommand](cfg)
+        return PARAMS[args.subcommand][0](cfg)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -184,18 +184,17 @@ def max_increase_formula_error(pairs: Sequence[tuple]) -> float:
     return max_err
 
 
-def appendix_checks(rho: ClassicalDistribution, pairs: Sequence[tuple],
-                    typicality_n=TYPICALITY_N, insertion_n=INSERTION_N,
-                    insertion_rho=INSERTION_RHO) -> dict:
+def appendix_checks(rho: ClassicalDistribution, pairs: Sequence[tuple]) -> dict:
     """What the `appendix` command and verify criterion 7 both compute.
 
-    Typicality of rho with the deficits' ordering, the insertion rows against
-    their bound, and the largest increase-formula error over the pairs. Each
-    caller adds its own rule on the deficits' values.
+    Typicality of rho over TYPICALITY_N with the deficits' ordering, the
+    INSERTION_N x INSERTION_RHO rows against their bound, and the largest
+    increase-formula error over the pairs. Each caller adds its own rule on
+    the deficits' values.
     """
-    typicality = [typicality_entropy_check(rho, n) for n in typicality_n]
+    typicality = [typicality_entropy_check(rho, n) for n in TYPICALITY_N]
     deficits = [c.deficit for c in typicality]
-    rows = insertion_factor_rows(insertion_n, insertion_rho)
+    rows = insertion_factor_rows(INSERTION_N, INSERTION_RHO)
     return {
         "typicality": typicality,
         "deficits": deficits,

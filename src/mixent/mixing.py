@@ -52,6 +52,7 @@ NORMALIZATION_TOL = 1e-9
 DEGENERACY_GAP = 1e-8
 
 SWEEP_CSV_HEADER = "n,method,S_mix_nats,S_rel_nats,gap_nats,wall_time_ms"
+METHODS = ("auto", "dense", "classical-exact")
 
 StateLike = Union[DensityOperator, ClassicalDistribution]
 
@@ -476,9 +477,10 @@ def graceful_checks(
             f"dims sigma {sigma.dim}, rho {rho.dim}, H {h.dim} differ"
         )
     n_total = n + 1
-    product = kron_all([sigma.entries] + [rho.entries] * n)
+    # R and H_R first: their builder checks the cap before it allocates
     r_matrix = symmetrized_state_dense(sigma, rho, n, dense_cap=dense_cap).matrix
     h_r = reservoir_hamiltonian(h, n_total, dense_cap=dense_cap).entries
+    product = kron_all([sigma.entries] + [rho.entries] * n)
 
     energy_residual = abs(
         np.trace(h_r @ r_matrix) - np.trace(h_r @ product)
@@ -554,7 +556,7 @@ def mixing_entropy(
     'auto' picks classical-exact when the states commute, else dense.
     """
     sigma_op, rho_op = _coerce_states(sigma, rho)
-    if method not in ("dense", "classical-exact", "auto"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = (

@@ -186,8 +186,6 @@ def _c2_reversibility(cfg):
 
 def _c3_gracefulness(cfg):
     tol = DEFAULT_TOLERANCES["graceful_residual"]
-    if cfg.dense_cap < 2**4:
-        return SKIPPED_CAP, {"required_dim": 16, "dense_cap": cfg.dense_cap}
     rho = gibbs_state(QUBIT_H, 1.0)
     cases = {
         "commuting": apply_unitary(rho, EXCHANGE),
@@ -243,13 +241,14 @@ def _c4_oracle_equivalence(cfg):
         rho = ClassicalDistribution(rho_p)
         sig = ClassicalDistribution(sig_p)
         for n in range(1, n_max + 1):
-            if d ** (n + 1) > cfg.dense_cap:
+            try:
+                dense = mixing_entropy(
+                    sig.as_density(), rho.as_density(), n, method="dense",
+                    dense_cap=cfg.dense_cap,
+                )
+            except CapExceededError:
                 skipped.append(f"d={d},n={n}")
                 continue
-            dense = mixing_entropy(
-                sig.as_density(), rho.as_density(), n, method="dense",
-                dense_cap=cfg.dense_cap,
-            )
             classical = classical_mixing_entropy_exact(sig, rho, n)
             max_diff = max(max_diff, abs(dense.s_mix - classical.s_mix))
             records.extend([dense, classical])

@@ -13,6 +13,7 @@ import pytest
 
 from mixent import verify
 from mixent.cli import main
+from mixent.errors import CapExceededError
 from mixent.verify import (
     PROBE_CRITERIA,
     RUNTIME_BUDGETS_S,
@@ -174,3 +175,13 @@ def test_criterion_6_bounds_the_records_of_the_criteria_that_ran():
 def test_empty_or_unknown_selection_raises(only):
     with pytest.raises(ValueError, match="criteri"):
         run_acceptance(VerifyConfig(seed=SEED), only=only)
+
+
+def test_a_criterion_over_the_cap_is_skipped_with_the_reason(monkeypatch):
+    def over_cap(cfg):
+        raise CapExceededError("dense dimension 2^13 = 8192 exceeds cap 4096")
+
+    _patched_table(monkeypatch, lambda cid, fn: over_cap if cid == 3 else fn)
+    (result,) = run_acceptance(VerifyConfig(seed=SEED), only=(3,)).results
+    assert result.status == "skipped: cap"
+    assert result.details == {"reason": "dense dimension 2^13 = 8192 exceeds cap 4096"}

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,7 @@ def test_gibbs_bits_units(tmp_path):
 
 def test_gibbs_missing_param(tmp_path):
     assert main(["gibbs", "--beta", "1.0", "--out-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +189,22 @@ def test_mix_sweep_classical_convergence(tmp_path):
 
 @pytest.mark.parametrize("grid", [
     {"n_list": [4, 4, 4]},
-    {"n_list": "4,4,4"},
+    ["--n-list", "4,4,4"],
     {"n_grid": {"start": 4, "factor": 1, "count": 3}},
 ])
-def test_mix_sweep_rejects_repeated_n(tmp_path, grid):
+def test_mix_sweep_rejects_repeated_n(tmp_path, capsys, grid):
+    # a dict is config params, a list is flags
+    params = grid if isinstance(grid, dict) else {}
+    flags = [] if isinstance(grid, dict) else grid
     cfg = write_json(
         tmp_path / "cfg.json",
         {"command": {"name": "mix-sweep", "params": {
-            "sigma": {"p": [0.3, 0.7]}, "rho": {"p": [0.7, 0.3]}, **grid}}},
+            "sigma": {"p": [0.3, 0.7]}, "rho": {"p": [0.7, 0.3]}, **params}}},
     )
-    assert main(["mix-sweep", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["mix-sweep", "--config", cfg, "--out-dir", str(out)] + flags) == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mix_sweep_dense_quantum_within_cap(tmp_path):
@@ -289,14 +298,6 @@ def test_bits_conversion_on_emitted_entropies(tmp_path):
         )
 
 
-def test_appendix_zero_mass_exit_2(tmp_path):
-    cfg = write_json(
-        tmp_path / "cfg.json",
-        {"command": {"name": "appendix", "params": {"insertion_rho": [0.0]}}},
-    )
-    assert main(["appendix", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -331,6 +332,24 @@ def test_verify_tampered_tolerance_reports_residuals(tmp_path, monkeypatch):
     assert entry["details"]["max_rel_err"] > 0.0
 
 
+def test_verify_criterion_4_skips_the_cases_over_a_lowered_cap(tmp_path):
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {"seed": 9, "dense_cap": 64,
+         "command": {"name": "verify", "params": {"criteria": [4, 6]}}},
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 0
+    c4, c6 = load(out, "verify_report.json")["criteria"]
+    assert c4["status"] == "skipped: cap"
+    assert c4["details"]["skipped_cases"] == (
+        [f"d=2,n={n}" for n in range(6, 12)] + [f"d=3,n={n}" for n in range(3, 7)]
+    )
+    assert c4["details"]["dense_vs_classical_cases"] == 5 + 2
+    assert c6["status"] == "pass"
+    assert c6["details"]["records"] == 2 * (5 + 2)
+
+
 def test_verify_lowered_cap_skips(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",
@@ -339,8 +358,9 @@ def test_verify_lowered_cap_skips(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 0
-    report = load(out, "verify_report.json")
-    assert report["criteria"][0]["status"] == "skipped: cap"
+    entry = load(out, "verify_report.json")["criteria"][0]
+    assert entry["status"] == "skipped: cap"
+    assert entry["details"] == {"reason": "dense dimension 2^4 = 16 exceeds cap 8"}
 
 
 def test_verify_requires_seed(tmp_path):
@@ -371,6 +391,7 @@ def test_verify_rejects_empty_unknown_or_tolerance_params(tmp_path, capsys, para
     )
     assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +439,8 @@ SWEEP_STATES = {"sigma": {"p": [0.3, 0.7]}, "rho": {"p": [0.7, 0.3]}}
     ("mix-sweep", {}, {**SWEEP_STATES, "n_grid": [1, 2, 3]}, "n_grid"),
     ("mix-sweep", {}, {**SWEEP_STATES, "n_list": 5}, "n_list"),
     ("appendix", {"dense_cap": "16"}, {}, "dense_cap"),
+    ("mix-sweep", {}, {**SWEEP_STATES, "n_list": [1, 2, 4], "svg": "false"}, "svg"),
+    ("mix-sweep", {}, {**SWEEP_STATES, "n_list": [1, 2, 4], "method": 1}, "method"),
 ])
 def test_malformed_input_exits_2_naming_the_parameter(tmp_path, monkeypatch, capsys,
                                                       command, top, params, key):
@@ -428,6 +451,80 @@ def test_malformed_input_exits_2_naming_the_parameter(tmp_path, monkeypatch, cap
                      {**top, "command": {"name": command, "params": params}})
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def run_config(name, **params):
+    return {"seed": 9, "command": {"name": name, "params": params}}
+
+
+SWEEP_N = {**SWEEP_STATES, "n_list": [1, 2, 4]}
+
+
+@pytest.mark.parametrize("config, key", [
+    pytest.param(run_config("gibbs", betta=1.0), "betta", id="gibbs"),
+    pytest.param(run_config("collide", dim=2, reservoir=4), "reservoir", id="collide"),
+    # the pair commutes, so an ignored 'metod' would run auto and exit 0
+    pytest.param(run_config("mix-sweep", **SWEEP_N, metod="dense"), "metod", id="mix-sweep"),
+    pytest.param(run_config("mix-sweep", **SWEEP_STATES, n_grid={"cout": 4}), "cout",
+                 id="mix-sweep-n_grid"),
+    pytest.param(run_config("verify", criterion=[1]), "criterion", id="verify"),
+    # appendix runs criterion 7's pinned grids; rho is its only parameter
+    *[pytest.param(run_config("appendix", **{key: value}), key, id=f"appendix-{key}")
+      for key, value in [("pairs", 5), ("typicality_n", [10]), ("insertion_n", [10]),
+                         ("insertion_rho", [0.0])]],
+    pytest.param({"command": {"name": "appendix", "parms": {}}}, "parms", id="command-key"),
+    pytest.param({**run_config("verify"), "dense-cap": 16}, "dense-cap", id="top-level-key"),
+])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, config, key):
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "o"
+    assert main([config["command"]["name"], "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_unknown_key_message_names_it_and_the_accepted_keys(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", run_config("mix-sweep", **SWEEP_N, metod="dense"))
+    assert main(["mix-sweep", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown mix-sweep parameter 'metod'" in err
+    assert "'method'" in err and "'n_grid'" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "appendix"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--seed", "-1", "--out-dir", str(out)]) == 2
+    assert "'seed' must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_n_list_flag_is_parsed_by_argparse(tmp_path, capsys):
+    states = [write_json(tmp_path / f"{k}.json", v) for k, v in SWEEP_STATES.items()]
+    argv = ["mix-sweep", "--sigma", states[0], "--rho", states[1],
+            "--out-dir", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n-list", "1,x"])
+    assert exc.value.code == 2
+    assert "--n-list" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main(argv + ["--n-list", "1,2,4"]) == 0
+    manifest = load(tmp_path / "o", "manifest.json")
+    assert manifest["config"]["command"]["params"]["n_list"] == [1, 2, 4]
+
+
+def test_readme_sweep_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    sweeps = [b for b in map(json.loads, blocks) if b["command"]["name"] == "mix-sweep"]
+    assert len(sweeps) == 1
+    cfg = write_json(tmp_path / "cfg.json", sweeps[0])
+    out = tmp_path / "out"
+    assert main(["mix-sweep", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert (out / "plot.svg").read_text().startswith("<svg")
+    assert verify_manifest(out)
 
 
 def test_appendix_rho_from_a_path_matches_inline(tmp_path):

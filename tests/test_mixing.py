@@ -26,6 +26,7 @@ from mixent import (
     type_class_spectrum,
     apply_unitary,
 )
+from mixent import mixing
 from mixent.mixing import (
     TYPE_CLASS_BUDGET,
     _type_count_matrix,
@@ -579,6 +580,16 @@ def test_graceful_noncommuting_sigma(qubit_h):
         rep = graceful_checks(sigma, rho, n, qubit_h)
         assert rep.energy_residual < 1e-10
         assert rep.commutation_residual < 1e-10
+
+
+def test_graceful_checks_refuses_the_cap_before_building_the_product(qubit_h,
+                                                                     monkeypatch):
+    built = []
+    monkeypatch.setattr(mixing, "kron_all", lambda mats: built.append(len(mats)))
+    rho = gibbs_state(qubit_h, 1.0)
+    with pytest.raises(CapExceededError):
+        graceful_checks(rho, rho, 5, qubit_h, dense_cap=16)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
