@@ -18,7 +18,6 @@ from .states import (
     ClassicalDistribution,
     DensityOperator,
     HermitianOperator,
-    InverseTemperature,
     UnitaryOperator,
     apply_unitary,
     energy_mean,
@@ -37,7 +36,6 @@ from .collisions import (
     commutator_norm,
     reservoir_hamiltonian,
     run_collision_sequence,
-    thermo_entropy_production,
 )
 from .mixing import (
     ExtrapolationSummary,
@@ -56,7 +54,6 @@ from .mixing import (
 )
 from .combinatorics import (
     InsertionFactor,
-    TypeVector,
     TypicalityCheck,
     classical_mixing_increase_formula,
     insertion_factor,
@@ -76,7 +73,6 @@ __all__ = [
     "HermitianOperator",
     "DensityOperator",
     "UnitaryOperator",
-    "InverseTemperature",
     "ClassicalDistribution",
     "gibbs_state",
     "apply_unitary",
@@ -90,7 +86,6 @@ __all__ = [
     "CollisionSpec",
     "CollisionLedger",
     "collision_energy_transfer",
-    "thermo_entropy_production",
     "run_collision_sequence",
     "reservoir_hamiltonian",
     "commutator_norm",
@@ -107,7 +102,6 @@ __all__ = [
     "permutation_twirl_dense",
     "graceful_checks",
     "convergence_sweep",
-    "TypeVector",
     "TypicalityCheck",
     "InsertionFactor",
     "log_multinomial",

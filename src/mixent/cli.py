@@ -43,7 +43,6 @@ from .states import (
     ClassicalDistribution,
     DensityOperator,
     HermitianOperator,
-    InverseTemperature,
     UnitaryOperator,
     gibbs_state,
     nats_to_bits,
@@ -254,20 +253,20 @@ def verify_manifest(out_dir: Path) -> bool:
 def cmd_gibbs(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg)
     h = HermitianOperator(matrix_from_json(_object_param(cfg.params, "hamiltonian")))
-    beta = InverseTemperature(_param(cfg.params, "beta", float))
+    beta = _param(cfg.params, "beta", float)
     rho = gibbs_state(h, beta)
     entropy = von_neumann_entropy(rho)
     out = {
         "units": cfg.units,
-        "beta": beta.beta,
-        "beta_flagged_nonpositive": beta.flagged_nonpositive,
+        "beta": beta,
+        "beta_flagged_nonpositive": beta <= 0.0,
         "state": matrix_to_json(rho.entries),
         **_entropy_fields("entropy", entropy, cfg.units),
     }
     writer.write_json("state.json", out)
     writer.finish()
-    print(f"gibbs: d={h.dim} beta={beta.beta} S[rho] = {_display(entropy, cfg.units)}")
-    if beta.flagged_nonpositive:
+    print(f"gibbs: d={h.dim} beta={beta} S[rho] = {_display(entropy, cfg.units)}")
+    if beta <= 0.0:
         print("note: beta <= 0, dissipation-positivity claims do not apply")
     return EXIT_OK
 

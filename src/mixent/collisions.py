@@ -27,8 +27,6 @@ from .states import (
 )
 
 DENSE_DIM_CAP = 4096
-# thermo_entropy_production verifies its Gibbs precondition to this tolerance
-GIBBS_CHECK_TOL = 1e-8
 
 LEDGER_CSV_HEADER = "collision_index,delta_E,cum_delta_E,dirr_S,cum_dirr_S,reservoir_S_info"
 
@@ -122,38 +120,6 @@ def collision_energy_transfer(
     """
     sigma = apply_unitary(rho, u)
     return energy_mean(sigma, h) - energy_mean(rho, h)
-
-
-def gibbs_deviation(rho: DensityOperator, h: HermitianOperator, beta) -> float:
-    """Max elementwise distance of rho from gibbs_state(h, beta)."""
-    ref = gibbs_state(h, beta)
-    return float(np.max(np.abs(rho.entries - ref.entries)))
-
-
-def thermo_entropy_production(
-    rho: DensityOperator, u: UnitaryOperator, h: HermitianOperator, beta
-) -> float:
-    """Thermodynamic entropy production beta * Delta E per collision, in nats.
-
-    Requires rho to actually be the Gibbs state of (H, beta) with beta > 0;
-    the result is cross-checked against relative_entropy(U rho U†, rho) to
-    1e-9 relative, which is the identity log rho = -beta H - log Z makes exact.
-    """
-    b = beta_value(beta)
-    if b <= 0.0:
-        raise ValueError(f"thermodynamic entropy production needs beta > 0, got {b}")
-    dev = gibbs_deviation(rho, h, b)
-    if dev > GIBBS_CHECK_TOL:
-        raise InvalidStateError(
-            f"rho deviates from gibbs_state(H, beta) by {dev:.3e} (> {GIBBS_CHECK_TOL})"
-        )
-    production = b * collision_energy_transfer(rho, u, h)
-    s_rel = relative_entropy(apply_unitary(rho, u), rho)
-    if abs(production - s_rel) > 1e-9 * max(1e-30, abs(s_rel)) + 1e-12:
-        raise InvalidStateError(
-            f"beta*DeltaE = {production!r} disagrees with S[sigma|rho] = {s_rel!r}"
-        )
-    return production
 
 
 def run_collision_sequence(spec: CollisionSpec) -> CollisionLedger:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfiniteRelativeEntropyError
+from .errors import DimensionMismatchError, InfiniteRelativeEntropyError
 from .states import ClassicalDistribution, relative_entropy, shannon_entropy
 
 # defaults shared by the `appendix` command and verify criterion 7
@@ -25,35 +25,13 @@ INSERTION_RHO = (0.05, 0.1, 0.25, 0.5, 0.9, 1.0)
 FORMULA_PAIRS = 50
 
 
-@dataclass(frozen=True)
-class TypeVector:
-    """Symbol counts m_1..m_d of a length-N string over a d-letter alphabet."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.counts)
-        if len(c) == 0 or any(x < 0 for x in c):
-            raise ValueError(f"invalid type vector {self.counts}")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def dim(self) -> int:
-        return len(self.counts)
+def log_multinomial(counts: tuple) -> float:
+    """ln(N! / prod m_a!) for symbol counts m_1..m_d summing to N, in nats."""
+    return math.lgamma(sum(counts) + 1) - math.fsum(math.lgamma(x + 1) for x in counts)
 
 
-def log_multinomial(m: TypeVector) -> float:
-    """ln(N! / prod m_a!) via log-gamma, in nats."""
-    n = m.total
-    return math.lgamma(n + 1) - math.fsum(math.lgamma(x + 1) for x in m.counts)
-
-
-def round_counts(dist: ClassicalDistribution, n: int) -> TypeVector:
-    """Largest-remainder rounding of n*p_a to a type vector summing to n.
+def round_counts(dist: ClassicalDistribution, n: int) -> tuple:
+    """Largest-remainder rounding of n*p_a to symbol counts summing to n.
 
     Deterministic: leftover units go to the largest fractional remainders,
     ties broken by lower index.
@@ -67,7 +45,7 @@ def round_counts(dist: ClassicalDistribution, n: int) -> TypeVector:
     order = np.lexsort((np.arange(dist.dim), -remainders))
     for idx in order[:leftover]:
         floors[idx] += 1
-    return TypeVector(tuple(int(x) for x in floors))
+    return tuple(int(x) for x in floors)
 
 
 @dataclass(frozen=True)
@@ -147,7 +125,7 @@ def classical_mixing_increase_formula(
     operator-level relative entropy on diagonal embeddings to 1e-12.
     """
     if sigma.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
+        raise DimensionMismatchError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
     support = sigma.p > 0.0
     if np.any(rho.p[support] <= 0.0):
         raise InfiniteRelativeEntropyError(

@@ -44,8 +44,6 @@ from .states import (
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
 COMMUTE_TOL = 1e-10
-# largest entry change a subsystem swap may make to a permutation-invariant R
-PERMUTATION_TOL = 1e-10
 NORMALIZATION_TOL = 1e-9
 # rho eigenvalues closer than this are one degenerate block when
 # simultaneously diagonalizing a commuting pair
@@ -89,7 +87,6 @@ class TypeClassSpectrum:
     at a fraction of its time on terms spanning hundreds of binary exponents.
     """
 
-    dim: int
     n_total: int
     counts: np.ndarray
     log_q: np.ndarray
@@ -141,24 +138,10 @@ class SymmetrizedMixture:
     TypeClassSpectrum (see type_class_spectrum).
     """
 
-    dim: int
-    n_total: int
     matrix: np.ndarray
 
     def entropy(self) -> float:
         return dense_state_entropy(self.matrix)
-
-    def validate(self):
-        """Check R is a state and permutation invariant (meant for moderate sizes)."""
-        DensityOperator(self.matrix)  # hermitian, unit trace, PSD
-        t = _as_tensor(self.matrix, self.dim, self.n_total)
-        for k in range(self.n_total - 1):
-            swapped = _transposition_conjugate(t, k, k + 1, self.n_total)
-            dev = float(np.max(np.abs(swapped - t)))
-            if not dev <= PERMUTATION_TOL:
-                raise InvalidStateError(
-                    f"not permutation invariant: swap ({k},{k + 1}) moves it by {dev}"
-                )
 
 
 @dataclass(frozen=True)
@@ -169,7 +152,6 @@ class ExtrapolationSummary:
     a: float
     limit: float
     residual: float
-    final_gap: float
 
     def as_dict(self) -> dict:
         return {
@@ -229,7 +211,7 @@ def symmetrized_state_dense(
     n_total = n + 1
     acc = kron_sum(rho.entries, sigma.entries, n_total, dense_cap)
     acc /= n_total
-    return SymmetrizedMixture(dim=sigma.dim, n_total=n_total, matrix=acc)
+    return SymmetrizedMixture(matrix=acc)
 
 
 def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
@@ -276,7 +258,6 @@ def _type_spectrum(
     lgamma = gammaln(np.arange(n_total + 2))    # ln k! = lgamma[k + 1]
     log_mult = lgamma[n_total + 1] - lgamma[counts + 1].sum(axis=1)
     spec = TypeClassSpectrum(
-        dim=sigma.dim,
         n_total=n_total,
         counts=counts,
         log_q=log_q(counts, np.log(rho.p), sigma.p / rho.p),
@@ -418,12 +399,6 @@ def _permutation_conjugate(t: np.ndarray, perm, n_total: int) -> np.ndarray:
     """Conjugate the matrix-as-tensor t by the subsystem permutation perm."""
     axes = tuple(perm) + tuple(n_total + p for p in perm)
     return t.transpose(axes)
-
-
-def _transposition_conjugate(t: np.ndarray, i: int, j: int, n_total: int) -> np.ndarray:
-    perm = list(range(n_total))
-    perm[i], perm[j] = perm[j], perm[i]
-    return _permutation_conjugate(t, perm, n_total)
 
 
 def _infer_local_dim(dim: int, n_total: int) -> int:
@@ -598,13 +573,7 @@ def _fit_tail(records: Sequence[MixingRecord]) -> ExtrapolationSummary:
         limit, a = float(coeffs[0]), float(coeffs[1])
         resid = float(np.sqrt(np.mean((design @ coeffs - values) ** 2)))
         if best is None or resid < best.residual:
-            best = ExtrapolationSummary(
-                model=name,
-                a=a,
-                limit=limit,
-                residual=resid,
-                final_gap=ordered[-1].gap,
-            )
+            best = ExtrapolationSummary(model=name, a=a, limit=limit, residual=resid)
     return best
 
 

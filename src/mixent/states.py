@@ -44,7 +44,7 @@ class HermitianOperator:
     def __post_init__(self):
         m = _as_square_complex(self.entries)
         if not np.max(np.abs(m - m.conj().T)) <= ALGEBRA_TOL:
-            raise InvalidStateError("matrix is not Hermitian to 1e-12")
+            raise InvalidStateError(f"matrix is not Hermitian to {ALGEBRA_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -66,10 +66,10 @@ class DensityOperator:
     def __post_init__(self):
         m = _as_square_complex(self.entries)
         if not np.max(np.abs(m - m.conj().T)) <= ALGEBRA_TOL:
-            raise InvalidStateError("density matrix is not Hermitian to 1e-12")
+            raise InvalidStateError(f"density matrix is not Hermitian to {ALGEBRA_TOL}")
         tr = m.trace()
         if not abs(tr - 1.0) <= ALGEBRA_TOL:
-            raise InvalidStateError(f"density matrix trace {tr} != 1 to 1e-12")
+            raise InvalidStateError(f"density matrix trace {tr} != 1 to {ALGEBRA_TOL}")
         lo = float(np.linalg.eigvalsh(m).min())
         if not lo >= -EIG_FLOOR:
             raise InvalidStateError(
@@ -96,7 +96,7 @@ class UnitaryOperator:
     def __post_init__(self):
         m = _as_square_complex(self.entries)
         if not np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= ALGEBRA_TOL:
-            raise InvalidStateError("matrix is not unitary to 1e-12")
+            raise InvalidStateError(f"matrix is not unitary to {ALGEBRA_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -105,33 +105,16 @@ class UnitaryOperator:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class InverseTemperature:
-    """Inverse temperature in 1/energy units.
-
-    Any finite real is accepted. beta = 0 gives the maximally mixed Gibbs
-    state; beta < 0 is legal at finite dimension but flagged because the
-    dissipation-positivity claim only holds for beta > 0.
-    """
-
-    beta: float
-
-    def __post_init__(self):
-        b = float(self.beta)
-        if not math.isfinite(b):
-            raise ValueError(f"inverse temperature must be finite, got {b}")
-        object.__setattr__(self, "beta", b)
-
-    @property
-    def flagged_nonpositive(self) -> bool:
-        return self.beta <= 0.0
-
-
 def beta_value(beta) -> float:
-    """Coerce a float or InverseTemperature to a validated float."""
-    if isinstance(beta, InverseTemperature):
-        return beta.beta
-    return InverseTemperature(float(beta)).beta
+    """Inverse temperature in 1/energy units as a float; it must be finite.
+
+    beta = 0 gives the maximally mixed Gibbs state; beta < 0 is legal at
+    finite dimension, but the dissipation-positivity claim needs beta > 0.
+    """
+    b = float(beta)
+    if not math.isfinite(b):
+        raise ValueError(f"inverse temperature must be finite, got {b}")
+    return b
 
 
 @dataclass(frozen=True)
@@ -147,7 +130,9 @@ class ClassicalDistribution:
         if not np.all(v >= 0.0):
             raise InvalidStateError("probabilities must be nonnegative")
         if not abs(v.sum() - 1.0) <= ALGEBRA_TOL:
-            raise InvalidStateError(f"probabilities sum to {v.sum()}, not 1 to 1e-12")
+            raise InvalidStateError(
+                f"probabilities sum to {v.sum()}, not 1 to {ALGEBRA_TOL}"
+            )
         v.setflags(write=False)
         object.__setattr__(self, "p", v)
 

@@ -5,6 +5,7 @@ Criteria 1-8 run once through the shared engine (same code path as the
 compares report bytes. Each test prints one pass/fail line.
 """
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -125,6 +126,39 @@ def test_criterion_9_determinism(outcome, tmp_path):
     assert b1 == b2
     report = json.loads(b1)
     assert report["all_pass"] is True
+
+
+# sha256 of the report bytes as RunWriter.write_json writes them (numpy 2.4.6,
+# scipy 1.17.1, the versions CI pins)
+VERIFY_REPORT_SHA256 = "be53a3851d8229bb70569a7d2150ff917efc7d48f5cb6e32e11846544982b675"
+APPENDIX_REPORT_SHA256 = {
+    None: "73f1ee56947fbbc8e7db2a32806e4f3fb3945b7b657990c24447f5bf5d522f51",
+    9: "88adaa0a5f9e0442454cf8b2ecadeb2eeeeeb7d741e4f907452563ff58124dbe",
+}
+MOVED_BY_DESIGN = (
+    "; a change that moves these bytes by design updates the pin and names "
+    "each report field that moved"
+)
+
+
+def test_verify_report_bytes_are_pinned(outcome):
+    data = (json.dumps(outcome.report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == VERIFY_REPORT_SHA256, (
+        f"seed-{SEED} verify_report.json sha256 is {digest}" + MOVED_BY_DESIGN
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 9])
+def test_appendix_report_bytes_are_pinned(tmp_path, seed):
+    argv = ["appendix", "--out-dir", str(tmp_path)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == APPENDIX_REPORT_SHA256[seed], (
+        f"appendix report.json (seed {seed}) sha256 is {digest}" + MOVED_BY_DESIGN
+    )
 
 
 def _patched_table(monkeypatch, replace):

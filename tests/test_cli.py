@@ -148,6 +148,20 @@ def test_collide_random_instance_needs_seed(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("beta,flagged", [("-1", True), ("0", True), ("0.5", False)])
+def test_gibbs_and_collide_flag_nonpositive_beta(tmp_path, capsys, beta, flagged):
+    h = qubit_h_file(tmp_path)
+    assert main(["gibbs", "--hamiltonian", h, "--beta", beta,
+                 "--out-dir", str(tmp_path / "g")]) == 0
+    assert load(tmp_path / "g", "state.json")["beta_flagged_nonpositive"] is flagged
+    note = "note: beta <= 0, dissipation-positivity claims do not apply"
+    assert (note in capsys.readouterr().out) is flagged
+    assert main(["collide", "--hamiltonian", h, "--unitary", exchange_file(tmp_path),
+                 "--beta", beta, "--collisions", "1", "--reservoir-size", "2",
+                 "--out-dir", str(tmp_path / "c")]) == 0
+    assert load(tmp_path / "c", "summary.json")["beta_flagged_nonpositive"] is flagged
+
+
 # ---------------------------------------------------------------------------
 # mix-sweep
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from mixent import (
     CollisionSpec,
     HermitianOperator,
-    InvalidStateError,
     UnitaryOperator,
     apply_unitary,
     collision_energy_transfer,
@@ -17,13 +16,11 @@ from mixent import (
     relative_entropy,
     reservoir_hamiltonian,
     run_collision_sequence,
-    thermo_entropy_production,
     von_neumann_entropy,
 )
 from mixent.collisions import LEDGER_CSV_HEADER
 from mixent.errors import CapExceededError
 from mixent.mixing import kron_all
-from conftest import seeded_density
 
 QUBIT_DELTA_E = (1.0 - math.exp(-1.0)) / (1.0 + math.exp(-1.0))  # p0 - p1 at beta=1
 
@@ -52,38 +49,32 @@ def test_energy_transfer_qubit_exchange(qubit_h, exchange_u):
     assert 1.0 * de == pytest.approx(s_rel, rel=1e-12)
 
 
+def _ledger(h, u, beta):
+    return run_collision_sequence(
+        CollisionSpec(h=h, beta=beta, u=u, collisions=1, reservoir_size=1)
+    )
+
+
 def test_thermo_entropy_production_identity_unitary(qubit_h):
-    rho = gibbs_state(qubit_h, 1.0)
-    assert thermo_entropy_production(rho, UnitaryOperator(np.eye(2)), qubit_h, 1.0) == 0.0
+    assert _ledger(qubit_h, UnitaryOperator(np.eye(2)), 1.0).dirr_s == 0.0
 
 
 def test_thermo_entropy_production_qubit(qubit_h, exchange_u):
-    rho = gibbs_state(qubit_h, 1.0)
-    val = thermo_entropy_production(rho, exchange_u, qubit_h, 1.0)
-    assert val == pytest.approx(QUBIT_DELTA_E, abs=1e-14)
+    ledger = _ledger(qubit_h, exchange_u, 1.0)
+    assert ledger.dirr_s == pytest.approx(QUBIT_DELTA_E, abs=1e-14)
+    assert ledger.s_rel == pytest.approx(QUBIT_DELTA_E, rel=1e-12)
 
 
 def test_thermo_entropy_production_random_instance():
-    # d = 4, beta = 0.5, Haar U: beta*DeltaE must equal S[sigma|rho] to 1e-9
+    # d = 4, beta = 0.5, Haar U: the ledger's beta*DeltaE must equal an
+    # independently computed S[sigma|rho] to 1e-9
     h = random_hermitian(11, 4)
-    beta = 0.5
-    rho = gibbs_state(h, beta)
     u = random_haar_unitary(11, 4)
-    val = thermo_entropy_production(rho, u, h, beta)
+    ledger = _ledger(h, u, 0.5)
+    rho = gibbs_state(h, 0.5)
     s_rel = relative_entropy(apply_unitary(rho, u), rho)
-    assert val == pytest.approx(s_rel, rel=1e-9)
-
-
-def test_thermo_entropy_production_rejects_non_gibbs(qubit_h, exchange_u):
-    not_gibbs = seeded_density(5, 2, beta=2.0)
-    with pytest.raises(InvalidStateError):
-        thermo_entropy_production(not_gibbs, exchange_u, qubit_h, 1.0)
-
-
-def test_thermo_entropy_production_rejects_nonpositive_beta(qubit_h, exchange_u):
-    rho = gibbs_state(qubit_h, 0.0)
-    with pytest.raises(ValueError):
-        thermo_entropy_production(rho, exchange_u, qubit_h, 0.0)
+    assert ledger.dirr_s == pytest.approx(s_rel, rel=1e-9)
+    assert ledger.identity_residual < 1e-9
 
 
 def test_dissipation_positivity_and_identity_seeded():

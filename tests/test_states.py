@@ -14,7 +14,6 @@ from mixent import (
     InfiniteRelativeEntropyError,
     InvalidStateError,
     DimensionMismatchError,
-    InverseTemperature,
     UnitaryOperator,
     apply_unitary,
     energy_mean,
@@ -26,7 +25,7 @@ from mixent import (
     von_neumann_entropy,
 )
 from mixent.mixing import dense_state_entropy
-from mixent.states import clamp_spectrum, exact_sum
+from mixent.states import beta_value, clamp_spectrum, exact_sum
 from conftest import seeded_density
 
 
@@ -68,12 +67,10 @@ def test_unitary_rejects_non_unitary():
 
 
 def test_inverse_temperature_must_be_finite():
-    with pytest.raises(ValueError):
-        InverseTemperature(math.inf)
-    with pytest.raises(ValueError):
-        InverseTemperature(math.nan)
-    assert InverseTemperature(-2.0).flagged_nonpositive
-    assert not InverseTemperature(0.5).flagged_nonpositive
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="inverse temperature must be finite"):
+            beta_value(bad)
+    assert beta_value(-2) == -2.0 and type(beta_value(-2)) is float
 
 
 def test_distribution_invariants():
@@ -81,6 +78,25 @@ def test_distribution_invariants():
         ClassicalDistribution([0.5, 0.6])
     with pytest.raises(InvalidStateError):
         ClassicalDistribution([1.2, -0.2])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: HermitianOperator([[0.0, 1.0], [0.0, 0.0]]),
+     "matrix is not Hermitian to 1e-12"),
+    (lambda: DensityOperator([[0.5, 1.0], [0.0, 0.5]]),
+     "density matrix is not Hermitian to 1e-12"),
+    (lambda: DensityOperator([[0.5, 0.0], [0.0, 0.6]]),
+     "density matrix trace (1.1+0j) != 1 to 1e-12"),
+    (lambda: UnitaryOperator([[1.0, 0.0], [0.0, 2.0]]),
+     "matrix is not unitary to 1e-12"),
+    (lambda: ClassicalDistribution([0.5, 0.25]),
+     "probabilities sum to 0.75, not 1 to 1e-12"),
+])
+def test_invariant_messages_name_the_algebra_tolerance(build, message):
+    # the messages are formatted from ALGEBRA_TOL; at 1e-12 their bytes are these
+    with pytest.raises(InvalidStateError) as info:
+        build()
+    assert str(info.value) == message
 
 
 NAN_QUBIT = np.array([[np.nan, 0.0], [0.0, 1.0]])
