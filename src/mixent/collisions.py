@@ -27,6 +27,8 @@ from .states import (
 )
 
 DENSE_DIM_CAP = 4096
+# A unitary collision keeps the single-molecule entropy; a larger change is an error.
+COLLISION_ENTROPY_TOL = 1e-10
 
 LEDGER_CSV_HEADER = "collision_index,delta_E,cum_delta_E,dirr_S,cum_dirr_S,reservoir_S_info"
 
@@ -136,7 +138,7 @@ def run_collision_sequence(spec: CollisionSpec) -> CollisionLedger:
     dirr_s = spec.beta * delta_e
     s_rho = von_neumann_entropy(rho)
     s_sigma = von_neumann_entropy(sigma)
-    if abs(s_sigma - s_rho) > 1e-10:
+    if abs(s_sigma - s_rho) > COLLISION_ENTROPY_TOL:
         raise InvalidStateError(
             f"unitary collision changed the single-molecule entropy by {s_sigma - s_rho}"
         )

@@ -5,10 +5,10 @@ One sigma-molecule loses its identity among n rho-molecules:
     R = (1/(n+1)) * sum_k  rho^k (x) sigma (x) rho^(n-k)
 
 and the entropy of mixing S_mix = S[R] - n S[rho] - S[sigma] is computed by
-two independent routes (the spectrum of a dense R, read off its diagonal when
-nothing off it is nonzero; exact type-class enumeration for commuting states)
-so each can serve as the other's oracle. The conjectured n -> infinity limit
-is the relative entropy S[sigma|rho].
+two independent routes (the spectrum of a dense R, built in rho's eigenbasis
+and read off its diagonal when nothing off it is nonzero; exact type-class
+enumeration for commuting states) so each can serve as the other's oracle.
+The conjectured n -> infinity limit is the relative entropy S[sigma|rho].
 """
 
 from __future__ import annotations
@@ -511,6 +511,28 @@ def simultaneous_classical_pair(sigma: DensityOperator, rho: DensityOperator) ->
     )
 
 
+def _in_rho_eigenbasis(sigma: DensityOperator, rho: DensityOperator) -> tuple:
+    """(D† V† sigma V D, diag(w)) for rho = V diag(w) V† and a diagonal phase D.
+
+    Conjugating sigma and rho by one unitary conjugates R by its (n+1)-fold
+    tensor power, so S[R] does not change. D makes row 0 of sigma real and
+    nonnegative, which leaves a qubit pair real; a real pair keeps a real
+    basis from a real eigh. A pair with d >= 3 that no phase makes real stays
+    complex. Row and column 0 are set to the moduli they equal exactly, and
+    the diagonal to its real part, so rounding leaves no imaginary residue
+    for kron_sum to see.
+    """
+    r = rho.entries
+    w, v = np.linalg.eigh(r if np.imag(r).any() else r.real)
+    s = v.conj().T @ sigma.entries @ v
+    row = np.abs(s[0])
+    phase = np.divide(s[0].conj(), row, out=np.ones_like(s[0]), where=row > 0.0)
+    s = phase.conj()[:, None] * s * phase
+    s[0] = s[:, 0] = row
+    np.fill_diagonal(s, s.diagonal().real)
+    return DensityOperator(s), DensityOperator(np.diag(w))
+
+
 def _coerce_states(sigma: StateLike, rho: StateLike) -> tuple:
     s = sigma.as_density() if isinstance(sigma, ClassicalDistribution) else sigma
     r = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
@@ -526,13 +548,17 @@ def mixing_entropy(
 ) -> MixingRecord:
     """S_mix[sigma|rho; n] = S[R] - n S[rho] - S[sigma], in nats.
 
-    method 'dense' takes the spectrum of the full d^(n+1) matrix;
+    method 'dense' takes the spectrum of the full d^(n+1) matrix R, built in
+    rho's eigenbasis with sigma's row 0 made real (same spectrum; a qubit
+    pair's R is real there, so its eigensolve is real symmetric);
     'classical-exact' requires commuting states and enumerates type classes;
     'auto' picks classical-exact when the states commute, else dense.
     """
     sigma_op, rho_op = _coerce_states(sigma, rho)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if sigma_op.dim != rho_op.dim:
+        raise DimensionMismatchError(f"dims {sigma_op.dim} vs {rho_op.dim}")
     if method == "auto":
         method = (
             "classical-exact"
@@ -543,7 +569,9 @@ def mixing_entropy(
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
         return classical_mixing_entropy_exact(sigma_dist, rho_dist, n)
 
-    mixture = symmetrized_state_dense(sigma_op, rho_op, n, dense_cap=dense_cap)
+    mixture = symmetrized_state_dense(
+        *_in_rho_eigenbasis(sigma_op, rho_op), n, dense_cap=dense_cap
+    )
     s_mix = (
         mixture.entropy()
         - n * von_neumann_entropy(rho_op)

@@ -19,6 +19,8 @@ from .errors import (
 # Elementwise tolerance for algebraic invariants (hermiticity, unitarity, trace).
 # Every tolerance test below reads "not within", so that NaN fails it.
 ALGEBRA_TOL = 1e-12
+# tr(rho H) is real for Hermitian rho and H; a larger imaginary part is an error.
+ENERGY_IMAG_TOL = 1e-10
 # Eigenvalues of a density operator in [-EIG_FLOOR, 0) are rounding noise and
 # clamp to 0; anything below -EIG_FLOOR is a genuinely invalid state.
 EIG_FLOOR = 1e-10
@@ -262,10 +264,10 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
 
 
 def energy_mean(rho: DensityOperator, h: HermitianOperator) -> float:
-    """tr(rho H); the imaginary residue must be below 1e-10."""
+    """tr(rho H); the imaginary residue must be below ENERGY_IMAG_TOL."""
     _check_same_dim(rho.entries, h.entries)
     val = complex(np.trace(rho.entries @ h.entries))
-    if abs(val.imag) >= 1e-10:
+    if abs(val.imag) >= ENERGY_IMAG_TOL:
         raise InvalidStateError(f"tr(rho H) has imaginary residue {val.imag}")
     return val.real
 

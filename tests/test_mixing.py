@@ -35,7 +35,13 @@ from mixent.mixing import (
     records_to_csv,
     simultaneous_classical_pair,
 )
-from mixent.states import EIG_FLOOR, clamp_spectrum, entropy_of_spectrum, exact_sum
+from mixent.states import (
+    EIG_FLOOR,
+    clamp_spectrum,
+    entropy_of_spectrum,
+    exact_sum,
+    von_neumann_entropy,
+)
 from mixent.verify import C4_FAMILIES
 from conftest import seeded_density
 
@@ -403,6 +409,74 @@ def test_dense_agrees_with_classical_rotated_basis():
     dense = mixing_entropy(sig_op, rho_op, 5, method="dense")
     classical = mixing_entropy(sig_op, rho_op, 5, method="classical-exact")
     assert dense.s_mix == pytest.approx(classical.s_mix, abs=1e-9)
+
+
+def _original_basis_s_mix(sigma, rho, n):
+    """S_mix from R built in the caller's basis, with nothing turned."""
+    s_r = dense_state_entropy(symmetrized_state_dense(sigma, rho, n).matrix)
+    return s_r - n * von_neumann_entropy(rho) - von_neumann_entropy(sigma)
+
+
+def _dense_route(monkeypatch, sigma, rho, n):
+    """The dense record, the pair handed to R's build, and the dtypes R's eigvalsh saw."""
+    built, dtypes = [], []
+    build, solver = mixing.symmetrized_state_dense, np.linalg.eigvalsh
+
+    def spy_build(s, r, n, **kwargs):
+        built.append((s.entries, r.entries))
+        return build(s, r, n, **kwargs)
+
+    def spy_solver(m):
+        if m.shape[0] > sigma.dim:      # R itself, not a d x d state check
+            dtypes.append(m.dtype)
+        return solver(m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mixing, "symmetrized_state_dense", spy_build)
+        patch.setattr(np.linalg, "eigvalsh", spy_solver)
+        rec = mixing_entropy(sigma, rho, n, method="dense")
+    assert len(built) == 1
+    return rec, built[0], dtypes
+
+
+def _assert_in_rho_eigenbasis(pair):
+    """rho diagonal, sigma's row 0 real and nonnegative."""
+    s, r = pair
+    assert np.count_nonzero(r - np.diag(r.diagonal())) == 0
+    assert np.all(s[0].imag == 0.0) and np.all(s[0].real >= 0.0)
+
+
+def _haar_qubit_pair(seed):
+    rho = seeded_density(seed, 2)
+    return apply_unitary(rho, random_haar_unitary(seed + 100, 2)), rho
+
+
+@pytest.mark.parametrize(
+    "pair,n_max,dtype",
+    [(_haar_qubit_pair(seed), 8, np.float64) for seed in (1, 2, 3)]
+    + [
+        ((_haar_qubit_pair(4)[0], DensityOperator(np.eye(2) / 2)), 8, np.float64),
+        (_noncommuting_pair(3, real=True), 4, np.float64),
+        (_noncommuting_pair(3, real=False), 4, np.complex128),
+    ],
+    ids=["haar-1", "haar-2", "haar-3", "degenerate-rho", "qutrit-real", "qutrit-haar"],
+)
+def test_dense_route_builds_r_in_rho_eigenbasis(pair, n_max, dtype, monkeypatch):
+    # every qubit pair and every real pair is real there; a Haar qutrit pair,
+    # which no phase makes real, stays complex
+    sigma, rho = pair
+    for n in range(1, n_max + 1):
+        expected = _original_basis_s_mix(sigma, rho, n)
+        rec, built, dtypes = _dense_route(monkeypatch, sigma, rho, n)
+        _assert_in_rho_eigenbasis(built)
+        assert dtypes == [dtype]
+        assert abs(rec.s_mix - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("method", mixing.METHODS)
+def test_mixing_entropy_rejects_a_dimension_mismatch(method):
+    with pytest.raises(DimensionMismatchError):
+        mixing_entropy(seeded_density(0, 2), seeded_density(0, 3), 2, method=method)
 
 
 def test_auto_dispatch():
