@@ -181,8 +181,11 @@ def kron_sum(
 
     Built by the recursion A_1 = b, A_N = A_{N-1} (x) a + a^{(x)(N-1)} (x) b,
     which sums the terms left to right and allocates one full-size matrix per
-    step. The result is float64 when neither input has an imaginary part and
-    complex128 otherwise.
+    step. Given length-d vectors, a and b are read as diagonals and the same
+    recursion builds the length-d^n diagonal of the sum: the same products
+    and sums in the same order, so it equals the 2-D result's diagonal bit
+    for bit. The result is float64 when neither input has an imaginary part
+    and complex128 otherwise.
     """
     d = a.shape[0]
     dim = d**n
@@ -193,9 +196,12 @@ def kron_sum(
     real = not (np.imag(a).any() or np.imag(b).any())
     dtype = np.float64 if real else np.complex128
     a, b = (np.array(np.real(x) if real else x, dtype=dtype) for x in (a, b))
-    acc, power = b, np.eye(1, dtype=dtype)
+    acc, power = b, np.ones((1,) * a.ndim, dtype=dtype)
     for _ in range(n - 1):
         power = np.kron(power, a)
+        if a.ndim == 1:
+            acc = (acc[:, None] * a + power[:, None] * b).ravel()
+            continue
         m = power.shape[0]
         nxt = np.empty((m * d, m * d), dtype=dtype)
         blocks = nxt.reshape(m, d, m, d)

@@ -5,9 +5,10 @@ One sigma-molecule loses its identity among n rho-molecules:
     R = (1/(n+1)) * sum_k  rho^k (x) sigma (x) rho^(n-k)
 
 and the entropy of mixing S_mix = S[R] - n S[rho] - S[sigma] is computed by
-two independent routes (the spectrum of a dense R, built in rho's eigenbasis
-and read off its diagonal when nothing off it is nonzero; exact type-class
-enumeration for commuting states) so each can serve as the other's oracle.
+two independent routes (the spectrum of a dense R, built in rho's eigenbasis,
+where R is diagonal when sigma is and then only that diagonal is built; exact
+type-class enumeration for commuting states) so each can serve as the other's
+oracle.
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho].
 """
 
@@ -171,20 +172,19 @@ class GracefulReport:
 
 
 def dense_state_entropy(matrix: np.ndarray) -> float:
-    """Entropy of a dense state from its spectrum, in nats.
+    """Entropy of a dense state from its full spectrum, in nats.
 
-    With no nonzero entry off the diagonal (R of a commuting pair) the
-    spectrum is the diagonal: LAPACK returns it sorted, bit for bit, and fsum
-    does not depend on order. Any other matrix gets a full eigensolve, real
-    symmetric for float64 and Hermitian for complex128. Row 0 is checked
-    first, so a non-diagonal R is usually told in O(D).
+    The eigensolve is real symmetric for float64 and Hermitian for
+    complex128. LAPACK returns finite eigenvalues for a matrix holding NaN,
+    so a non-finite entry is refused first, by its sum: that needs no
+    D x D temporary, and no state's entries (all within [-1, 1]) sum to an
+    overflow. mixing_entropy does not come here with a commuting pair's
+    diagonal R: it builds only that diagonal.
     """
-    diagonal = matrix.diagonal()
-    is_diagonal = np.count_nonzero(matrix[0]) <= 1 and (
-        np.count_nonzero(matrix) == np.count_nonzero(diagonal)
-    )
-    eigs = diagonal.real if is_diagonal else np.linalg.eigvalsh(matrix)
-    return entropy_of_spectrum(clamp_spectrum(eigs))
+    total = matrix.sum()
+    if not np.isfinite(total):
+        raise InvalidStateError(f"entries sum to {total}: not a valid state")
+    return entropy_of_spectrum(clamp_spectrum(np.linalg.eigvalsh(matrix)))
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -548,9 +548,11 @@ def mixing_entropy(
 ) -> MixingRecord:
     """S_mix[sigma|rho; n] = S[R] - n S[rho] - S[sigma], in nats.
 
-    method 'dense' takes the spectrum of the full d^(n+1) matrix R, built in
+    method 'dense' takes the spectrum of the d^(n+1)-dimensional R, built in
     rho's eigenbasis with sigma's row 0 made real (same spectrum; a qubit
-    pair's R is real there, so its eigensolve is real symmetric);
+    pair's R is real there, so its eigensolve is real symmetric). When sigma
+    has nothing off its diagonal there, R is diagonal and only its d^(n+1)
+    diagonal entries are built, by kron_sum on the two diagonals;
     'classical-exact' requires commuting states and enumerates type classes;
     'auto' picks classical-exact when the states commute, else dense.
     """
@@ -569,11 +571,19 @@ def mixing_entropy(
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
         return classical_mixing_entropy_exact(sigma_dist, rho_dist, n)
 
-    mixture = symmetrized_state_dense(
-        *_in_rho_eigenbasis(sigma_op, rho_op), n, dense_cap=dense_cap
-    )
+    sigma_t, rho_t = _in_rho_eigenbasis(sigma_op, rho_op)
+    s = sigma_t.entries
+    # n < 1 takes the full build, which refuses it
+    if n >= 1 and np.count_nonzero(s) == np.count_nonzero(s.diagonal()):
+        # rho_t is diag(w) and sigma_t has nothing off its diagonal, so R is
+        # diagonal and its diagonal is its spectrum
+        n_total = n + 1
+        r_diagonal = kron_sum(rho_t.entries.diagonal(), s.diagonal(), n_total, dense_cap)
+        s_r = entropy_of_spectrum(clamp_spectrum(r_diagonal / n_total))
+    else:
+        s_r = symmetrized_state_dense(sigma_t, rho_t, n, dense_cap=dense_cap).entropy()
     s_mix = (
-        mixture.entropy()
+        s_r
         - n * von_neumann_entropy(rho_op)
         - von_neumann_entropy(sigma_op)
     )

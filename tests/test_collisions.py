@@ -18,7 +18,7 @@ from mixent import (
     run_collision_sequence,
     von_neumann_entropy,
 )
-from mixent.collisions import LEDGER_CSV_HEADER
+from mixent.collisions import DENSE_DIM_CAP, LEDGER_CSV_HEADER, kron_sum
 from mixent.errors import CapExceededError
 from mixent.mixing import kron_all
 
@@ -225,3 +225,33 @@ def test_reservoir_hamiltonian_is_exact_explicit_sum(d):
 def test_reservoir_hamiltonian_cap(qubit_h):
     with pytest.raises(CapExceededError):
         reservoir_hamiltonian(qubit_h, 13)  # 2^13 > 4096
+
+
+def _assert_diagonal_build_is_bitwise(a, b, n):
+    vec = kron_sum(a, b, n)
+    diagonal = kron_sum(np.diag(a), np.diag(b), n).diagonal()
+    assert vec.shape == (len(a) ** n,)
+    assert np.array_equal(vec, diagonal) and vec.tobytes() == diagonal.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kron_sum_of_diagonals_is_the_matrix_builds_diagonal(d):
+    a, b = np.random.default_rng(d).uniform(0.05, 1.0, size=(2, d))
+    n_max = max(n for n in range(1, 13) if d**n <= DENSE_DIM_CAP)
+    for n in range(1, n_max + 1):
+        _assert_diagonal_build_is_bitwise(a, b, n)
+
+
+def test_kron_sum_of_diagonals_with_an_exact_zero():
+    a, b = np.array([0.5, 0.0, 0.5]), np.array([0.0, 0.25, 0.75])
+    for n in range(1, 6):
+        _assert_diagonal_build_is_bitwise(a, b, n)
+        assert np.count_nonzero(kron_sum(a, b, n)) < 3**n
+
+
+def test_kron_sum_of_diagonals_refuses_the_cap_before_it_builds(monkeypatch):
+    monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("built past the cap"))
+    with pytest.raises(CapExceededError):
+        kron_sum(np.full(2, 0.5), np.full(2, 0.5), 13)  # 2^13 > 4096
+    with pytest.raises(CapExceededError):
+        kron_sum(np.full(3, 1 / 3), np.full(3, 1 / 3), 3, dense_cap=26)

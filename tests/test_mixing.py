@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,12 +180,43 @@ def _full_eigensolve_entropy(matrix):
 @pytest.mark.parametrize(
     "d,n", [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 5)]
 )
-def test_dense_entropy_of_diagonal_r_equals_full_eigensolve(d, n):
+def test_dense_entropy_of_diagonal_r_equals_full_eigensolve(d, n, monkeypatch):
     rho_p, sig_p = {d: pair for d, _, pair in C4_FAMILIES}[d]
     sigma = ClassicalDistribution(sig_p).as_density()
     rho = ClassicalDistribution(rho_p).as_density()
-    r = symmetrized_state_dense(sigma, rho, n).matrix
-    assert dense_state_entropy(r) == _full_eigensolve_entropy(r)
+    expected = _full_eigensolve_entropy(symmetrized_state_dense(sigma, rho, n).matrix)
+    s_r = []
+    reduce = mixing.entropy_of_spectrum
+    monkeypatch.setattr(mixing, "entropy_of_spectrum", lambda e: s_r.append(reduce(e)) or s_r[-1])
+    mixing_entropy(sigma, rho, n, method="dense")
+    assert s_r == [expected]
+
+
+@pytest.mark.parametrize("d,n_max,pair", C4_FAMILIES, ids=["d=2", "d=3"])
+def test_dense_s_mix_of_a_commuting_pair_equals_reading_a_full_r(d, n_max, pair):
+    """Building only R's diagonal gives the bits of reading it off the full R."""
+    rho_p, sig_p = pair
+    sigma = ClassicalDistribution(sig_p).as_density()
+    rho = ClassicalDistribution(rho_p).as_density()
+    for n in range(1, n_max + 1):
+        r = symmetrized_state_dense(*mixing._in_rho_eigenbasis(sigma, rho), n).matrix
+        assert np.count_nonzero(r) == np.count_nonzero(r.diagonal())
+        s_r = entropy_of_spectrum(clamp_spectrum(r.diagonal().real))
+        expected = s_r - n * von_neumann_entropy(rho) - von_neumann_entropy(sigma)
+        assert mixing_entropy(sigma, rho, n, method="dense").s_mix == expected
+
+
+def test_dense_route_of_a_commuting_pair_builds_no_full_r():
+    n_max, (rho_p, sig_p) = next((n, pair) for d, n, pair in C4_FAMILIES if d == 2)
+    sigma = ClassicalDistribution(sig_p).as_density()
+    rho = ClassicalDistribution(rho_p).as_density()
+    tracemalloc.start()
+    try:
+        mixing_entropy(sigma, rho, n_max, method="dense")  # R is 4096-dimensional
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a full float64 R alone is 128 MiB
 
 
 def _entropy_and_eigvalsh_calls(monkeypatch, matrix):
@@ -206,9 +238,17 @@ def test_dense_entropy_eigensolves_nondiagonal_r(real, monkeypatch):
 
 
 def test_dense_entropy_reads_diagonal_r_without_eigensolve(monkeypatch):
-    r = symmetrized_state_dense(SIGMA_CLASSICAL.as_density(), RHO_CLASSICAL.as_density(), 4)
-    _, calls = _entropy_and_eigvalsh_calls(monkeypatch, r.matrix)
-    assert calls == []
+    """A commuting pair's R is diagonal: only its diagonal is built, no R is solved."""
+    shapes, built = [], []
+    solver = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solver(m))
+    monkeypatch.setattr(mixing, "symmetrized_state_dense", lambda *a, **k: built.append(a))
+    rec = mixing_entropy(SIGMA_CLASSICAL, RHO_CLASSICAL, 4, method="dense")
+    assert built == [] and set(shapes) <= {(2, 2)}
+    assert rec.s_mix == pytest.approx(
+        mixing_entropy(SIGMA_CLASSICAL, RHO_CLASSICAL, 4, method="classical-exact").s_mix,
+        abs=1e-12,
+    )
 
 
 def test_dense_entropy_eigensolves_when_row_0_is_diagonal(monkeypatch):

@@ -111,8 +111,11 @@ NAN_QUBIT = np.array([[np.nan, 0.0], [0.0, 1.0]])
         lambda: ClassicalDistribution([np.nan, 1.0]),
         lambda: clamp_spectrum(np.array([np.nan, 0.5])),
         lambda: dense_state_entropy(np.diag([np.nan, 1.0])),
+        # not diagonal, and LAPACK's spectrum of it is [0, -0]
+        lambda: dense_state_entropy(np.array([[np.nan, 1e-300], [1e-300, 1.0]])),
     ],
-    ids=["hermitian", "density", "unitary", "distribution", "clamp", "dense-entropy"],
+    ids=["hermitian", "density", "unitary", "distribution", "clamp", "dense-entropy",
+         "dense-entropy-off-diagonal"],
 )
 def test_nan_is_rejected(build):
     with pytest.raises(InvalidStateError):
