@@ -6,10 +6,12 @@ One sigma-molecule loses its identity among n rho-molecules:
 
 and the entropy of mixing S_mix = S[R] - n S[rho] - S[sigma] is computed by
 two independent routes (the spectrum of a dense R, built in rho's eigenbasis,
-where R is diagonal when sigma is and then only that diagonal is built; exact
-type-class enumeration for commuting states) so each can serve as the other's
-oracle.
+where only the diagonal is built for commuting states, R being diagonal in
+their joint eigenbasis; exact type-class enumeration for commuting states) so
+each can serve as the other's oracle.
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho].
+scipy is imported on the first call to gammaln, so only the type-class routes
+pay for it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     CapExceededError,
@@ -212,6 +213,13 @@ def symmetrized_state_dense(
     acc = kron_sum(rho.entries, sigma.entries, n_total, dense_cap)
     acc /= n_total
     return SymmetrizedMixture(matrix=acc)
+
+
+def gammaln(x):
+    """scipy.special.gammaln, imported on the first call, not with mixent."""
+    from scipy.special import gammaln as scipy_gammaln
+
+    return scipy_gammaln(x)
 
 
 def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
@@ -550,9 +558,10 @@ def mixing_entropy(
 
     method 'dense' takes the spectrum of the d^(n+1)-dimensional R, built in
     rho's eigenbasis with sigma's row 0 made real (same spectrum; a qubit
-    pair's R is real there, so its eigensolve is real symmetric). When sigma
-    has nothing off its diagonal there, R is diagonal and only its d^(n+1)
-    diagonal entries are built, by kron_sum on the two diagonals;
+    pair's R is real there, so its eigensolve is real symmetric). When the
+    states commute to COMMUTE_TOL, R is diagonal in their joint eigenbasis
+    and only its d^(n+1) diagonal entries are built, by kron_sum on the two
+    spectra simultaneous_classical_pair gives;
     'classical-exact' requires commuting states and enumerates type classes;
     'auto' picks classical-exact when the states commute, else dense.
     """
@@ -561,26 +570,22 @@ def mixing_entropy(
         raise ValueError(f"unknown method {method!r}")
     if sigma_op.dim != rho_op.dim:
         raise DimensionMismatchError(f"dims {sigma_op.dim} vs {rho_op.dim}")
+    commute = _commutator_max(sigma_op, rho_op) <= COMMUTE_TOL
     if method == "auto":
-        method = (
-            "classical-exact"
-            if _commutator_max(sigma_op, rho_op) <= COMMUTE_TOL
-            else "dense"
-        )
+        method = "classical-exact" if commute else "dense"
     if method == "classical-exact":
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
         return classical_mixing_entropy_exact(sigma_dist, rho_dist, n)
 
-    sigma_t, rho_t = _in_rho_eigenbasis(sigma_op, rho_op)
-    s = sigma_t.entries
     # n < 1 takes the full build, which refuses it
-    if n >= 1 and np.count_nonzero(s) == np.count_nonzero(s.diagonal()):
-        # rho_t is diag(w) and sigma_t has nothing off its diagonal, so R is
-        # diagonal and its diagonal is its spectrum
+    if n >= 1 and commute:
+        # in a joint eigenbasis R is diagonal and its diagonal is its spectrum
+        sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
         n_total = n + 1
-        r_diagonal = kron_sum(rho_t.entries.diagonal(), s.diagonal(), n_total, dense_cap)
+        r_diagonal = kron_sum(rho_dist.p, sigma_dist.p, n_total, dense_cap)
         s_r = entropy_of_spectrum(clamp_spectrum(r_diagonal / n_total))
     else:
+        sigma_t, rho_t = _in_rho_eigenbasis(sigma_op, rho_op)
         s_r = symmetrized_state_dense(sigma_t, rho_t, n, dense_cap=dense_cap).entropy()
     s_mix = (
         s_r

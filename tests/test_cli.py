@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -554,3 +557,54 @@ def test_appendix_rho_from_a_path_matches_inline(tmp_path):
     assert main(["appendix", "--config", inline, "--out-dir", str(out1)]) == 0
     assert main(["appendix", "--config", by_path, "--out-dir", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# import cost: scipy is imported only by the type-class routes
+# ---------------------------------------------------------------------------
+
+SCIPY_PROBE = """
+import sys
+from mixent import cli
+if sys.argv[1:] and cli.main(sys.argv[1:]) != 0:
+    sys.exit("command failed")
+print("scipy" in sys.modules)
+"""
+
+
+def _imports_scipy(tmp_path, argv=()):
+    """Whether a fresh process importing mixent.cli (and running argv) imports scipy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return out.splitlines()[-1] == "True"
+
+
+def test_importing_the_cli_imports_no_scipy(tmp_path):
+    assert not _imports_scipy(tmp_path)
+
+
+QUBIT_PAIR = {
+    "sigma": {"dim": 2, "re": [[0.6, 0.2], [0.2, 0.4]], "im": [[0.0, 0.1], [-0.1, 0.0]]},
+    "rho": {"p": [0.7, 0.3]},
+}
+
+
+@pytest.mark.parametrize("argv,params,expected", [
+    (["appendix"], None, False),
+    (["collide", "--dim", "3", "--beta", "0.7", "--collisions", "2",
+      "--reservoir-size", "3", "--seed", "21"], None, False),
+    (["mix-sweep"], {**QUBIT_PAIR, "n_list": [1, 2, 3], "method": "dense"}, False),
+    # the probe's positive control: a type-class sweep needs gammaln
+    (["mix-sweep"], {**QUBIT_PAIR, "sigma": {"p": [0.3, 0.7]}, "n_list": [1, 2, 3],
+                     "method": "classical-exact"}, True),
+], ids=["appendix", "collide", "dense-sweep", "classical-sweep"])
+def test_only_type_class_routes_import_scipy(tmp_path, argv, params, expected):
+    argv = list(argv) + ["--out-dir", str(tmp_path / "out")]
+    if params is not None:
+        cfg = {"command": {"name": argv[0], "params": params}}
+        argv += ["--config", write_json(tmp_path / "cfg.json", cfg)]
+    assert _imports_scipy(tmp_path, argv) is expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from mixent import (
     CapExceededError,
@@ -210,13 +211,17 @@ def test_dense_route_of_a_commuting_pair_builds_no_full_r():
     n_max, (rho_p, sig_p) = next((n, pair) for d, n, pair in C4_FAMILIES if d == 2)
     sigma = ClassicalDistribution(sig_p).as_density()
     rho = ClassicalDistribution(rho_p).as_density()
-    tracemalloc.start()
-    try:
-        mixing_entropy(sigma, rho, n_max, method="dense")  # R is 4096-dimensional
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20  # a full float64 R alone is 128 MiB
+    u = random_haar_unitary(8, 2)
+    # given diagonal, and turned to a basis where rounding leaves sigma a
+    # residue off the diagonal of rho's eigenbasis
+    for s, r in [(sigma, rho), (apply_unitary(sigma, u), apply_unitary(rho, u))]:
+        tracemalloc.start()
+        try:
+            mixing_entropy(s, r, n_max, method="dense")  # R is 4096-dimensional
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # a full float64 R alone is 128 MiB
 
 
 def _entropy_and_eigvalsh_calls(monkeypatch, matrix):
@@ -491,11 +496,19 @@ def _haar_qubit_pair(seed):
     return apply_unitary(rho, random_haar_unitary(seed + 100, 2)), rho
 
 
+def _degenerate_rho_qutrit_pair():
+    """A real non-commuting qutrit pair whose rho, turned, repeats an eigenvalue."""
+    sigma, _ = _noncommuting_pair(3, real=True)
+    rho = gibbs_state(HermitianOperator(np.diag([0.0, 0.0, 1.0])), 1.0)
+    rotation = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+    return sigma, DensityOperator(rotation @ rho.entries @ rotation.T)
+
+
 @pytest.mark.parametrize(
     "pair,n_max,dtype",
     [(_haar_qubit_pair(seed), 8, np.float64) for seed in (1, 2, 3)]
     + [
-        ((_haar_qubit_pair(4)[0], DensityOperator(np.eye(2) / 2)), 8, np.float64),
+        (_degenerate_rho_qutrit_pair(), 4, np.float64),
         (_noncommuting_pair(3, real=True), 4, np.float64),
         (_noncommuting_pair(3, real=False), 4, np.complex128),
     ],
@@ -511,6 +524,22 @@ def test_dense_route_builds_r_in_rho_eigenbasis(pair, n_max, dtype, monkeypatch)
         _assert_in_rho_eigenbasis(built)
         assert dtypes == [dtype]
         assert abs(rec.s_mix - expected) <= 1e-13
+
+
+def test_dense_s_mix_of_a_maximally_mixed_rho_matches_the_original_basis():
+    # I/2 commutes with every sigma, so this pair takes the diagonal route
+    sigma, rho = _haar_qubit_pair(4)[0], DensityOperator(np.eye(2) / 2)
+    for n in range(1, 9):
+        expected = _original_basis_s_mix(sigma, rho, n)
+        assert abs(mixing_entropy(sigma, rho, n, method="dense").s_mix - expected) <= 1e-13
+
+
+def test_gammaln_has_the_bits_of_scipy():
+    k = np.arange(0, 5000)
+    assert np.array_equal(mixing.gammaln(k), gammaln(k))
+    # classical_mixing_entropy_multi's log_choose calls it on Python ints
+    scalars = [mixing.gammaln(int(i)) for i in k]
+    assert np.array_equal(scalars, [gammaln(int(i)) for i in k])
 
 
 @pytest.mark.parametrize("method", mixing.METHODS)
