@@ -11,7 +11,7 @@ Usage: python scripts/multi_collision_study.py [--m-max 3] [--n-max 512]
 
 import argparse
 
-from mixent import ClassicalDistribution, classical_mixing_entropy_multi
+from mixent import ClassicalDistribution, classical_mixing_entropy_exact
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
         print(f"{'n_total':>8}  {'S_mix':>14}  {'gap to m*S_rel':>16}")
         n_total = max(8, 4 * m_sigma)
         while n_total <= args.n_max:
-            rec = classical_mixing_entropy_multi(sigma, rho, n_total, m_sigma)
+            rec = classical_mixing_entropy_exact(sigma, rho, n_total - m_sigma, m_sigma)
             print(f"{n_total:8d}  {rec.s_mix:14.10f}  {rec.gap:16.3e}")
             n_total *= 2
 

@@ -44,7 +44,6 @@ from .mixing import (
     SymmetrizedMixture,
     TypeClassSpectrum,
     classical_mixing_entropy_exact,
-    classical_mixing_entropy_multi,
     convergence_sweep,
     graceful_checks,
     mixing_entropy,
@@ -98,7 +97,6 @@ __all__ = [
     "type_class_spectrum",
     "mixing_entropy",
     "classical_mixing_entropy_exact",
-    "classical_mixing_entropy_multi",
     "permutation_twirl_dense",
     "graceful_checks",
     "convergence_sweep",

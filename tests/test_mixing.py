@@ -16,7 +16,6 @@ from mixent import (
     HermitianOperator,
     InvalidStateError,
     classical_mixing_entropy_exact,
-    classical_mixing_entropy_multi,
     convergence_sweep,
     gibbs_state,
     graceful_checks,
@@ -44,7 +43,7 @@ from mixent.states import (
     exact_sum,
     von_neumann_entropy,
 )
-from mixent.verify import C4_FAMILIES
+from mixent.verify import C4_FAMILIES, DEFAULT_TOLERANCES, _brute_multi_mixing
 from conftest import seeded_density
 
 
@@ -537,7 +536,7 @@ def test_dense_s_mix_of_a_maximally_mixed_rho_matches_the_original_basis():
 def test_gammaln_has_the_bits_of_scipy():
     k = np.arange(0, 5000)
     assert np.array_equal(mixing.gammaln(k), gammaln(k))
-    # classical_mixing_entropy_multi's log_choose calls it on Python ints
+    # _log_placement_mean's log_choose calls it on Python ints
     scalars = [mixing.gammaln(int(i)) for i in k]
     assert np.array_equal(scalars, [gammaln(int(i)) for i in k])
 
@@ -554,6 +553,21 @@ def test_auto_dispatch():
     assert commuting.method == "classical-exact"
     noncomm = mixing_entropy(apply_unitary(rho, random_haar_unitary(2, 2)), rho, 2, method="auto")
     assert noncomm.method == "dense"
+
+
+def test_auto_takes_a_rank_deficient_commuting_pair():
+    # a symbol neither state holds appears in no string of the type classes;
+    # turned by seed 9's unitary, sigma keeps a rounding residue there
+    sigma = ClassicalDistribution([0.3, 0.7, 0.0])
+    rho = ClassicalDistribution([0.5, 0.5, 0.0])
+    u = random_haar_unitary(9, 3)
+    turned = (apply_unitary(sigma.as_density(), u), apply_unitary(rho.as_density(), u))
+    for s, r in [(sigma, rho), turned]:
+        for n in range(1, 7):
+            auto = mixing_entropy(s, r, n)
+            assert auto.method == "classical-exact"
+            dense = mixing_entropy(s, r, n, method="dense")
+            assert abs(auto.s_mix - dense.s_mix) <= DEFAULT_TOLERANCES["oracle_equivalence"]
 
 
 def test_classical_exact_rejects_noncommuting():
@@ -592,49 +606,58 @@ def test_mixing_gap_monotone_classical_pow2():
 # ---------------------------------------------------------------------------
 
 def test_multi_reduces_to_single_insertion():
-    rec_multi = classical_mixing_entropy_multi(SIGMA_CLASSICAL, RHO_CLASSICAL, 7, 1)
-    rec_exact = classical_mixing_entropy_exact(SIGMA_CLASSICAL, RHO_CLASSICAL, 6)
-    assert rec_multi.s_mix == pytest.approx(rec_exact.s_mix, abs=1e-12)
+    # the m >= 2 recursion run at m = 1 gives L, the mean ratio the m = 1 route uses
+    for d, n_total in [(2, 7), (3, 9), (4, 6)]:
+        ratios = np.random.default_rng(d).uniform(0.0, 3.0, size=d)
+        counts = _type_count_matrix(n_total, d)
+        recursion = np.exp(mixing._log_placement_mean(counts, ratios, n_total, 1))
+        np.testing.assert_allclose(
+            recursion, counts @ ratios / n_total, rtol=1e-14, atol=0.0
+        )
 
 
 def test_multi_identical_states_vanishes():
-    rec = classical_mixing_entropy_multi(RHO_CLASSICAL, RHO_CLASSICAL, 6, 2)
+    rec = classical_mixing_entropy_exact(RHO_CLASSICAL, RHO_CLASSICAL, 4, 2)
     assert abs(rec.s_mix) < 1e-10
 
 
-@pytest.mark.parametrize("n_total,m_sigma", [(4, 2), (6, 2), (5, 3)])
+MULTI_PAIRS = [    # (sigma, rho): d = 2, 3, 4, and a sigma with a zero entry
+    ([0.2, 0.8], [0.6, 0.4]),
+    ([0.2, 0.35, 0.45], [0.5, 0.3, 0.2]),
+    ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]),
+    ([0.0, 0.3, 0.7], [0.25, 0.25, 0.5]),
+]
+
+
+@pytest.mark.parametrize(
+    "n_total,m_sigma", [(3, 2), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4)]
+)
 def test_multi_matches_brute_force_placements(n_total, m_sigma):
-    sig = ClassicalDistribution([0.2, 0.8])
-    rho = ClassicalDistribution([0.6, 0.4])
-    # oracle: enumerate all C(N, m) placements and all strings
-    placements = list(itertools.combinations(range(n_total), m_sigma))
-    probs = []
-    for s in itertools.product(range(2), repeat=n_total):
-        q = 0.0
-        for pl in placements:
-            term = 1.0
-            for k in range(n_total):
-                term *= sig.p[s[k]] if k in pl else rho.p[s[k]]
-            q += term
-        probs.append(q / len(placements))
-    probs = np.array(probs)
-    pos = probs[probs > 0]
-    s_r = -np.sum(pos * np.log(pos))
-    oracle = (
-        s_r - (n_total - m_sigma) * shannon_entropy(rho) - m_sigma * shannon_entropy(sig)
-    )
-    rec = classical_mixing_entropy_multi(sig, rho, n_total, m_sigma)
-    assert rec.s_mix == pytest.approx(oracle, abs=1e-10)
+    for sig_p, rho_p in MULTI_PAIRS:
+        sig, rho = ClassicalDistribution(sig_p), ClassicalDistribution(rho_p)
+        # oracle: enumerate all C(N, m) placements and all strings
+        oracle = _brute_multi_mixing(sig, rho, n_total, m_sigma)
+        rec = classical_mixing_entropy_exact(sig, rho, n_total - m_sigma, m_sigma)
+        assert rec.s_mix == pytest.approx(oracle, abs=1e-10)
+        assert rec.method == f"classical-multi(m_sigma={m_sigma})"
 
 
 def test_multi_validates_arguments():
     with pytest.raises(ValueError):
-        classical_mixing_entropy_multi(SIGMA_CLASSICAL, RHO_CLASSICAL, 4, 0)
-    with pytest.raises(ValueError):
-        classical_mixing_entropy_multi(SIGMA_CLASSICAL, RHO_CLASSICAL, 4, 5)
+        classical_mixing_entropy_exact(SIGMA_CLASSICAL, RHO_CLASSICAL, 4, 0)
+    with pytest.raises(ValueError):     # m_sigma = n_total leaves no rho
+        classical_mixing_entropy_exact(SIGMA_CLASSICAL, RHO_CLASSICAL, 0, 4)
     with pytest.raises(InvalidStateError):
-        classical_mixing_entropy_multi(
-            SIGMA_CLASSICAL, ClassicalDistribution([1.0, 0.0]), 4, 2
+        classical_mixing_entropy_exact(
+            SIGMA_CLASSICAL, ClassicalDistribution([1.0, 0.0]), 2, 2
+        )
+
+
+def test_multi_overflow_raises_cap_exceeded():
+    # C(1100, 550) leaves the double range
+    with pytest.raises(CapExceededError):
+        classical_mixing_entropy_exact(
+            ClassicalDistribution([0.2, 0.8]), ClassicalDistribution([0.6, 0.4]), 550, 550
         )
 
 
