@@ -5,14 +5,17 @@ One sigma-molecule loses its identity among n rho-molecules:
     R = (1/(n+1)) * sum_k  rho^k (x) sigma (x) rho^(n-k)
 
 and the entropy of mixing S_mix = S[R] - n S[rho] - S[sigma] is computed by
-two independent routes (the spectrum of a dense R, built in rho's eigenbasis,
-where only the diagonal is built for commuting states, R being diagonal in
-their joint eigenbasis; exact type-class enumeration for commuting states) so
-each can serve as the other's oracle.
+two independent routes so each can serve as the other's oracle: the spectrum
+of a dense R, built in rho's eigenbasis (only its diagonal for commuting
+states, R being diagonal in their joint eigenbasis); and, for commuting
+states, the gap first, gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}),
+as a sum of nonnegative terms over the type classes, with
+S_mix = S[sigma|rho] - gap. The exact type-class spectrum, whose entropy is
+S[R], stays as the gap route's oracle at small n.
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho].
 The type-class route also spreads m sigma factors over N = n + m systems,
 the mixture after m collisions, whose candidate limit m S[sigma|rho] is
-reported, not asserted.
+reported, not asserted; there S_mix = m S[sigma|rho] - gap.
 scipy is imported on the first call to gammaln, so only the type-class routes
 pay for it.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -43,7 +47,6 @@ from .states import (
     entropy_of_spectrum,
     exact_sum,
     relative_entropy,
-    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -51,6 +54,7 @@ TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
 COMMUTE_TOL = 1e-10
 NORMALIZATION_TOL = 1e-9
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # rho eigenvalues closer than this are one degenerate block when
 # simultaneously diagonalizing a commuting pair
 DEGENERACY_GAP = 1e-8
@@ -226,88 +230,54 @@ def gammaln(x):
     return scipy_gammaln(x)
 
 
-def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
-    """All count vectors (m_1..m_d) with sum n_total, as an int array.
+def _fold_types(n_total: int, d: int, state: tuple, fold) -> tuple:
+    """Fold each symbol's count into per-type state, over every type at once.
 
-    Rows are in lexicographic order, the order of the stars-and-bars bar
-    positions itertools.combinations(range(n_total + d - 1), d - 1) lists.
-    Each pass splits every row's last entry r into r + 1 rows (c, r - c) with
-    c = 0..r, so d - 1 passes of np.repeat build the matrix. The budget is
-    checked before anything is allocated.
+    The types are the count vectors (c_1..c_d) with sum n_total, streamed in
+    lexicographic order, the order of the stars-and-bars bar positions
+    itertools.combinations(range(n_total + d - 1), d - 1) lists. Pass a
+    splits every type's remaining count r into r + 1 types with c = 0..r as
+    symbol a's count; the last symbol takes what remains. state is a tuple of
+    arrays whose last axis runs over the types so far: each pass repeats it
+    onto the split types, then fold(state, a, c) folds in symbol a's counts
+    c. No types x d count matrix is built, and the budget is checked before
+    anything is allocated.
     """
     num_types = math.comb(n_total + d - 1, d - 1)
     if num_types > TYPE_CLASS_BUDGET:
         raise CapExceededError(
             f"{num_types} type classes exceed the enumeration budget {TYPE_CLASS_BUDGET}"
         )
-    counts = np.array([[n_total]], dtype=np.int64)
-    for _ in range(d - 1):
-        rest = counts[:, -1]
+    rest = np.array([n_total], dtype=np.int64)
+    for a in range(d - 1):
         width = rest + 1
-        parent = np.repeat(np.arange(len(counts)), width)
-        split = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
-        counts = np.column_stack([counts[parent, :-1], split, rest[parent] - split])
-    return counts
+        c = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        rest = np.repeat(rest, width) - c
+        state = fold(tuple(np.repeat(s, width, axis=-1) for s in state), a, c)
+    return fold(state, d - 1, rest)
 
 
-def _log_placement_mean(
-    counts: np.ndarray, ratios: np.ndarray, n_total: int, m_sigma: int
-) -> np.ndarray:
-    """ln L per type (row of counts), L = e_m(ratio multiset) / C(N, m).
+def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
+    """All count vectors (m_1..m_d) with sum n_total, as an int array.
 
-    The multiset holds ratios[a] = sigma_a / rho_a repeated counts[t, a]
-    times, and L is the mean over the C(N, m) placements of the m sigma
-    factors of the product of their ratios. e_m is the coefficient of x^m
-    in prod_a (1 + r_a x)^{counts[t, a]}: one product per symbol, truncated
-    at x^m, over all types at once. The ratios are scaled by their maximum,
-    so every coefficient stays at or below C(N, k).
+    One row per type, in _fold_types' order; row t's entries are the counts
+    each pass fixed for type t.
     """
-    scale = ratios.max()
-    poly = np.ones((1, len(counts)))     # poly[k] is the x^k coefficient, per type
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, r in zip(counts.T, ratios / scale):
-            factor = np.ones((m_sigma + 1, len(counts)))    # C(c, j) r^j
-            for j in range(1, m_sigma + 1):
-                factor[j] = factor[j - 1] * ((c - j + 1) * r / j)
-            product = np.zeros_like(factor)
-            for k, coef in enumerate(poly):
-                product[k:] += coef * factor[: m_sigma + 1 - k]
-            poly = product
-    e_m = poly[m_sigma]
-    if not np.isfinite(e_m).all():
-        # coefficients are bounded by C(N, k), so this only trips when the
-        # placement count itself leaves the double range
-        raise CapExceededError(
-            f"elementary symmetric polynomial e_{m_sigma} overflows float range"
-        )
-    log_choose = gammaln(n_total + 1) - gammaln(m_sigma + 1) - gammaln(n_total - m_sigma + 1)
-    with np.errstate(divide="ignore"):
-        return m_sigma * np.log(scale) + np.log(e_m) - log_choose
+    def fix(state, a, c):
+        state[0][a] = c      # a repeated copy, or the array made below
+        return state
+
+    (columns,) = _fold_types(n_total, d, (np.zeros((d, 1), dtype=np.int64),), fix)
+    return np.ascontiguousarray(columns.T)
 
 
-def type_class_spectrum(
-    sigma: ClassicalDistribution,
-    rho: ClassicalDistribution,
-    n_total: int,
-    m_sigma: int = 1,
-) -> TypeClassSpectrum:
-    """Exact spectrum of m_sigma sigma factors spread over n_total systems.
+def _supported_pair(
+    sigma: ClassicalDistribution, rho: ClassicalDistribution, n_total: int, m_sigma: int
+) -> tuple:
+    """(sigma, rho) probabilities on rho's support, after the argument checks.
 
-    The mixture is uniform over the C(N, m) placements of the sigma factors
-    among the N = n_total systems. A string of type t (symbol counts t_a)
-    carries the eigenvalue
-
-        q(t) = (prod_a rho_a^{t_a}) * L(t),   L = e_m(ratio multiset) / C(N, m)
-
-    with ratios sigma_a / rho_a and multiplicity N!/prod t_a!. For m = 1, L is
-    the mean ratio (1/N) sum_a t_a sigma_a / rho_a, computed as
-    counts @ ratios / N; for m >= 2 it comes from _log_placement_mean.
-    Symbols outside rho's support appear in no string, so counts has one
-    column per symbol rho holds; sigma may hold no other beyond SUPPORT_TOL,
-    the rounding a joint eigenbasis leaves. Everything
-    is kept in the log domain and the normalization sum mult*q = 1 is
-    verified before the spectrum is used. Its entropy() is S[R] without a
-    dense R.
+    Symbols outside rho's support appear in no string; sigma may hold no
+    other beyond SUPPORT_TOL, the rounding a joint eigenbasis leaves.
     """
     if not 1 <= m_sigma < n_total:
         raise ValueError(
@@ -319,20 +289,37 @@ def type_class_spectrum(
     support = rho.p > 0.0
     if np.any(sigma.p[~support] > SUPPORT_TOL):
         raise InvalidStateError("sigma has weight outside rho's support")
-    sigma_p, rho_p = sigma.p[support], rho.p[support]
+    return sigma.p[support], rho.p[support]
+
+
+def type_class_spectrum(
+    sigma: ClassicalDistribution,
+    rho: ClassicalDistribution,
+    n_total: int,
+) -> TypeClassSpectrum:
+    """Exact spectrum of one sigma factor spread over n_total systems.
+
+    The mixture is uniform over the N = n_total placements of the sigma
+    factor. A string of type t (symbol counts t_a) carries the eigenvalue
+
+        q(t) = (prod_a rho_a^{t_a}) * L(t),   L = (1/N) sum_a t_a sigma_a / rho_a
+
+    with multiplicity N!/prod t_a!. Counts has one column per symbol rho
+    holds (see _supported_pair). Everything is kept in the log domain and the
+    normalization sum mult*q = 1 is verified before the spectrum is used. Its
+    entropy() is S[R] without a dense R: the oracle for the gap-first route
+    of classical_mixing_entropy_exact.
+    """
+    sigma_p, rho_p = _supported_pair(sigma, rho, n_total, 1)
     counts = _type_count_matrix(n_total, len(rho_p))
     lgamma = gammaln(np.arange(n_total + 2))    # ln k! = lgamma[k + 1]
     log_mult = lgamma[n_total + 1] - lgamma[counts + 1].sum(axis=1)
-    log_rho, ratios = np.log(rho_p), sigma_p / rho_p
-    if m_sigma == 1:
-        # ratio_mean first and freed before validate: on 2.1M types this
-        # order of temporaries peaks 2 MB lower in RSS than the others tried
-        ratio_mean = counts @ ratios / n_total
-        with np.errstate(divide="ignore"):
-            log_q = counts @ log_rho + np.log(ratio_mean)
-        del ratio_mean
-    else:
-        log_q = counts @ log_rho + _log_placement_mean(counts, ratios, n_total, m_sigma)
+    # ratio_mean first and freed before validate: on 2.1M types this order
+    # of temporaries peaks 2 MB lower in RSS than the others tried
+    ratio_mean = counts @ (sigma_p / rho_p) / n_total
+    with np.errstate(divide="ignore"):
+        log_q = counts @ np.log(rho_p) + np.log(ratio_mean)
+    del ratio_mean
     spec = TypeClassSpectrum(
         n_total=n_total,
         counts=counts,
@@ -343,8 +330,116 @@ def type_class_spectrum(
     return spec
 
 
-def _record(n, s_mix, s_rel, method) -> MixingRecord:
-    return MixingRecord(n=n, s_mix=s_mix, s_rel=s_rel, gap=s_rel - s_mix, method=method)
+def _log_choose(n: int, k: int) -> float:
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def _placement_factors(ratios: np.ndarray, n_total: int, m_sigma: int) -> np.ndarray:
+    """factors[a, j, c] = C(c, j) ratios[a]^j for c = 0..N and j = 0..m.
+
+    Symbol a with count c contributes (1 + ratios[a] x)^c, truncated at x^m,
+    to the placement polynomial whose x^m coefficient is e_m.
+    """
+    c = np.arange(n_total + 1)
+    factors = np.ones((len(ratios), m_sigma + 1, n_total + 1))
+    for j in range(1, m_sigma + 1):
+        factors[:, j] = factors[:, j - 1] * ((c - j + 1) * ratios[:, None] / j)
+    return factors
+
+
+def _truncated_product(poly: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """poly * factor truncated at factor's degree; row k is the x^k coefficient."""
+    product = np.zeros_like(factor)
+    for k, coef in enumerate(poly):
+        product[k:] += coef * factor[: len(factor) - k]
+    return product
+
+
+def _classical_gap(
+    sigma: ClassicalDistribution,
+    rho: ClassicalDistribution,
+    n_total: int,
+    m_sigma: int = 1,
+) -> float:
+    """gap = m S[sigma|rho] - S_mix = D(R || rho^{(x)N}) for commuting states.
+
+    With m sigma factors spread over the N = n_total systems, a string of
+    type t has eigenvalue rho^t L(t), where L = e_m(ratio multiset) / C(N, m)
+    with ratios sigma_a / rho_a, and E[L] = 1 under Mult(N, rho). So, by the
+    method of types,
+
+        gap = E_{Mult(N, rho)}[L ln L - L + 1],
+
+    a sum of terms >= 0 (1 where L = 0) that forms no O(N) entropy and keeps
+    its relative precision at any N. One _fold_types pass carries, per type,
+    the log weight ln N! + sum_a (c_a ln rho_a - ln c_a!) and, for m = 1,
+    L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that ln L = log1p(L - 1)
+    with no cancellation; for m >= 2, the placement polynomial, its ratios
+    scaled by their maximum so that every coefficient stays at or below
+    C(N, k). The weights and E[L] are checked to be 1 to NORMALIZATION_TOL,
+    and the gap is divided by the weights' sum, which cancels the rounding of
+    ln N! shared by every term.
+    """
+    sigma_p, rho_p = _supported_pair(sigma, rho, n_total, m_sigma)
+    c = np.arange(n_total + 1)
+    if m_sigma == 1:
+        shift = ((sigma_p - rho_p) / rho_p)[:, None] * c    # c (ratio - 1), unrounded
+
+        def step(x, a, counts):
+            x += shift[a][counts]
+            return x
+
+        start = np.zeros(1)
+    else:
+        overflow = f"elementary symmetric polynomial e_{m_sigma} overflows float range"
+        # the type with every count on the largest ratio has scaled
+        # coefficients C(N, k), k <= m: refuse before the pass when the
+        # largest leaves the double range by more than log-gamma's rounding
+        if _log_choose(n_total, min(m_sigma, n_total // 2)) > LOG_FLOAT_MAX + 1.0:
+            raise CapExceededError(overflow)
+        ratios = sigma_p / rho_p
+        scale = ratios.max()
+        factors = _placement_factors(ratios / scale, n_total, m_sigma)
+
+        def step(poly, a, counts):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _truncated_product(poly, factors[a][:, counts])
+
+        start = np.ones((1, 1))
+    lgamma = gammaln(np.arange(n_total + 2))    # ln k! = lgamma[k + 1]
+    log_w_table = np.log(rho_p)[:, None] * c - lgamma[1:]
+
+    def fold(state, a, counts):
+        log_w, acc = state      # copies made by _fold_types, or here for d = 1
+        log_w += log_w_table[a][counts]
+        return log_w, step(acc, a, counts)
+
+    log_w, acc = _fold_types(
+        n_total, len(rho_p), (np.full(1, lgamma[n_total + 1]), start), fold
+    )
+    with np.errstate(divide="ignore"):
+        if m_sigma == 1:
+            excess = np.divide(acc, n_total, out=acc)      # L - 1
+            log_l = np.log1p(excess)
+        else:
+            if not np.isfinite(acc[m_sigma]).all():
+                raise CapExceededError(overflow)
+            log_l = (m_sigma * np.log(scale) + np.log(acc[m_sigma])
+                     - _log_choose(n_total, m_sigma))
+            excess = np.expm1(log_l)
+    weights = np.exp(log_w, out=log_w)
+    total = float(weights.sum())
+    mean_l = 1.0 + float(weights @ excess) / total
+    if not (abs(total - 1.0) <= NORMALIZATION_TOL and abs(mean_l - 1.0) <= NORMALIZATION_TOL):
+        raise InvalidStateError(
+            f"type weights sum to {total!r} and E[L] is {mean_l!r}: "
+            f"both must be 1 to {NORMALIZATION_TOL}"
+        )
+    # L ln L - L + 1, which is 1 where L = 0
+    terms = np.multiply(1.0 + excess, log_l, out=np.zeros_like(log_l), where=excess > -1.0)
+    terms -= excess
+    terms *= weights
+    return float(terms.sum() / total)
 
 
 def classical_mixing_entropy_exact(
@@ -355,17 +450,17 @@ def classical_mixing_entropy_exact(
 ) -> MixingRecord:
     """Exact S_mix for m_sigma sigma factors among n rho factors, commuting states.
 
-    S_mix = S[R] - n S[rho] - m S[sigma], with S[R] from type_class_spectrum;
-    the record's S_rel column holds m S[sigma|rho], the candidate
-    n -> infinity limit (reported, not asserted).
+    The gap comes first, from _classical_gap over N = n + m_sigma systems, and
+    S_mix = m S[sigma|rho] - gap; the record's S_rel column holds
+    m S[sigma|rho], the candidate n -> infinity limit (reported, not
+    asserted), and its gap column the route's gap itself.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    spec = type_class_spectrum(sigma, rho, n + m_sigma, m_sigma)
-    s_mix = spec.entropy() - n * shannon_entropy(rho) - m_sigma * shannon_entropy(sigma)
+    gap = _classical_gap(sigma, rho, n + m_sigma, m_sigma)
     s_rel = m_sigma * relative_entropy(sigma.as_density(), rho.as_density())
     method = "classical-exact" if m_sigma == 1 else f"classical-multi(m_sigma={m_sigma})"
-    return _record(n, s_mix, s_rel, method)
+    return MixingRecord(n=n, s_mix=s_rel - gap, s_rel=s_rel, gap=gap, method=method)
 
 
 def _as_tensor(x: np.ndarray, d: int, n_total: int) -> np.ndarray:
@@ -562,7 +657,7 @@ def mixing_entropy(
         - von_neumann_entropy(sigma_op)
     )
     s_rel = relative_entropy(sigma_op, rho_op)
-    return _record(n, s_mix, s_rel, "dense")
+    return MixingRecord(n=n, s_mix=s_mix, s_rel=s_rel, gap=s_rel - s_mix, method="dense")
 
 
 DECAY_MODELS = {

@@ -364,8 +364,15 @@ def test_type_count_matrix_is_stars_and_bars_in_order(d):
         assert np.array_equal(counts, expected)
 
 
-# s_mix of the criterion-4 pairs as exact reprs, so that any change in how the
-# classical route rounds (enumeration order, log-gamma, sums) fails here
+def _spectrum_s_mix(sig, rho, n):
+    """S_mix by the S[R] oracle: S[R] - n S[rho] - S[sigma] over the type classes."""
+    spec = type_class_spectrum(sig, rho, n + 1)
+    return spec.entropy() - n * shannon_entropy(rho) - shannon_entropy(sig)
+
+
+# s_mix of the criterion-4 pairs as exact reprs, so that any change in how a
+# classical route rounds (enumeration order, log-gamma, sums) fails here: the
+# S[R] oracle's and the gap-first route's
 PINNED_S_MIX = {
     (2, 1): "0.17237007772836943",
     (2, 64): "0.3634919645504153",
@@ -374,15 +381,31 @@ PINNED_S_MIX = {
     (3, 64): "0.23175707920986532",
     (3, 2048): "0.2354909694950269",
 }
+PINNED_GAP_FIRST_S_MIX = {
+    (2, 1): "0.1723700777283695",
+    (2, 64): "0.3634919645507889",
+    (2, 2048): "0.3690892316122944",
+    (3, 1): "0.11110346672429744",
+    (3, 64): "0.23175707921075173",
+    (3, 2048): "0.2354909711151833",
+}
+
+
+def _c4_pair(d):
+    rho_p, sig_p = next(pair for dim, _, pair in C4_FAMILIES if dim == d)
+    return ClassicalDistribution(sig_p), ClassicalDistribution(rho_p)
 
 
 @pytest.mark.parametrize("d,n", sorted(PINNED_S_MIX))
 def test_classical_s_mix_bits_are_pinned(d, n):
-    rho_p, sig_p = next(pair for dim, _, pair in C4_FAMILIES if dim == d)
-    rec = classical_mixing_entropy_exact(
-        ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n
-    )
-    assert repr(rec.s_mix) == PINNED_S_MIX[d, n]
+    assert repr(_spectrum_s_mix(*_c4_pair(d), n)) == PINNED_S_MIX[d, n]
+
+
+@pytest.mark.parametrize("d,n", sorted(PINNED_GAP_FIRST_S_MIX))
+def test_gap_first_s_mix_bits_are_pinned(d, n):
+    rec = classical_mixing_entropy_exact(*_c4_pair(d), n)
+    assert repr(rec.s_mix) == PINNED_GAP_FIRST_S_MIX[d, n]
+    assert rec.s_mix == rec.s_rel - rec.gap
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -591,6 +614,48 @@ def test_simultaneous_diagonalization_degenerate_rho():
     assert rec.s_mix == pytest.approx(dense.s_mix, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("zero_in_sigma", [False, True])
+def test_gap_first_s_mix_matches_the_spectrum_oracle(d, zero_in_sigma):
+    # a zero in sigma gives types with L = 0, whose gap term is 1
+    rng = np.random.default_rng(900 + d)
+    for n_total in (2, 3, 17, 40):
+        sig_p = rng.uniform(0.05, 1.0, size=d)
+        if zero_in_sigma:
+            sig_p[0] = 0.0
+        rho_p = rng.uniform(0.05, 1.0, size=d)
+        sig = ClassicalDistribution(sig_p / sig_p.sum())
+        rho = ClassicalDistribution(rho_p / rho_p.sum())
+        rec = classical_mixing_entropy_exact(sig, rho, n_total - 1)
+        assert abs(rec.s_mix - _spectrum_s_mix(sig, rho, n_total - 1)) <= 1e-12
+
+
+def test_large_n_gap_matches_the_cumulant_series():
+    # gap = a1/N + a2/N^2 + a3/N^3 + O(N^-4) for m = 1, from the cumulants
+    # k_j of Y = sigma_a/rho_a - 1 under rho; the remainder is below 1e-15
+    # of the gap from N = 2^15 on, so what is left is the route's rounding
+    rho_p, sig_p = np.array([0.7, 0.3]), np.array([0.3, 0.7])
+    y = sig_p / rho_p - 1.0
+    k2, k3 = rho_p @ y**2, rho_p @ y**3
+    k4 = rho_p @ y**4 - 3.0 * k2**2
+    a1, a2, a3 = k2 / 2, k2**2 / 4 - k3 / 6, k4 / 12 - k2 * k3 / 2 + k2**3 / 2
+    for n in (2**15, 2**17, 2**20):
+        big_n = n + 1
+        series = a1 / big_n + a2 / big_n**2 + a3 / big_n**3
+        rec = classical_mixing_entropy_exact(
+            ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n
+        )
+        assert abs(rec.gap - series) <= 1e-10 * series, n
+
+
+def test_identical_states_have_a_gap_of_exactly_zero():
+    # every term L ln L - L + 1 is 0 at L = 1; the S[R] route misses by
+    # 2.26e-9 at n = 4096 and 1.03e-6 at n = 2^15
+    rho = ClassicalDistribution([0.7, 0.3])
+    for n in (4096, 2**15):
+        assert classical_mixing_entropy_exact(rho, rho, n).gap == 0.0
+
+
 def test_mixing_gap_monotone_classical_pow2():
     rho = ClassicalDistribution([0.7, 0.3])
     sig = ClassicalDistribution([0.3, 0.7])
@@ -609,11 +674,14 @@ def test_multi_reduces_to_single_insertion():
     # the m >= 2 recursion run at m = 1 gives L, the mean ratio the m = 1 route uses
     for d, n_total in [(2, 7), (3, 9), (4, 6)]:
         ratios = np.random.default_rng(d).uniform(0.0, 3.0, size=d)
+        factors = mixing._placement_factors(ratios, n_total, 1)
+
+        def fold(state, a, counts):
+            return (mixing._truncated_product(state[0], factors[a][:, counts]),)
+
+        (poly,) = mixing._fold_types(n_total, d, (np.ones((1, 1)),), fold)
         counts = _type_count_matrix(n_total, d)
-        recursion = np.exp(mixing._log_placement_mean(counts, ratios, n_total, 1))
-        np.testing.assert_allclose(
-            recursion, counts @ ratios / n_total, rtol=1e-14, atol=0.0
-        )
+        np.testing.assert_allclose(poly[1], counts @ ratios, rtol=1e-14, atol=0.0)
 
 
 def test_multi_identical_states_vanishes():
@@ -653,8 +721,26 @@ def test_multi_validates_arguments():
         )
 
 
-def test_multi_overflow_raises_cap_exceeded():
-    # C(1100, 550) leaves the double range
+def test_gap_route_refuses_weights_or_mean_ratio_off_one(monkeypatch):
+    sig, rho = ClassicalDistribution([0.2, 0.8]), ClassicalDistribution([0.6, 0.4])
+    real_gammaln, real_factors = mixing.gammaln, mixing._placement_factors
+    with monkeypatch.context() as patch:
+        patch.setattr(mixing, "gammaln", lambda x: real_gammaln(x) * (1.0 + 1e-6))
+        for m_sigma in (1, 2):
+            with pytest.raises(InvalidStateError, match="type weights sum to"):
+                classical_mixing_entropy_exact(sig, rho, 6, m_sigma)
+    # an e_m 2% off leaves the weights alone but not E[L] = 1
+    monkeypatch.setattr(mixing, "_placement_factors", lambda *a: 1.01 * real_factors(*a))
+    with pytest.raises(InvalidStateError, match=r"E\[L\] is 1\.02"):
+        classical_mixing_entropy_exact(sig, rho, 6, 2)
+
+
+def test_multi_overflow_raises_cap_exceeded(monkeypatch):
+    # C(1100, 550) leaves the double range: refused before any type is enumerated
+    def enumerated(*args, **kwargs):
+        raise AssertionError("enumerated an overflowing placement count")
+
+    monkeypatch.setattr(mixing, "_fold_types", enumerated)
     with pytest.raises(CapExceededError):
         classical_mixing_entropy_exact(
             ClassicalDistribution([0.2, 0.8]), ClassicalDistribution([0.6, 0.4]), 550, 550
