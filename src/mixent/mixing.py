@@ -10,8 +10,8 @@ of a dense R, built in rho's eigenbasis (only its diagonal for commuting
 states, R being diagonal in their joint eigenbasis); and, for commuting
 states, the gap first, gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}),
 as a sum of nonnegative terms over the type classes, with
-S_mix = S[sigma|rho] - gap. The exact type-class spectrum, whose entropy is
-S[R], stays as the gap route's oracle at small n.
+S_mix = S[sigma|rho] - gap. One exact type-class spectrum holds both: its
+gap() is the route's, its entropy() is S[R], the gap's oracle at small n.
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho].
 The type-class route also spreads m sigma factors over N = n + m systems,
 the mixture after m collisions, whose candidate limit m S[sigma|rho] is
@@ -90,17 +90,46 @@ class MixingRecord:
 class TypeClassSpectrum:
     """Spectrum of a classical symmetrized mixture, one entry per type class.
 
-    counts[t] is the symbol-count vector of type t (rows sum to n_total);
-    log_q[t] the log-eigenvalue shared by every string of that type (-inf for
-    eigenvalue 0); log_mult[t] the log of the multinomial multiplicity. Its
-    sums (total weight, entropy) go through exact_sum: the bits of math.fsum
-    at a fraction of its time on terms spanning hundreds of binary exponents.
+    counts[t] is the symbol-count vector of type t (rows sum to n_total).
+    Every string of type t has the eigenvalue q(t) = rho^t L(t) (see
+    type_class_spectrum); weight[t] = mult(t) rho^t is the type's probability
+    under Mult(N, rho), excess[t] = L(t) - 1 and log_l[t] = ln L(t). gap() is
+    D(R || rho^{(x)N}) from these. entropy() is S[R], the gap's oracle at
+    small N: the log-eigenvalue log_q (-inf for eigenvalue 0) and the log
+    multiplicity log_mult it reads are formed on first use, from counts and
+    the supported sigma_p and rho_p, as the spectrum has always formed them.
+    Its sums (total weight, entropy) go through exact_sum: the bits of
+    math.fsum at a fraction of its time on terms spanning hundreds of binary
+    exponents.
     """
 
     n_total: int
+    m_sigma: int
     counts: np.ndarray
-    log_q: np.ndarray
-    log_mult: np.ndarray
+    weight: np.ndarray
+    excess: np.ndarray
+    log_l: np.ndarray
+    sigma_p: np.ndarray
+    rho_p: np.ndarray
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """counts, row-major: the layout log_mult and log_q were pinned on."""
+        return np.ascontiguousarray(self.counts)
+
+    @cached_property
+    def log_mult(self) -> np.ndarray:
+        lgamma = gammaln(np.arange(self.n_total + 2))    # ln k! = lgamma[k + 1]
+        return lgamma[self.n_total + 1] - lgamma[self._rows + 1].sum(axis=1)
+
+    @cached_property
+    def log_q(self) -> np.ndarray:
+        log_rho_t = self._rows @ np.log(self.rho_p)
+        if self.m_sigma > 1:
+            return log_rho_t + self.log_l
+        # ln of the mean ratio itself, not log_l, so that S[R] keeps its bits
+        with np.errstate(divide="ignore"):
+            return log_rho_t + np.log(self._rows @ (self.sigma_p / self.rho_p) / self.n_total)
 
     def exact_multiplicities(self) -> list:
         """Exact integer multiplicities (big ints; intended for small N)."""
@@ -113,7 +142,7 @@ class TypeClassSpectrum:
         return mults
 
     @cached_property
-    def _weights(self) -> tuple:
+    def _eigen_weights(self) -> tuple:
         """(mult * q, ln q) over the types with a nonzero eigenvalue."""
         finite = np.isfinite(self.log_q)
         if finite.all():    # no copies: the cache then holds only the weights
@@ -123,20 +152,40 @@ class TypeClassSpectrum:
 
     def total_weight(self) -> float:
         """sum over types of multiplicity * eigenvalue; must be 1."""
-        return exact_sum(self._weights[0])
+        return exact_sum(self._eigen_weights[0])
 
     def entropy(self) -> float:
         """S[R] = -sum_m mult(m) q(m) ln q(m), in nats."""
-        weights, lq = self._weights
+        weights, lq = self._eigen_weights
         return exact_sum(-weights * lq)
 
+    def gap(self) -> float:
+        """E[L ln L - L + 1] under Mult(N, rho): m S[sigma|rho] - S_mix.
+
+        Every term is >= 0 (1 where L = 0), so no O(N) entropy is formed and
+        the gap keeps its relative precision at any N. The sum is divided by
+        the weights' sum, which cancels the rounding of ln N! shared by every
+        weight.
+        """
+        # L ln L - L + 1, which is 1 where L = 0
+        terms = np.multiply(
+            1.0 + self.excess, self.log_l, out=np.zeros_like(self.log_l),
+            where=self.excess > -1.0,
+        )
+        terms -= self.excess
+        terms *= self.weight
+        return float(terms.sum() / self.weight.sum())
+
     def validate(self):
+        """Rows sum to n_total; the weights and E[L] = sum(mult q) are 1."""
         if np.any(self.counts.sum(axis=1) != self.n_total):
             raise InvalidStateError("type vector does not sum to the system count")
-        total = self.total_weight()
-        if not abs(total - 1.0) <= NORMALIZATION_TOL:
+        total = float(self.weight.sum())
+        mean_l = 1.0 + float(self.weight @ self.excess) / total
+        if not (abs(total - 1.0) <= NORMALIZATION_TOL and abs(mean_l - 1.0) <= NORMALIZATION_TOL):
             raise InvalidStateError(
-                f"type-class spectrum sums to {total!r}, not 1 to {NORMALIZATION_TOL}"
+                f"type weights sum to {total!r} and E[L] is {mean_l!r}: "
+                f"both must be 1 to {NORMALIZATION_TOL}"
             )
 
 
@@ -230,18 +279,16 @@ def gammaln(x):
     return scipy_gammaln(x)
 
 
-def _fold_types(n_total: int, d: int, state: tuple, fold) -> tuple:
-    """Fold each symbol's count into per-type state, over every type at once.
+def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
+    """All count vectors (m_1..m_d) with sum n_total, as an int array.
 
-    The types are the count vectors (c_1..c_d) with sum n_total, streamed in
-    lexicographic order, the order of the stars-and-bars bar positions
-    itertools.combinations(range(n_total + d - 1), d - 1) lists. Pass a
-    splits every type's remaining count r into r + 1 types with c = 0..r as
-    symbol a's count; the last symbol takes what remains. state is a tuple of
-    arrays whose last axis runs over the types so far: each pass repeats it
-    onto the split types, then fold(state, a, c) folds in symbol a's counts
-    c. No types x d count matrix is built, and the budget is checked before
-    anything is allocated.
+    Rows are in lexicographic order, the order of the stars-and-bars bar
+    positions itertools.combinations(range(n_total + d - 1), d - 1) lists.
+    Pass a splits every type's remaining count r into r + 1 types with
+    c = 0..r as symbol a's count, repeating the columns fixed so far; the
+    last symbol takes what remains. The array is column-major, so that the
+    lookups by one symbol's counts read contiguous memory. The budget is
+    checked before anything is allocated.
     """
     num_types = math.comb(n_total + d - 1, d - 1)
     if num_types > TYPE_CLASS_BUDGET:
@@ -249,26 +296,13 @@ def _fold_types(n_total: int, d: int, state: tuple, fold) -> tuple:
             f"{num_types} type classes exceed the enumeration budget {TYPE_CLASS_BUDGET}"
         )
     rest = np.array([n_total], dtype=np.int64)
-    for a in range(d - 1):
+    columns = []
+    for _ in range(d - 1):
         width = rest + 1
         c = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         rest = np.repeat(rest, width) - c
-        state = fold(tuple(np.repeat(s, width, axis=-1) for s in state), a, c)
-    return fold(state, d - 1, rest)
-
-
-def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
-    """All count vectors (m_1..m_d) with sum n_total, as an int array.
-
-    One row per type, in _fold_types' order; row t's entries are the counts
-    each pass fixed for type t.
-    """
-    def fix(state, a, c):
-        state[0][a] = c      # a repeated copy, or the array made below
-        return state
-
-    (columns,) = _fold_types(n_total, d, (np.zeros((d, 1), dtype=np.int64),), fix)
-    return np.ascontiguousarray(columns.T)
+        columns = [np.repeat(col, width) for col in columns] + [c]
+    return np.stack(columns + [rest]).T     # each symbol's counts contiguous
 
 
 def _supported_pair(
@@ -290,44 +324,6 @@ def _supported_pair(
     if np.any(sigma.p[~support] > SUPPORT_TOL):
         raise InvalidStateError("sigma has weight outside rho's support")
     return sigma.p[support], rho.p[support]
-
-
-def type_class_spectrum(
-    sigma: ClassicalDistribution,
-    rho: ClassicalDistribution,
-    n_total: int,
-) -> TypeClassSpectrum:
-    """Exact spectrum of one sigma factor spread over n_total systems.
-
-    The mixture is uniform over the N = n_total placements of the sigma
-    factor. A string of type t (symbol counts t_a) carries the eigenvalue
-
-        q(t) = (prod_a rho_a^{t_a}) * L(t),   L = (1/N) sum_a t_a sigma_a / rho_a
-
-    with multiplicity N!/prod t_a!. Counts has one column per symbol rho
-    holds (see _supported_pair). Everything is kept in the log domain and the
-    normalization sum mult*q = 1 is verified before the spectrum is used. Its
-    entropy() is S[R] without a dense R: the oracle for the gap-first route
-    of classical_mixing_entropy_exact.
-    """
-    sigma_p, rho_p = _supported_pair(sigma, rho, n_total, 1)
-    counts = _type_count_matrix(n_total, len(rho_p))
-    lgamma = gammaln(np.arange(n_total + 2))    # ln k! = lgamma[k + 1]
-    log_mult = lgamma[n_total + 1] - lgamma[counts + 1].sum(axis=1)
-    # ratio_mean first and freed before validate: on 2.1M types this order
-    # of temporaries peaks 2 MB lower in RSS than the others tried
-    ratio_mean = counts @ (sigma_p / rho_p) / n_total
-    with np.errstate(divide="ignore"):
-        log_q = counts @ np.log(rho_p) + np.log(ratio_mean)
-    del ratio_mean
-    spec = TypeClassSpectrum(
-        n_total=n_total,
-        counts=counts,
-        log_q=log_q,
-        log_mult=log_mult,
-    )
-    spec.validate()
-    return spec
 
 
 def _log_choose(n: int, k: int) -> float:
@@ -355,91 +351,81 @@ def _truncated_product(poly: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return product
 
 
-def _classical_gap(
+def type_class_spectrum(
     sigma: ClassicalDistribution,
     rho: ClassicalDistribution,
     n_total: int,
     m_sigma: int = 1,
-) -> float:
-    """gap = m S[sigma|rho] - S_mix = D(R || rho^{(x)N}) for commuting states.
+) -> TypeClassSpectrum:
+    """Exact spectrum of m_sigma sigma factors spread over n_total systems.
 
-    With m sigma factors spread over the N = n_total systems, a string of
-    type t has eigenvalue rho^t L(t), where L = e_m(ratio multiset) / C(N, m)
-    with ratios sigma_a / rho_a, and E[L] = 1 under Mult(N, rho). So, by the
-    method of types,
+    The mixture is uniform over the C(N, m) placements of the sigma factors
+    among the N = n_total systems. A string of type t (symbol counts t_a)
+    carries the eigenvalue
 
-        gap = E_{Mult(N, rho)}[L ln L - L + 1],
+        q(t) = (prod_a rho_a^{t_a}) * L(t),   L = e_m(ratio multiset) / C(N, m)
 
-    a sum of terms >= 0 (1 where L = 0) that forms no O(N) entropy and keeps
-    its relative precision at any N. One _fold_types pass carries, per type,
-    the log weight ln N! + sum_a (c_a ln rho_a - ln c_a!) and, for m = 1,
-    L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that ln L = log1p(L - 1)
-    with no cancellation; for m >= 2, the placement polynomial, its ratios
-    scaled by their maximum so that every coefficient stays at or below
-    C(N, k). The weights and E[L] are checked to be 1 to NORMALIZATION_TOL,
-    and the gap is divided by the weights' sum, which cancels the rounding of
-    ln N! shared by every term.
+    with ratios sigma_a / rho_a and multiplicity N!/prod t_a!; E[L] = 1 under
+    Mult(N, rho). Counts has one column per symbol rho holds (see
+    _supported_pair). Per-symbol tables of length N + 1, looked up by each
+    column of counts, give every type's log weight ln N! + sum_a (c_a ln rho_a
+    - ln c_a!), from one gammaln call, and, for m = 1,
+    L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that
+    ln L = log1p(L - 1) with no cancellation. For m >= 2 the placement
+    polynomial prod_a (1 + r_a x)^{c_a}, truncated at x^m, is multiplied up
+    symbol by symbol, its ratios scaled by their maximum so that every
+    coefficient stays at or below C(N, k). The spectrum is validated before
+    it is used.
     """
     sigma_p, rho_p = _supported_pair(sigma, rho, n_total, m_sigma)
+    overflow = f"elementary symmetric polynomial e_{m_sigma} overflows float range"
+    # the type with every count on the largest ratio has scaled coefficients
+    # C(N, k), k <= m: refuse before enumerating when the largest leaves the
+    # double range by more than log-gamma's rounding
+    if m_sigma > 1 and _log_choose(n_total, min(m_sigma, n_total // 2)) > LOG_FLOAT_MAX + 1.0:
+        raise CapExceededError(overflow)
+    counts = _type_count_matrix(n_total, len(rho_p))
     c = np.arange(n_total + 1)
-    if m_sigma == 1:
-        shift = ((sigma_p - rho_p) / rho_p)[:, None] * c    # c (ratio - 1), unrounded
-
-        def step(x, a, counts):
-            x += shift[a][counts]
-            return x
-
-        start = np.zeros(1)
-    else:
-        overflow = f"elementary symmetric polynomial e_{m_sigma} overflows float range"
-        # the type with every count on the largest ratio has scaled
-        # coefficients C(N, k), k <= m: refuse before the pass when the
-        # largest leaves the double range by more than log-gamma's rounding
-        if _log_choose(n_total, min(m_sigma, n_total // 2)) > LOG_FLOAT_MAX + 1.0:
-            raise CapExceededError(overflow)
-        ratios = sigma_p / rho_p
-        scale = ratios.max()
-        factors = _placement_factors(ratios / scale, n_total, m_sigma)
-
-        def step(poly, a, counts):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _truncated_product(poly, factors[a][:, counts])
-
-        start = np.ones((1, 1))
     lgamma = gammaln(np.arange(n_total + 2))    # ln k! = lgamma[k + 1]
     log_w_table = np.log(rho_p)[:, None] * c - lgamma[1:]
-
-    def fold(state, a, counts):
-        log_w, acc = state      # copies made by _fold_types, or here for d = 1
-        log_w += log_w_table[a][counts]
-        return log_w, step(acc, a, counts)
-
-    log_w, acc = _fold_types(
-        n_total, len(rho_p), (np.full(1, lgamma[n_total + 1]), start), fold
-    )
-    with np.errstate(divide="ignore"):
-        if m_sigma == 1:
-            excess = np.divide(acc, n_total, out=acc)      # L - 1
+    log_w = np.full(len(counts), lgamma[n_total + 1])
+    for a, col in enumerate(counts.T):
+        log_w += log_w_table[a][col]
+    weight = np.exp(log_w, out=log_w)
+    if m_sigma == 1:
+        shift = ((sigma_p - rho_p) / rho_p)[:, None] * c    # c (ratio - 1), unrounded
+        excess = np.zeros(len(counts))
+        for a, col in enumerate(counts.T):
+            excess += shift[a][col]
+        excess /= n_total      # L - 1
+        with np.errstate(divide="ignore"):
             log_l = np.log1p(excess)
-        else:
-            if not np.isfinite(acc[m_sigma]).all():
-                raise CapExceededError(overflow)
-            log_l = (m_sigma * np.log(scale) + np.log(acc[m_sigma])
+    else:
+        ratios = sigma_p / rho_p
+        scale = ratios.max()
+        poly = np.ones((1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = _placement_factors(ratios / scale, n_total, m_sigma)
+            for a, col in enumerate(counts.T):
+                poly = _truncated_product(poly, factors[a][:, col])
+        if not np.isfinite(poly[m_sigma]).all():
+            raise CapExceededError(overflow)
+        with np.errstate(divide="ignore"):
+            log_l = (m_sigma * np.log(scale) + np.log(poly[m_sigma])
                      - _log_choose(n_total, m_sigma))
-            excess = np.expm1(log_l)
-    weights = np.exp(log_w, out=log_w)
-    total = float(weights.sum())
-    mean_l = 1.0 + float(weights @ excess) / total
-    if not (abs(total - 1.0) <= NORMALIZATION_TOL and abs(mean_l - 1.0) <= NORMALIZATION_TOL):
-        raise InvalidStateError(
-            f"type weights sum to {total!r} and E[L] is {mean_l!r}: "
-            f"both must be 1 to {NORMALIZATION_TOL}"
-        )
-    # L ln L - L + 1, which is 1 where L = 0
-    terms = np.multiply(1.0 + excess, log_l, out=np.zeros_like(log_l), where=excess > -1.0)
-    terms -= excess
-    terms *= weights
-    return float(terms.sum() / total)
+        excess = np.expm1(log_l)
+    spec = TypeClassSpectrum(
+        n_total=n_total,
+        m_sigma=m_sigma,
+        counts=counts,
+        weight=weight,
+        excess=excess,
+        log_l=log_l,
+        sigma_p=sigma_p,
+        rho_p=rho_p,
+    )
+    spec.validate()
+    return spec
 
 
 def classical_mixing_entropy_exact(
@@ -450,14 +436,14 @@ def classical_mixing_entropy_exact(
 ) -> MixingRecord:
     """Exact S_mix for m_sigma sigma factors among n rho factors, commuting states.
 
-    The gap comes first, from _classical_gap over N = n + m_sigma systems, and
-    S_mix = m S[sigma|rho] - gap; the record's S_rel column holds
-    m S[sigma|rho], the candidate n -> infinity limit (reported, not
-    asserted), and its gap column the route's gap itself.
+    The gap comes first, from the type classes of N = n + m_sigma systems
+    (TypeClassSpectrum.gap), and S_mix = m S[sigma|rho] - gap; the record's
+    S_rel column holds m S[sigma|rho], the candidate n -> infinity limit
+    (reported, not asserted), and its gap column the route's gap itself.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    gap = _classical_gap(sigma, rho, n + m_sigma, m_sigma)
+    gap = type_class_spectrum(sigma, rho, n + m_sigma, m_sigma).gap()
     s_rel = m_sigma * relative_entropy(sigma.as_density(), rho.as_density())
     method = "classical-exact" if m_sigma == 1 else f"classical-multi(m_sigma={m_sigma})"
     return MixingRecord(n=n, s_mix=s_rel - gap, s_rel=s_rel, gap=gap, method=method)

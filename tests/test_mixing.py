@@ -559,7 +559,7 @@ def test_dense_s_mix_of_a_maximally_mixed_rho_matches_the_original_basis():
 def test_gammaln_has_the_bits_of_scipy():
     k = np.arange(0, 5000)
     assert np.array_equal(mixing.gammaln(k), gammaln(k))
-    # _log_placement_mean's log_choose calls it on Python ints
+    # _log_choose, the m >= 2 overflow check and ln C(N, m), calls it on Python ints
     scalars = [mixing.gammaln(int(i)) for i in k]
     assert np.array_equal(scalars, [gammaln(int(i)) for i in k])
 
@@ -675,12 +675,10 @@ def test_multi_reduces_to_single_insertion():
     for d, n_total in [(2, 7), (3, 9), (4, 6)]:
         ratios = np.random.default_rng(d).uniform(0.0, 3.0, size=d)
         factors = mixing._placement_factors(ratios, n_total, 1)
-
-        def fold(state, a, counts):
-            return (mixing._truncated_product(state[0], factors[a][:, counts]),)
-
-        (poly,) = mixing._fold_types(n_total, d, (np.ones((1, 1)),), fold)
         counts = _type_count_matrix(n_total, d)
+        poly = np.ones((1, 1))
+        for a, col in enumerate(counts.T):
+            poly = mixing._truncated_product(poly, factors[a][:, col])
         np.testing.assert_allclose(poly[1], counts @ ratios, rtol=1e-14, atol=0.0)
 
 
@@ -707,6 +705,11 @@ def test_multi_matches_brute_force_placements(n_total, m_sigma):
         oracle = _brute_multi_mixing(sig, rho, n_total, m_sigma)
         rec = classical_mixing_entropy_exact(sig, rho, n_total - m_sigma, m_sigma)
         assert rec.s_mix == pytest.approx(oracle, abs=1e-10)
+        # the same spectrum's S[R], the oracle at m >= 2 too
+        s_r = type_class_spectrum(sig, rho, n_total, m_sigma).entropy()
+        n = n_total - m_sigma
+        s_mix = s_r - n * shannon_entropy(rho) - m_sigma * shannon_entropy(sig)
+        assert s_mix == pytest.approx(oracle, abs=1e-10)
         assert rec.method == f"classical-multi(m_sigma={m_sigma})"
 
 
@@ -735,16 +738,36 @@ def test_gap_route_refuses_weights_or_mean_ratio_off_one(monkeypatch):
         classical_mixing_entropy_exact(sig, rho, 6, 2)
 
 
-def test_multi_overflow_raises_cap_exceeded(monkeypatch):
-    # C(1100, 550) leaves the double range: refused before any type is enumerated
-    def enumerated(*args, **kwargs):
-        raise AssertionError("enumerated an overflowing placement count")
+OVERFLOW_PAIR = (ClassicalDistribution([0.2, 0.8]), ClassicalDistribution([0.6, 0.4]))
 
-    monkeypatch.setattr(mixing, "_fold_types", enumerated)
+
+def _enumerations(monkeypatch) -> list:
+    """The arguments of every _type_count_matrix call from here on."""
+    real_count_matrix = mixing._type_count_matrix
+    calls = []
+    monkeypatch.setattr(
+        mixing, "_type_count_matrix", lambda *a: calls.append(a) or real_count_matrix(*a)
+    )
+    return calls
+
+
+def test_multi_overflow_raises_cap_exceeded(monkeypatch):
+    # C(1100, 550) leaves the double range by 52 nats: refused before any
+    # type is enumerated
+    enumerated = _enumerations(monkeypatch)
     with pytest.raises(CapExceededError):
-        classical_mixing_entropy_exact(
-            ClassicalDistribution([0.2, 0.8]), ClassicalDistribution([0.6, 0.4]), 550, 550
-        )
+        classical_mixing_entropy_exact(*OVERFLOW_PAIR, 550, 550)
+    assert enumerated == []
+
+
+def test_multi_overflow_within_the_rounding_margin_is_refused_after_enumerating(monkeypatch):
+    # ln C(1030, 515) = 710.2 lies within the 1 nat allowed for log-gamma's
+    # rounding: the types are enumerated, and the finite check on e_m refuses
+    assert mixing.LOG_FLOAT_MAX < mixing._log_choose(1030, 515) <= mixing.LOG_FLOAT_MAX + 1.0
+    enumerated = _enumerations(monkeypatch)
+    with pytest.raises(CapExceededError, match="overflows float range"):
+        classical_mixing_entropy_exact(*OVERFLOW_PAIR, 515, 515)
+    assert enumerated == [(1030, 2)]
 
 
 # ---------------------------------------------------------------------------
