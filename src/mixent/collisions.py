@@ -174,35 +174,53 @@ def run_collision_sequence(spec: CollisionSpec) -> CollisionLedger:
     )
 
 
-def kron_sum(
-    a: np.ndarray, b: np.ndarray, n: int, dense_cap: int = DENSE_DIM_CAP
-) -> np.ndarray:
-    """sum_k a^{(x)k} (x) b (x) a^{(x)(n-1-k)} for d x d matrices a and b.
-
-    Built by the recursion A_1 = b, A_N = A_{N-1} (x) a + a^{(x)(N-1)} (x) b,
-    which sums the terms left to right and allocates one full-size matrix per
-    step. Given length-d vectors, a and b are read as diagonals and the same
-    recursion builds the length-d^n diagonal of the sum: the same products
-    and sums in the same order, so it equals the 2-D result's diagonal bit
-    for bit. The result is float64 when neither input has an imaginary part
-    and complex128 otherwise.
-    """
-    d = a.shape[0]
+def check_dense_dim(d: int, n: int, dense_cap: int = DENSE_DIM_CAP) -> None:
+    """Refuse d^n > dense_cap, before anything of that size is built."""
     dim = d**n
     if dim > dense_cap:
         raise CapExceededError(
             f"dense dimension {d}^{n} = {dim} exceeds cap {dense_cap}"
         )
-    real = not (np.imag(a).any() or np.imag(b).any())
+
+
+def kron_sum(
+    a: np.ndarray, b: np.ndarray, n: int, dense_cap: int = DENSE_DIM_CAP
+) -> np.ndarray:
+    """sum_k a^{(x)k} (x) b (x) a^{(x)(n-1-k)} for d x d matrices a and b.
+
+    site_kron_sum with the pair (a, b) at each of the n sites. Given length-d
+    vectors, a and b are read as diagonals and the same recursion builds the
+    length-d^n diagonal of the sum: the same products and sums in the same
+    order, so it equals the 2-D result's diagonal bit for bit.
+    """
+    check_dense_dim(a.shape[0], n, dense_cap)
+    return site_kron_sum([(a, b)] * n)
+
+
+def site_kron_sum(sites) -> np.ndarray:
+    """sum_i a_1 (x) ... (x) b_i (x) ... (x) a_m, one (a_i, b_i) pair per site.
+
+    Built by the recursion A_1 = b_1,
+    A_j = A_{j-1} (x) a_j + (a_1 (x) ... (x) a_{j-1}) (x) b_j, which sums the
+    terms left to right and allocates one full-size matrix per step. Each
+    site's a_i and b_i share one shape, square or a vector of diagonal
+    entries, which may differ from site to site. The result is float64 when
+    no factor has an imaginary part and complex128 otherwise.
+    """
+    real = not any(np.imag(x).any() for pair in sites for x in pair)
     dtype = np.float64 if real else np.complex128
-    a, b = (np.array(np.real(x) if real else x, dtype=dtype) for x in (a, b))
-    acc, power = b, np.ones((1,) * a.ndim, dtype=dtype)
-    for _ in range(n - 1):
-        power = np.kron(power, a)
+    sites = [
+        tuple(np.array(np.real(x) if real else x, dtype=dtype) for x in pair)
+        for pair in sites
+    ]
+    acc = sites[0][1]
+    power = np.ones((1,) * acc.ndim, dtype=dtype)
+    for (prev, _), (a, b) in zip(sites, sites[1:]):
+        power = np.kron(power, prev)
         if a.ndim == 1:
             acc = (acc[:, None] * a + power[:, None] * b).ravel()
             continue
-        m = power.shape[0]
+        m, d = power.shape[0], a.shape[0]
         nxt = np.empty((m * d, m * d), dtype=dtype)
         blocks = nxt.reshape(m, d, m, d)
         np.multiply(acc[:, None, :, None], a[None, :, None, :], out=blocks)

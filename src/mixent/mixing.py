@@ -5,13 +5,15 @@ One sigma-molecule loses its identity among n rho-molecules:
     R = (1/(n+1)) * sum_k  rho^k (x) sigma (x) rho^(n-k)
 
 and the entropy of mixing S_mix = S[R] - n S[rho] - S[sigma] is computed by
-two independent routes so each can serve as the other's oracle: the spectrum
-of a dense R, built in rho's eigenbasis (only its diagonal for commuting
-states, R being diagonal in their joint eigenbasis); and, for commuting
-states, the gap first, gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}),
-as a sum of nonnegative terms over the type classes, with
-S_mix = S[sigma|rho] - gap. One exact type-class spectrum holds both: its
-gap() is the route's, its entropy() is S[R], the gap's oracle at small n.
+two independent routes so each can serve as the other's oracle: the dense
+spectrum of R in rho's eigenbasis, from the k + 1 blocks R splits into
+because swapping the two sites of any of k = (n+1) // 2 site pairs leaves
+it invariant (for commuting states only R's diagonal, R being diagonal in
+their joint eigenbasis); and, for commuting states, the gap first,
+gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}), as a sum of
+nonnegative terms over the type classes, with S_mix = S[sigma|rho] - gap.
+One exact type-class spectrum holds both: its gap() is the route's, its
+entropy() is S[R], the gap's oracle at small n.
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho].
 The type-class route also spreads m sigma factors over N = n + m systems,
 the mixture after m collisions, whose candidate limit m S[sigma|rho] is
@@ -37,7 +39,13 @@ from .errors import (
     DimensionMismatchError,
     InvalidStateError,
 )
-from .collisions import DENSE_DIM_CAP, kron_sum, reservoir_hamiltonian
+from .collisions import (
+    DENSE_DIM_CAP,
+    check_dense_dim,
+    kron_sum,
+    reservoir_hamiltonian,
+    site_kron_sum,
+)
 from .states import (
     ClassicalDistribution,
     DensityOperator,
@@ -199,9 +207,6 @@ class SymmetrizedMixture:
 
     matrix: np.ndarray
 
-    def entropy(self) -> float:
-        return dense_state_entropy(self.matrix)
-
 
 @dataclass(frozen=True)
 class ExtrapolationSummary:
@@ -236,8 +241,9 @@ def dense_state_entropy(matrix: np.ndarray) -> float:
     complex128. LAPACK returns finite eigenvalues for a matrix holding NaN,
     so a non-finite entry is refused first, by its sum: that needs no
     D x D temporary, and no state's entries (all within [-1, 1]) sum to an
-    overflow. mixing_entropy does not come here with a commuting pair's
-    diagonal R: it builds only that diagonal.
+    overflow. mixing_entropy brings it each of R's symmetry blocks (see
+    pair_swap_blocks), never a commuting pair's diagonal R: it builds only
+    that diagonal.
     """
     total = matrix.sum()
     if not np.isfinite(total):
@@ -270,6 +276,59 @@ def symmetrized_state_dense(
     acc = kron_sum(rho.entries, sigma.entries, n_total, dense_cap)
     acc /= n_total
     return SymmetrizedMixture(matrix=acc)
+
+
+def _pair_swap_basis(d: int) -> np.ndarray:
+    """Real orthogonal rows for two d-level sites, SWAP-symmetric ones first.
+
+    The d(d+1)/2 symmetric states |ii> and (|ij> + |ji>)/sqrt(2), i < j, then
+    the d(d-1)/2 antisymmetric ones (|ij> - |ji>)/sqrt(2).
+    """
+    pairs = list(itertools.combinations(range(d), 2))
+    q = np.zeros((d * d, d * d))
+    q[np.arange(d), np.arange(d) * (d + 1)] = 1.0
+    half = math.sqrt(0.5)
+    for row, (i, j) in enumerate(pairs):
+        q[d + row, [i * d + j, j * d + i]] = half
+        q[d + len(pairs) + row, [i * d + j, j * d + i]] = half, -half
+    return q
+
+
+def pair_swap_blocks(
+    sigma: DensityOperator,
+    rho: DensityOperator,
+    n: int,
+    dense_cap: int = DENSE_DIM_CAP,
+) -> list:
+    """[(C(k, a), block_a) for a = 0..k]: R as a direct sum of symmetry blocks.
+
+    The N = n + 1 sites group into k = N // 2 pairs and at most one leftover
+    site. A pair's factors rho (x) rho and sigma (x) rho + rho (x) sigma
+    commute with its SWAP, so in _pair_swap_basis each is block diagonal,
+    symmetric block then antisymmetric block; N R is the kron sum over pairs
+    and leftover, so R is a direct sum over the 2^k sectors that pick one
+    block per pair. Permuting the pairs maps every sector with a
+    antisymmetric pairs onto one block_a, site_kron_sum of a antisymmetric
+    pair factors, k - a symmetric ones and the leftover (rho, sigma), over N.
+    So S[R] = sum_a C(k, a) S[block_a], and no block is wider than
+    (d(d+1)/2)^k d^(N mod 2). d^N > dense_cap is refused before anything is
+    built, as the full R was.
+    """
+    d, n_total = rho.dim, n + 1
+    check_dense_dim(d, n_total, dense_cap)
+    k, odd = divmod(n_total, 2)
+    q = _pair_swap_basis(d)
+    s, r = sigma.entries, rho.entries
+    pair_a = q @ np.kron(r, r) @ q.T
+    pair_b = q @ (np.kron(s, r) + np.kron(r, s)) @ q.T
+    sym, anti = slice(0, d * (d + 1) // 2), slice(d * (d + 1) // 2, d * d)
+    sym_site = (pair_a[sym, sym], pair_b[sym, sym])
+    anti_site = (pair_a[anti, anti], pair_b[anti, anti])
+    return [
+        (math.comb(k, a),
+         site_kron_sum([anti_site] * a + [sym_site] * (k - a) + [(r, s)] * odd) / n_total)
+        for a in range(k + 1)
+    ]
 
 
 def gammaln(x):
@@ -606,12 +665,14 @@ def mixing_entropy(
 ) -> MixingRecord:
     """S_mix[sigma|rho; n] = S[R] - n S[rho] - S[sigma], in nats.
 
-    method 'dense' takes the spectrum of the d^(n+1)-dimensional R, built in
-    rho's eigenbasis with sigma's row 0 made real (same spectrum; a qubit
-    pair's R is real there, so its eigensolve is real symmetric). When the
-    states commute to COMMUTE_TOL, R is diagonal in their joint eigenbasis
-    and only its d^(n+1) diagonal entries are built, by kron_sum on the two
-    spectra simultaneous_classical_pair gives;
+    method 'dense' takes the exact spectrum of the d^(n+1)-dimensional R,
+    in rho's eigenbasis with sigma's row 0 made real (same spectrum; a qubit
+    pair's R is real there, so its eigensolves are real symmetric), from the
+    k + 1 pair-swap blocks of pair_swap_blocks, each through
+    dense_state_entropy; R itself is never formed. When the states commute
+    to COMMUTE_TOL, R is diagonal in their joint eigenbasis and only its
+    d^(n+1) diagonal entries are built, by kron_sum on the two spectra
+    simultaneous_classical_pair gives;
     'classical-exact' requires commuting states and enumerates type classes;
     'auto' picks classical-exact when the states commute, else dense.
     """
@@ -627,16 +688,17 @@ def mixing_entropy(
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
         return classical_mixing_entropy_exact(sigma_dist, rho_dist, n)
 
-    # n < 1 takes the full build, which refuses it
-    if n >= 1 and commute:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if commute:
         # in a joint eigenbasis R is diagonal and its diagonal is its spectrum
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
         n_total = n + 1
         r_diagonal = kron_sum(rho_dist.p, sigma_dist.p, n_total, dense_cap)
         s_r = entropy_of_spectrum(clamp_spectrum(r_diagonal / n_total))
     else:
-        sigma_t, rho_t = _in_rho_eigenbasis(sigma_op, rho_op)
-        s_r = symmetrized_state_dense(sigma_t, rho_t, n, dense_cap=dense_cap).entropy()
+        blocks = pair_swap_blocks(*_in_rho_eigenbasis(sigma_op, rho_op), n, dense_cap)
+        s_r = math.fsum(weight * dense_state_entropy(block) for weight, block in blocks)
     s_mix = (
         s_r
         - n * von_neumann_entropy(rho_op)

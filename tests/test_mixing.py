@@ -22,6 +22,7 @@ from mixent import (
     mixing_entropy,
     permutation_twirl_dense,
     random_haar_unitary,
+    random_hermitian,
     shannon_entropy,
     symmetrized_state_dense,
     type_class_spectrum,
@@ -246,7 +247,7 @@ def test_dense_entropy_reads_diagonal_r_without_eigensolve(monkeypatch):
     shapes, built = [], []
     solver = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solver(m))
-    monkeypatch.setattr(mixing, "symmetrized_state_dense", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(mixing, "pair_swap_blocks", lambda *a, **k: built.append(a))
     rec = mixing_entropy(SIGMA_CLASSICAL, RHO_CLASSICAL, 4, method="dense")
     assert built == [] and set(shapes) <= {(2, 2)}
     assert rec.s_mix == pytest.approx(
@@ -485,25 +486,36 @@ def _original_basis_s_mix(sigma, rho, n):
 
 
 def _dense_route(monkeypatch, sigma, rho, n):
-    """The dense record, the pair handed to R's build, and the dtypes R's eigvalsh saw."""
-    built, dtypes = [], []
-    build, solver = mixing.symmetrized_state_dense, np.linalg.eigvalsh
+    """The dense record, the pair handed to R's block build, the dtypes R's
+    blocks were eigensolved in, and the width of every eigvalsh input."""
+    built, dtypes, widths, in_block = [], [], [], []
+    build, solver = mixing.pair_swap_blocks, np.linalg.eigvalsh
+    block_entropy = mixing.dense_state_entropy
 
-    def spy_build(s, r, n, **kwargs):
+    def spy_build(s, r, n, *args, **kwargs):
         built.append((s.entries, r.entries))
-        return build(s, r, n, **kwargs)
+        return build(s, r, n, *args, **kwargs)
+
+    def spy_entropy(m):
+        in_block.append(m)
+        try:
+            return block_entropy(m)
+        finally:
+            in_block.pop()
 
     def spy_solver(m):
-        if m.shape[0] > sigma.dim:      # R itself, not a d x d state check
+        widths.append(m.shape[0])
+        if in_block:      # a block of R, not a d x d state check
             dtypes.append(m.dtype)
         return solver(m)
 
     with monkeypatch.context() as patch:
-        patch.setattr(mixing, "symmetrized_state_dense", spy_build)
+        patch.setattr(mixing, "pair_swap_blocks", spy_build)
+        patch.setattr(mixing, "dense_state_entropy", spy_entropy)
         patch.setattr(np.linalg, "eigvalsh", spy_solver)
         rec = mixing_entropy(sigma, rho, n, method="dense")
     assert len(built) == 1
-    return rec, built[0], dtypes
+    return rec, built[0], dtypes, widths
 
 
 def _assert_in_rho_eigenbasis(pair):
@@ -538,13 +550,17 @@ def _degenerate_rho_qutrit_pair():
 )
 def test_dense_route_builds_r_in_rho_eigenbasis(pair, n_max, dtype, monkeypatch):
     # every qubit pair and every real pair is real there; a Haar qutrit pair,
-    # which no phase makes real, stays complex
+    # which no phase makes real, stays complex. Each of R's k + 1 pair-swap
+    # blocks is eigensolved, and none is wider than (d(d+1)/2)^k d^(N mod 2)
     sigma, rho = pair
+    d = rho.dim
     for n in range(1, n_max + 1):
+        k, odd = divmod(n + 1, 2)
         expected = _original_basis_s_mix(sigma, rho, n)
-        rec, built, dtypes = _dense_route(monkeypatch, sigma, rho, n)
+        rec, built, dtypes, widths = _dense_route(monkeypatch, sigma, rho, n)
         _assert_in_rho_eigenbasis(built)
-        assert dtypes == [dtype]
+        assert dtypes == [dtype] * (k + 1)
+        assert max(widths) <= (d * (d + 1) // 2) ** k * d**odd
         assert abs(rec.s_mix - expected) <= 1e-13
 
 
@@ -554,6 +570,95 @@ def test_dense_s_mix_of_a_maximally_mixed_rho_matches_the_original_basis():
     for n in range(1, 9):
         expected = _original_basis_s_mix(sigma, rho, n)
         assert abs(mixing_entropy(sigma, rho, n, method="dense").s_mix - expected) <= 1e-13
+
+
+def _rank_deficient_rho_qutrit_pair():
+    """A qutrit pair whose rho has rank 2 and whose sigma, a turn of rho within
+    that support, does not commute with it; both given in a Haar basis."""
+    rho = np.diag([0.6, 0.4, 0.0])
+    c, s = math.cos(0.7), math.sin(0.7)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    u = random_haar_unitary(31, 3)
+    return (apply_unitary(DensityOperator(turn @ rho @ turn.T), u),
+            apply_unitary(DensityOperator(rho), u))
+
+
+BLOCK_ORACLE_PAIRS = {
+    "qubit-real": (_noncommuting_pair(2, real=True), 9),
+    "qubit-haar": (_noncommuting_pair(2, real=False), 9),
+    "qutrit-real": (_noncommuting_pair(3, real=True), 5),
+    "qutrit-haar": (_noncommuting_pair(3, real=False), 5),
+    "qutrit-degenerate-rho": (_degenerate_rho_qutrit_pair(), 5),
+    "qutrit-rank-deficient-rho": (_rank_deficient_rho_qutrit_pair(), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_ORACLE_PAIRS))
+def test_pair_swap_blocks_give_the_full_eigensolve(name):
+    (sigma, rho), n_max = BLOCK_ORACLE_PAIRS[name]
+    assert mixing._commutator_max(sigma, rho) > mixing.COMMUTE_TOL
+    for n in range(1, n_max + 1):
+        full = _full_eigensolve_entropy(symmetrized_state_dense(sigma, rho, n).matrix)
+        expected = full - n * von_neumann_entropy(rho) - von_neumann_entropy(sigma)
+        rec = mixing_entropy(sigma, rho, n, method="dense")
+        assert rec.method == "dense"
+        assert abs(rec.s_mix - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_ORACLE_PAIRS))
+def test_pair_factors_have_no_sym_anti_coupling(name):
+    # the route drops the sym x anti corners of each pair's local factors
+    (sigma, rho), _ = BLOCK_ORACLE_PAIRS[name]
+    s, r = (x.entries for x in mixing._in_rho_eigenbasis(sigma, rho))
+    d = rho.dim
+    q = mixing._pair_swap_basis(d)
+    assert np.max(np.abs(q @ q.T - np.eye(d * d))) <= 1e-15
+    sym = d * (d + 1) // 2
+    for factor in (np.kron(r, r), np.kron(s, r) + np.kron(r, s)):
+        turned = q @ factor @ q.T
+        assert np.max(np.abs(turned[:sym, sym:])) <= 1e-15
+        assert np.max(np.abs(turned[sym:, :sym])) <= 1e-15
+
+
+def test_dense_route_refuses_the_cap_and_n_below_1_before_building(monkeypatch):
+    sigma, rho = _haar_qubit_pair(1)
+    monkeypatch.setattr(mixing, "site_kron_sum", lambda sites: pytest.fail("built"))
+    with pytest.raises(CapExceededError, match=r"^dense dimension 2\^13 = 8192 exceeds cap 4096$"):
+        mixing_entropy(sigma, rho, 12, method="dense")
+    with pytest.raises(CapExceededError, match=r"^dense dimension 3\^3 = 27 exceeds cap 26$"):
+        mixing_entropy(*_noncommuting_pair(3, real=False), 2, method="dense", dense_cap=26)
+    for pair in [(sigma, rho), (SIGMA_CLASSICAL, RHO_CLASSICAL)]:
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            mixing_entropy(*pair, 0, method="dense")
+
+
+def _chi2_p(sigma, rho):
+    """tr(sigma^2 rho^-1) - 1, the Petz chi-square."""
+    return float(np.trace(sigma.entries @ sigma.entries @ np.linalg.inv(rho.entries)).real) - 1.0
+
+
+def _turned_gibbs_qubit_pair(h, seed):
+    """rho, the beta=1 Gibbs state of h, and sigma = U rho U† for a Haar U."""
+    rho = gibbs_state(h, 1.0)
+    return apply_unitary(rho, random_haar_unitary(seed, 2)), rho
+
+
+THEOREM_BOUND_PAIRS = {
+    "seed-16-haar": _turned_gibbs_qubit_pair(HermitianOperator(np.diag([0.0, 1.0])), 16),
+    "gibbs-41": _turned_gibbs_qubit_pair(random_hermitian(41, 2), 42),
+    "gibbs-42": _turned_gibbs_qubit_pair(random_hermitian(42, 2), 43),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM_BOUND_PAIRS))
+def test_dense_gap_lies_within_the_theorem_bound(name):
+    # 0 <= gap = D(R || rho^(x)N) <= ln tr R^2 P^-1 = ln(1 + chi2_P / N)
+    sigma, rho = THEOREM_BOUND_PAIRS[name]
+    chi2 = _chi2_p(sigma, rho)
+    assert chi2 > 0.0
+    for n in range(1, 12):
+        gap = mixing_entropy(sigma, rho, n, method="dense").gap
+        assert 0.0 <= gap <= math.log1p(chi2 / (n + 1))
 
 
 def test_gammaln_has_the_bits_of_scipy():
