@@ -53,7 +53,6 @@ from .states import (
     SUPPORT_TOL,
     clamp_spectrum,
     entropy_of_spectrum,
-    exact_sum,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -106,9 +105,6 @@ class TypeClassSpectrum:
     small N: the log-eigenvalue log_q (-inf for eigenvalue 0) and the log
     multiplicity log_mult it reads are formed on first use, from counts and
     the supported sigma_p and rho_p, as the spectrum has always formed them.
-    Its sums (total weight, entropy) go through exact_sum: the bits of
-    math.fsum at a fraction of its time on terms spanning hundreds of binary
-    exponents.
     """
 
     n_total: int
@@ -149,23 +145,11 @@ class TypeClassSpectrum:
             mults.append(m)
         return mults
 
-    @cached_property
-    def _eigen_weights(self) -> tuple:
-        """(mult * q, ln q) over the types with a nonzero eigenvalue."""
-        finite = np.isfinite(self.log_q)
-        if finite.all():    # no copies: the cache then holds only the weights
-            return np.exp(self.log_mult + self.log_q), self.log_q
-        lq = self.log_q[finite]
-        return np.exp(self.log_mult[finite] + lq), lq
-
-    def total_weight(self) -> float:
-        """sum over types of multiplicity * eigenvalue; must be 1."""
-        return exact_sum(self._eigen_weights[0])
-
     def entropy(self) -> float:
         """S[R] = -sum_m mult(m) q(m) ln q(m), in nats."""
-        weights, lq = self._eigen_weights
-        return exact_sum(-weights * lq)
+        finite = np.isfinite(self.log_q)
+        lq = self.log_q[finite]
+        return math.fsum(-np.exp(self.log_mult[finite] + lq) * lq)
 
     def gap(self) -> float:
         """E[L ln L - L + 1] under Mult(N, rho): m S[sigma|rho] - S_mix.
@@ -537,11 +521,8 @@ def permutation_twirl_dense(
         raise CapExceededError(
             f"twirl over {n_total}! permutations exceeds cap {TWIRL_FACTORIAL_CAP}!"
         )
-    if x.shape[0] > dense_cap:
-        raise CapExceededError(
-            f"dense dimension {x.shape[0]} exceeds cap {dense_cap}"
-        )
     d = _infer_local_dim(x.shape[0], n_total)
+    check_dense_dim(d, n_total, dense_cap)
     t = _as_tensor(x, d, n_total)
     acc = np.zeros_like(t)
     count = 0

@@ -181,47 +181,6 @@ def apply_unitary(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
     return DensityOperator((out + out.conj().T) / 2.0)
 
 
-# exact_sum adds 27- and 26-bit mantissa halves in float64 bins; a bin of at
-# most this many terms, each below 2**27, sums exactly (below 2**53)
-EXACT_SUM_CHUNK = 1 << 26
-
-
-def exact_sum(x) -> float:
-    """Correctly rounded sum of a float64 array: the same bits as math.fsum.
-
-    Each finite x is m * 2**(e - 53) with an integer mantissa |m| < 2**53
-    (np.frexp). The mantissas are split into a 27-bit high and a 26-bit low
-    half, and each half is added per binary exponent with np.bincount, which
-    is exact; the occupied bins are then added as Python ints and the total
-    is divided once by a power of two, which CPython rounds correctly.
-
-    fsum raises OverflowError when a running partial leaves the float range,
-    even if the exact sum would not; this rounds only once, at the end. The
-    type-class terms summed here never come near that: a weight is at most
-    1, an entropy term at most 1 times -ln q < 746. Non-finite input goes to
-    fsum, so NaN and inf propagate (or raise) exactly as there.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(x)):
-        return math.fsum(x)
-    mantissa, exponent = np.frexp(x)
-    emin = int(exponent.min(initial=0))
-    bins = exponent - emin
-    total = 0
-    for start in range(0, x.size, EXACT_SUM_CHUNK):
-        part = slice(start, start + EXACT_SUM_CHUNK)
-        scaled = mantissa[part] * 2.0**27       # m / 2**26
-        high = np.floor(scaled)
-        low = np.subtract(scaled, high, out=scaled)
-        low *= 2.0**26                          # m = high * 2**26 + low, exactly
-        high_sums = np.bincount(bins[part], weights=high)
-        low_sums = np.bincount(bins[part], weights=low)
-        for k in np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0)):
-            total += ((int(high_sums[k]) << 26) + int(low_sums[k])) << int(k)
-    shift = emin - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
-
-
 def entropy_of_spectrum(eigs: np.ndarray) -> float:
     """-sum p ln p over a nonnegative spectrum, with 0 ln 0 = 0."""
     pos = eigs[eigs > 0.0]

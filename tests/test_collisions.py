@@ -18,7 +18,7 @@ from mixent import (
     run_collision_sequence,
     von_neumann_entropy,
 )
-from mixent.collisions import DENSE_DIM_CAP, LEDGER_CSV_HEADER, kron_sum
+from mixent.collisions import DENSE_DIM_CAP, LEDGER_CSV_HEADER, kron_sum, site_kron_sum
 from mixent.errors import CapExceededError
 from mixent.mixing import kron_all
 
@@ -255,3 +255,36 @@ def test_kron_sum_of_diagonals_refuses_the_cap_before_it_builds(monkeypatch):
         kron_sum(np.full(2, 0.5), np.full(2, 0.5), 13)  # 2^13 > 4096
     with pytest.raises(CapExceededError):
         kron_sum(np.full(3, 1 / 3), np.full(3, 1 / 3), 3, dense_cap=26)
+
+
+def _site_factor(rng, size, is_complex, diagonal):
+    shape = (size,) if diagonal else (size, size)
+    x = rng.uniform(-0.5, 0.5, size=shape)
+    return x + 1j * rng.uniform(-0.5, 0.5, size=shape) if is_complex else x
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_site_kron_sum_is_the_explicit_sum_of_site_terms(d, is_complex, diagonal):
+    # the per-site sizes pair_swap_blocks passes: symmetric and antisymmetric
+    # pair blocks, then the leftover site
+    rng = np.random.default_rng(40 + d)
+    sym, anti, leftover = d * (d + 1) // 2, d * (d - 1) // 2, d
+    for k in range(4 if d == 2 else 3):
+        for a in range(k + 1):
+            for odd in (0, 1) if k else (1,):
+                sizes = [anti] * a + [sym] * (k - a) + [leftover] * odd
+                sites = [
+                    tuple(_site_factor(rng, size, is_complex, diagonal) for _ in range(2))
+                    for size in sizes
+                ]
+                explicit = sum(
+                    kron_all([x for x, _ in sites[:i]] + [sites[i][1]]
+                             + [x for x, _ in sites[i + 1:]])
+                    for i in range(len(sites))
+                )
+                built = site_kron_sum(sites)
+                assert built.dtype == (np.complex128 if is_complex else np.float64)
+                assert built.shape == explicit.shape
+                assert np.abs(built - explicit).max() <= 1e-15

@@ -41,7 +41,6 @@ from mixent.states import (
     EIG_FLOOR,
     clamp_spectrum,
     entropy_of_spectrum,
-    exact_sum,
     von_neumann_entropy,
 )
 from mixent.verify import C4_FAMILIES, DEFAULT_TOLERANCES, _brute_multi_mixing
@@ -294,6 +293,37 @@ def test_symmetrized_dim_mismatch_and_cap():
 # type-class spectrum vs brute force
 # ---------------------------------------------------------------------------
 
+def _check_spectrum_against_strings(sig_p, rho_p, n_total, m_sigma=1):
+    d = len(rho_p)
+    spec = type_class_spectrum(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p),
+                               n_total, m_sigma)
+    types = list(map(tuple, spec.counts.tolist()))
+    eigen_by_type = {
+        t: math.exp(lq) if math.isfinite(lq) else 0.0 for t, lq in zip(types, spec.log_q)
+    }
+    mult_by_type = dict(zip(types, spec.exact_multiplicities()))
+    # the arrays gap() sums: weight = mult rho^t and 1 + excess = L, per type
+    route_by_type = dict(zip(types, spec.weight * (1.0 + spec.excess)))
+
+    # brute force: group strings by type, check the count exactly and the
+    # eigenvalue, the mean over sigma placements, to floating-point accuracy
+    placements = list(itertools.combinations(range(n_total), m_sigma))
+    seen = {t: 0 for t in eigen_by_type}
+    for s in itertools.product(range(d), repeat=n_total):
+        t = tuple(s.count(a) for a in range(d))
+        q = 0.0
+        for pl in placements:
+            term = 1.0
+            for k in range(n_total):
+                term *= sig_p[s[k]] if k in pl else rho_p[s[k]]
+            q += term
+        q /= len(placements)
+        assert q == pytest.approx(eigen_by_type[t], rel=1e-12, abs=1e-300)
+        assert route_by_type[t] == pytest.approx(mult_by_type[t] * q, rel=1e-12, abs=1e-300)
+        seen[t] += 1
+    assert seen == mult_by_type
+
+
 @pytest.mark.parametrize("d,n_total", [(2, 6), (2, 12), (3, 5), (3, 7)])
 def test_type_class_spectrum_matches_string_enumeration(d, n_total):
     rng = np.random.default_rng(d * 100 + n_total)
@@ -301,32 +331,13 @@ def test_type_class_spectrum_matches_string_enumeration(d, n_total):
     rho_p /= rho_p.sum()
     sig_p = rng.uniform(0.0, 1.0, size=d)
     sig_p /= sig_p.sum()
-    rho = ClassicalDistribution(rho_p)
-    sig = ClassicalDistribution(sig_p)
+    _check_spectrum_against_strings(sig_p, rho_p, n_total)
 
-    spec = type_class_spectrum(sig, rho, n_total)
-    eigen_by_type = {
-        tuple(row): math.exp(lq) if math.isfinite(lq) else 0.0
-        for row, lq in zip(spec.counts.tolist(), spec.log_q)
-    }
-    mult_by_type = dict(zip(map(tuple, spec.counts.tolist()), spec.exact_multiplicities()))
 
-    # brute force: group strings by type, check the count exactly and the
-    # eigenvalue to floating-point accuracy
-    seen = {t: 0 for t in eigen_by_type}
-    for s in itertools.product(range(d), repeat=n_total):
-        t = tuple(s.count(a) for a in range(d))
-        q = 0.0
-        for k in range(n_total):
-            term = sig_p[s[k]]
-            for m in range(n_total):
-                if m != k:
-                    term *= rho_p[s[m]]
-            q += term
-        q /= n_total
-        assert q == pytest.approx(eigen_by_type[t], rel=1e-12, abs=1e-300)
-        seen[t] += 1
-    assert seen == mult_by_type
+@pytest.mark.parametrize("n_total", [6, 7])
+def test_two_sigma_spectrum_matches_placement_enumeration(n_total):
+    # criterion 8's pair
+    _check_spectrum_against_strings(np.array([0.2, 0.8]), np.array([0.6, 0.4]), n_total, 2)
 
 
 def test_type_class_spectrum_requires_full_support():
@@ -412,8 +423,8 @@ def test_gap_first_s_mix_bits_are_pinned(d, n):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("zero_in_sigma", [False, True])
 def test_spectrum_sums_keep_the_per_call_formula_bits(d, zero_in_sigma):
-    # total_weight and entropy share one weight pass; each must give the bits
-    # of recomputing mask, gathers and exp per call, -inf eigenvalues included
+    # entropy() gives the bits of fsum over the per-type formula, with the
+    # -inf log-eigenvalues (eigenvalue 0) left out
     rng = np.random.default_rng(500 + d)
     for n_total in (3, 17, 40):
         sig_p = rng.uniform(0.05, 1.0, size=d)
@@ -425,10 +436,8 @@ def test_spectrum_sums_keep_the_per_call_formula_bits(d, zero_in_sigma):
         finite = np.isfinite(spec.log_q)
         assert finite.all() != zero_in_sigma
         lq = spec.log_q[finite]
-        total = exact_sum(np.exp(spec.log_mult[finite] + spec.log_q[finite]))
-        entropy = exact_sum(-np.exp(spec.log_mult[finite] + lq) * lq)
+        entropy = math.fsum(-np.exp(spec.log_mult[finite] + lq) * lq)
         assert spec.entropy().hex() == entropy.hex()
-        assert spec.total_weight().hex() == total.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -922,6 +931,8 @@ def test_twirl_reproduces_symmetrized_state():
 def test_twirl_caps():
     with pytest.raises(CapExceededError):
         permutation_twirl_dense(np.eye(2**9), 9)
+    with pytest.raises(CapExceededError, match=r"^dense dimension 2\^8 = 256 exceeds cap 255$"):
+        permutation_twirl_dense(np.eye(2**8), 8, dense_cap=255)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixent import states
-
 from mixent import (
     ClassicalDistribution,
     DensityOperator,
@@ -25,7 +23,7 @@ from mixent import (
     von_neumann_entropy,
 )
 from mixent.mixing import dense_state_entropy
-from mixent.states import beta_value, clamp_spectrum, exact_sum
+from mixent.states import beta_value, clamp_spectrum
 from conftest import seeded_density
 
 
@@ -248,58 +246,6 @@ def test_shannon_equals_von_neumann_on_spectrum():
 def test_shannon_entropy_bounds(p):
     s = shannon_entropy(ClassicalDistribution(p))
     assert -1e-12 <= s <= math.log(len(p)) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# exact summation
-# ---------------------------------------------------------------------------
-
-def _adversarial_arrays():
-    rng = np.random.default_rng(2024)
-    arrays = [
-        [], [0.0], [-0.0], [0.0, -0.0, 0.0], [5e-324], [5e-324, -5e-324],
-        [1.0, 1e100, 1.0, -1e100], [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
-        [0.1] * 10, [2.0**-1074] * 3 + [2.0**-1022],
-    ]
-    for _ in range(40):
-        n = int(rng.integers(1, 300))
-        mixed = np.ldexp(rng.standard_normal(n), rng.integers(-700, 700, n))
-        subnormal = 5e-324 * rng.integers(-1000, 1000, n).astype(float)
-        pick = rng.random(n)
-        x = np.where(pick < 0.2, subnormal, np.where(pick < 0.3, 0.0, mixed))
-        # heavy cancellation: each term with its negation, nearly, in shuffled order
-        x = np.concatenate([x, -x * (1.0 + rng.choice([0.0, 2.0**-52], n))])
-        arrays.append(rng.permutation(x))
-    # the spectra the type-class route sums: positive terms from 1e-300 to 1
-    arrays.append(np.exp(-rng.uniform(0.0, 690.0, 100_000)))
-    return arrays
-
-
-@pytest.mark.parametrize("x", _adversarial_arrays())
-def test_exact_sum_is_fsum_bit_for_bit(x):
-    assert exact_sum(x).hex() == math.fsum(x).hex()
-
-
-def test_exact_sum_chunks_stay_exact(monkeypatch):
-    # a chunk too small to hold one bin's terms exercises the cross-chunk sum
-    monkeypatch.setattr(states, "EXACT_SUM_CHUNK", 7)
-    for x in _adversarial_arrays()[-5:]:
-        assert exact_sum(x).hex() == math.fsum(x).hex()
-
-
-@given(st.lists(st.floats(-1e300, 1e300), max_size=60))
-def test_exact_sum_matches_fsum_property(xs):
-    assert exact_sum(xs).hex() == math.fsum(xs).hex()
-
-
-def test_exact_sum_propagates_nonfinite_as_fsum():
-    nan, inf = math.nan, math.inf
-    assert math.isnan(exact_sum([1.0, nan, 2.0]))
-    assert math.isnan(exact_sum([inf, nan]))
-    assert exact_sum([1.0, inf]) == inf
-    assert exact_sum([-inf, 1e308]) == -inf
-    with pytest.raises(ValueError):
-        exact_sum([inf, -inf])
 
 
 # ---------------------------------------------------------------------------
