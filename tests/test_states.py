@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from mixent import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from mixent.mixing import dense_state_entropy
+from mixent.mixing import dense_state_entropy, type_class_spectrum
 from mixent.states import beta_value, clamp_spectrum
 from conftest import seeded_density
 
@@ -246,6 +247,42 @@ def test_shannon_equals_von_neumann_on_spectrum():
 def test_shannon_entropy_bounds(p):
     s = shannon_entropy(ClassicalDistribution(p))
     assert -1e-12 <= s <= math.log(len(p)) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact summation of the type-class S[R]
+# ---------------------------------------------------------------------------
+
+def _oracle_spectra():
+    # (sigma_p, rho_p, n_total, m_sigma): rho spread over e^-12..1, so the
+    # per-type terms span hundreds of binary exponents; every third sigma
+    # holds a zero, which gives eigenvalue-0 types (log_q = -inf)
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(51):
+        d = 2 + i % 4
+        rho_p = np.exp(-rng.uniform(0.0, 12.0, size=d))
+        sig_p = rng.uniform(0.05, 1.0, size=d)
+        if i % 3 == 0:
+            sig_p[0] = 0.0
+        n_total = int(rng.integers(2, (120, 40, 18, 12)[d - 2]))
+        m_sigma = 2 if i % 5 == 4 else 1
+        cases.append((sig_p / sig_p.sum(), rho_p / rho_p.sum(), n_total, m_sigma))
+    return cases
+
+
+@pytest.mark.parametrize("x", _oracle_spectra())
+def test_exact_sum_is_fsum_bit_for_bit(x):
+    # entropy() is the exact sum of its per-type terms, rounded once:
+    # the bits of the rational sum of the float terms, not of a float sum
+    sig_p, rho_p, n_total, m_sigma = x
+    spec = type_class_spectrum(ClassicalDistribution(sig_p),
+                               ClassicalDistribution(rho_p), n_total, m_sigma)
+    finite = np.isfinite(spec.log_q)
+    lq = spec.log_q[finite]
+    terms = -np.exp(spec.log_mult[finite] + lq) * lq
+    exact = float(sum(map(Fraction, terms.tolist()), Fraction(0)))
+    assert spec.entropy().hex() == exact.hex()
 
 
 # ---------------------------------------------------------------------------
