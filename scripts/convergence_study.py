@@ -6,9 +6,9 @@ Runs the central numerical experiment twice:
   1. classical route: exact type-class evaluation out to n = 2^max_exp,
   2. quantum route: dense eigensolves for a non-commuting pair at small n,
 
-then fits the decay of the gap S[sigma|rho] - S_mix(n) and reports the
-extrapolated n -> infinity limit next to the directly computed relative
-entropy.
+and prints the gap S[sigma|rho] - S_mix(n) for each n. For the classical pair
+each gap stands next to its closed-form series a1/N + a2/N^2 + a3/N^3,
+N = n + 1 (mixing.gap_series), which the gap approaches as n grows.
 
 Usage: python scripts/convergence_study.py [--max-exp 12] [--out-dir results]
 """
@@ -26,22 +26,22 @@ from mixent import (
     gibbs_state,
     random_haar_unitary,
 )
-from mixent.mixing import records_to_csv
+from mixent.mixing import gap_series, records_to_csv
 
 
-def print_sweep(title, records, summary):
+def print_sweep(title, records, series=None):
+    """One row per record; with series = (a1, a2, a3), its prediction too."""
     print(f"\n{title}")
-    print(f"{'n':>6}  {'S_mix':>14}  {'gap':>12}")
+    print(f"relative entropy S[sigma|rho] = {records[-1].s_rel:.10f}")
+    head = f"{'n':>6}  {'S_mix':>14}  {'gap':>14}"
+    print(head + (f"  {'series':>14}" if series else ""))
     for r in records:
-        print(f"{r.n:6d}  {r.s_mix:14.10f}  {r.gap:12.3e}")
-    print(
-        f"fit: S_mix(n) = {summary.limit:.8f} - {summary.a:.4f} * {summary.model}"
-        f"   (rms residual {summary.residual:.2e})"
-    )
-    print(
-        f"extrapolated limit {summary.limit:.8f} vs relative entropy "
-        f"{records[-1].s_rel:.8f} (difference {summary.limit - records[-1].s_rel:+.2e})"
-    )
+        row = f"{r.n:6d}  {r.s_mix:14.10f}  {r.gap:14.8e}"
+        if series:
+            a1, a2, a3 = series
+            big_n = r.n + 1
+            row += f"  {a1 / big_n + a2 / big_n**2 + a3 / big_n**3:14.8e}"
+        print(row)
 
 
 def main():
@@ -59,18 +59,18 @@ def main():
     rho = ClassicalDistribution([0.7, 0.3])
     sigma = ClassicalDistribution([0.3, 0.7])
     n_list = [2**k for k in range(args.max_exp + 1)]
-    records, summary = convergence_sweep(sigma, rho, n_list, method="classical-exact")
-    print_sweep("classical pair (0.3,0.7) into (0.7,0.3)", records, summary)
+    records = convergence_sweep(sigma, rho, n_list, method="classical-exact")
+    print_sweep("classical pair (0.3,0.7) into (0.7,0.3)", records, gap_series(sigma, rho))
     (out / "classical_records.csv").write_text(records_to_csv(records))
 
     # quantum pair: Gibbs qubit kicked by a Haar collision (non-commuting)
     h = HermitianOperator(np.diag([0.0, 1.0]))
     rho_q = gibbs_state(h, 1.0)
     sigma_q = apply_unitary(rho_q, random_haar_unitary(args.seed, 2))
-    records_q, summary_q = convergence_sweep(
+    records_q = convergence_sweep(
         sigma_q, rho_q, list(range(1, args.dense_max_n + 1)), method="dense"
     )
-    print_sweep("non-commuting qubit pair (dense eigensolves)", records_q, summary_q)
+    print_sweep("non-commuting qubit pair (dense eigensolves)", records_q)
     (out / "quantum_records.csv").write_text(records_to_csv(records_q))
 
     print(f"\nwrote {out}/classical_records.csv and {out}/quantum_records.csv")

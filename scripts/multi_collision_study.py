@@ -3,8 +3,9 @@
 
 Spreads m_sigma collided molecules over n_total reservoir slots and tracks
 the entropy of mixing against the candidate limit m_sigma * S[sigma|rho].
-The limit is reported, not asserted: whether it holds is an open question
-this script gathers evidence for.
+`mixent verify` criterion 8 asserts the m_sigma = 2 rate, gap ~ m^2 a1/N
+(mixing.gap_series), to N = 128; for other m and larger N the trend is
+evidence, not a check.
 
 Usage: python scripts/multi_collision_study.py [--m-max 3] [--n-max 512]
 """

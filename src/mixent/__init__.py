@@ -38,7 +38,6 @@ from .collisions import (
     run_collision_sequence,
 )
 from .mixing import (
-    ExtrapolationSummary,
     GracefulReport,
     MixingRecord,
     SymmetrizedMixture,
@@ -91,7 +90,6 @@ __all__ = [
     "SymmetrizedMixture",
     "TypeClassSpectrum",
     "MixingRecord",
-    "ExtrapolationSummary",
     "GracefulReport",
     "symmetrized_state_dense",
     "type_class_spectrum",

@@ -381,11 +381,8 @@ def cmd_mix_sweep(cfg: ExperimentConfig) -> int:
     n_list = _resolve_n_list(cfg.params)
     method = _param(cfg.params, "method", str, "auto")
     svg = _param(cfg.params, "svg", bool, False)
-    records, summary = convergence_sweep(
-        sigma, rho, n_list, method=method, dense_cap=cfg.dense_cap
-    )
+    records = convergence_sweep(sigma, rho, n_list, method=method, dense_cap=cfg.dense_cap)
     writer.write_text("records.csv", records_to_csv(records))
-    writer.write_json("extrapolation.json", summary.as_dict())
     plot_lines = ["n,gap_nats"] + [f"{r.n},{r.gap!r}" for r in records]
     writer.write_text("gap_plot.csv", "\n".join(plot_lines) + "\n")
     if svg:
@@ -395,10 +392,6 @@ def cmd_mix_sweep(cfg: ExperimentConfig) -> int:
     print(
         f"mix-sweep: {len(records)} points, method {last.method}; "
         f"final gap {last.gap:.3e} at n={last.n}"
-    )
-    print(
-        f"mix-sweep: fitted {summary.model} decay, extrapolated limit "
-        f"{summary.limit!r} vs S[sigma|rho] = {last.s_rel!r}"
     )
     return EXIT_OK
 

@@ -14,10 +14,12 @@ gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}), as a sum of
 nonnegative terms over the type classes, with S_mix = S[sigma|rho] - gap.
 One exact type-class spectrum holds both: its gap() is the route's, its
 entropy() is S[R], the gap's oracle at small n.
-The conjectured n -> infinity limit is the relative entropy S[sigma|rho].
-The type-class route also spreads m sigma factors over N = n + m systems,
-the mixture after m collisions, whose candidate limit m S[sigma|rho] is
-reported, not asserted; there S_mix = m S[sigma|rho] - gap.
+The conjectured n -> infinity limit is the relative entropy S[sigma|rho];
+for commuting states gap_series gives the rate, the first three terms of the
+gap's series in 1/N. The type-class route also spreads m sigma factors over
+N = n + m systems, the mixture after m collisions, whose candidate limit is
+m S[sigma|rho]; there S_mix = m S[sigma|rho] - gap, and the acceptance
+matrix asserts its leading term m^2 a1/N.
 scipy is imported on the first call to gammaln, so only the type-class routes
 pay for it.
 """
@@ -193,29 +195,12 @@ class SymmetrizedMixture:
 
 
 @dataclass(frozen=True)
-class ExtrapolationSummary:
-    """Best-fit decay model S_mix(n) = limit - a * f(n) over the sweep tail."""
-
-    model: str
-    a: float
-    limit: float
-    residual: float
-
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "a": self.a,
-            "limit": self.limit,
-            "residual": self.residual,
-        }
-
-
-@dataclass(frozen=True)
 class GracefulReport:
     """Residuals certifying the mixing map conserves energy and free dynamics."""
 
     energy_residual: float
     commutation_residual: float
+    state_residual: float
 
 
 def dense_state_entropy(matrix: np.ndarray) -> float:
@@ -348,25 +333,38 @@ def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
     return np.stack(columns + [rest]).T     # each symbol's counts contiguous
 
 
-def _supported_pair(
-    sigma: ClassicalDistribution, rho: ClassicalDistribution, n_total: int, m_sigma: int
-) -> tuple:
-    """(sigma, rho) probabilities on rho's support, after the argument checks.
+def _supported_pair(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tuple:
+    """(sigma, rho) probabilities on rho's support.
 
     Symbols outside rho's support appear in no string; sigma may hold no
     other beyond SUPPORT_TOL, the rounding a joint eigenbasis leaves.
     """
-    if not 1 <= m_sigma < n_total:
-        raise ValueError(
-            f"need 1 <= m_sigma < n_total (at least one rho), "
-            f"got m_sigma={m_sigma}, n_total={n_total}"
-        )
     if sigma.dim != rho.dim:
         raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
     support = rho.p > 0.0
     if np.any(sigma.p[~support] > SUPPORT_TOL):
         raise InvalidStateError("sigma has weight outside rho's support")
     return sigma.p[support], rho.p[support]
+
+
+def gap_series(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tuple:
+    """(a1, a2, a3): gap = a1/N + a2/N^2 + a3/N^3 + O(N^-4) for m = 1.
+
+    The gap is E[L ln L - L + 1] with L - 1 the mean of N draws of
+    Y = sigma_a/rho_a - 1 under rho; expanding L ln L - L + 1 about L = 1
+    and taking the moments of that mean from the cumulants k_j of Y gives
+    the series (Hall, The Bootstrap and Edgeworth Expansion, 1992, ch. 2).
+    Y lives on rho's support (see _supported_pair), where E[Y] = 0:
+
+        a1 = k2/2,  a2 = k2^2/4 - k3/6,  a3 = k4/12 - k2 k3/2 + k2^3/2
+
+    a1 = chi2(sigma, rho)/2. sigma = rho gives (0, 0, 0), as the gap is 0.
+    """
+    sigma_p, rho_p = _supported_pair(sigma, rho)
+    y = (sigma_p - rho_p) / rho_p
+    k2, k3 = float(rho_p @ y**2), float(rho_p @ y**3)
+    k4 = float(rho_p @ y**4) - 3.0 * k2**2
+    return k2 / 2, k2**2 / 4 - k3 / 6, k4 / 12 - k2 * k3 / 2 + k2**3 / 2
 
 
 def _log_choose(n: int, k: int) -> float:
@@ -420,7 +418,12 @@ def type_class_spectrum(
     coefficient stays at or below C(N, k). The spectrum is validated before
     it is used.
     """
-    sigma_p, rho_p = _supported_pair(sigma, rho, n_total, m_sigma)
+    if not 1 <= m_sigma < n_total:
+        raise ValueError(
+            f"need 1 <= m_sigma < n_total (at least one rho), "
+            f"got m_sigma={m_sigma}, n_total={n_total}"
+        )
+    sigma_p, rho_p = _supported_pair(sigma, rho)
     overflow = f"elementary symmetric polynomial e_{m_sigma} overflows float range"
     # the type with every count on the largest ratio has scaled coefficients
     # C(N, k), k <= m: refuse before enumerating when the largest leaves the
@@ -481,8 +484,9 @@ def classical_mixing_entropy_exact(
 
     The gap comes first, from the type classes of N = n + m_sigma systems
     (TypeClassSpectrum.gap), and S_mix = m S[sigma|rho] - gap; the record's
-    S_rel column holds m S[sigma|rho], the candidate n -> infinity limit
-    (reported, not asserted), and its gap column the route's gap itself.
+    S_rel column holds m S[sigma|rho], the candidate n -> infinity limit,
+    and its gap column the route's gap itself. For m = 1 the gap follows
+    gap_series; for m >= 2 its leading term is m^2 a1/N.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -544,6 +548,8 @@ def graceful_checks(
     energy_residual = |tr(H_R R) - tr(H_R sigma(x)rho^n)| and
     commutation_residual = max |M[H_R, X] - [H_R, M X]|; both vanish because
     H_R is permutation invariant and M is a permutation average.
+    state_residual = max |R - M X| compares the kron-built R with the twirl
+    of X = sigma(x)rho^n, which is R by definition.
     """
     if not (sigma.dim == rho.dim == h.dim):
         raise DimensionMismatchError(
@@ -567,6 +573,7 @@ def graceful_checks(
     return GracefulReport(
         energy_residual=float(energy_residual),
         commutation_residual=commutation_residual,
+        state_residual=float(np.max(np.abs(r_matrix - twirled_x))),
     )
 
 
@@ -689,54 +696,26 @@ def mixing_entropy(
     return MixingRecord(n=n, s_mix=s_mix, s_rel=s_rel, gap=s_rel - s_mix, method="dense")
 
 
-DECAY_MODELS = {
-    "1/n": lambda n: 1.0 / n,
-    "log(n)/n": lambda n: math.log(n) / n if n > 1 else 0.0,
-}
-
-
-def _fit_tail(records: Sequence[MixingRecord]) -> ExtrapolationSummary:
-    """Least-squares fit of S_mix(n) = limit - a f(n) on the largest-n half."""
-    ordered = sorted(records, key=lambda r: r.n)
-    tail = ordered[-max(3, (len(ordered) + 1) // 2):]
-    ns = np.array([r.n for r in tail], dtype=float)
-    values = np.array([r.s_mix for r in tail])
-
-    best = None
-    for name, f in DECAY_MODELS.items():
-        design = np.stack([np.ones_like(ns), -np.array([f(n) for n in ns])], axis=1)
-        coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-        limit, a = float(coeffs[0]), float(coeffs[1])
-        resid = float(np.sqrt(np.mean((design @ coeffs - values) ** 2)))
-        if best is None or resid < best.residual:
-            best = ExtrapolationSummary(model=name, a=a, limit=limit, residual=resid)
-    return best
-
-
 def convergence_sweep(
     sigma: StateLike,
     rho: StateLike,
     n_list: Sequence[int],
     method: str = "auto",
     dense_cap: int = DENSE_DIM_CAP,
-) -> tuple:
-    """One MixingRecord per n plus a fitted extrapolation to n -> infinity.
+) -> list:
+    """One MixingRecord per n, in increasing n.
 
-    The decay model f(n) is chosen from {1/n, log(n)/n} by least squares on
-    the largest half of the sweep; the choice is reported, never assumed.
-    The sweep needs at least 3 distinct n and lists each n once.
+    Each n may be listed once: records.csv is keyed by n.
     """
     if len(set(n_list)) != len(n_list):
         raise ValueError(f"sweep lists some n more than once: {list(n_list)}")
-    if len(n_list) < 3:
-        raise ValueError("extrapolation needs at least 3 distinct sweep points")
     records = []
     for n in sorted(n_list):
         t0 = time.perf_counter()
         rec = mixing_entropy(sigma, rho, n, method=method, dense_cap=dense_cap)
         wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(replace(rec, wall_time_ms=wall_ms))
-    return records, _fit_tail(records)
+    return records
 
 
 def records_to_csv(records: Sequence[MixingRecord]) -> str:

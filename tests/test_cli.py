@@ -12,6 +12,7 @@ import pytest
 
 from mixent import verify
 from mixent.cli import main, verify_manifest
+from conftest import series_remainder_ratios
 
 
 def write_json(path, obj):
@@ -195,11 +196,16 @@ def test_mix_sweep_classical_convergence(tmp_path):
     assert main(["mix-sweep", "--config", cfg, "--out-dir", str(out)]) == 0
     lines = (out / "records.csv").read_text().strip().split("\n")
     assert lines[0] == "n,method,S_mix_nats,S_rel_nats,gap_nats,wall_time_ms"
-    gaps = [float(line.split(",")[4]) for line in lines[1:]]
+    rows = [line.split(",") for line in lines[1:]]
+    gaps = [float(row[4]) for row in rows]
     assert gaps[-1] < gaps[0] / 10
-    extra = load(out, "extrapolation.json")
-    assert set(extra) == {"model", "a", "limit", "residual"}
-    assert abs(extra["limit"] - 0.4 * math.log(7 / 3)) < 1e-2
+    assert all(abs(float(row[3]) - 0.4 * math.log(7 / 3)) < 1e-12 for row in rows)
+    ratios = series_remainder_ratios(
+        [0.3, 0.7], [0.7, 0.3], [(int(row[0]), float(row[4])) for row in rows]
+    )
+    assert len(ratios) == 7
+    assert max(ratios) <= verify.DEFAULT_TOLERANCES["series_remainder"]
+    assert not (out / "extrapolation.json").exists()
     assert (out / "plot.svg").read_text().startswith("<svg")
     assert verify_manifest(out)
 

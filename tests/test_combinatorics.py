@@ -29,6 +29,7 @@ from mixent.combinatorics import (
     max_increase_formula_error,
     random_distribution_pairs,
 )
+from conftest import series_remainder_ratios
 
 
 def test_log_multinomial_single_symbol():
@@ -236,12 +237,14 @@ def test_consistency_triangle():
     formula = classical_mixing_increase_formula(sig, rho)
     operator = relative_entropy(sig.as_density(), rho.as_density())
     assert abs(formula - operator) < 1e-12
-    records, summary = convergence_sweep(
+    records = convergence_sweep(
         sig, rho, [2**k for k in range(13)], method="classical-exact"
     )
-    # the limit cannot be sharper than the fit's own truncation scale
-    assert abs(summary.limit - formula) < 2 * summary.residual
-    assert abs(summary.limit - formula) < records[-1].gap
+    assert all(abs(r.s_rel - formula) < 1e-12 for r in records)
+    # and S_mix(n) = formula - gap, the gap following its series to a3/N^3
+    ratios = series_remainder_ratios(sig.p, rho.p, [(r.n, r.gap) for r in records])
+    assert len(ratios) == 7
+    assert max(ratios) <= verify.DEFAULT_TOLERANCES["series_remainder"]
 
 
 def test_appendix_checks_feed_both_callers(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from mixent.states import (
     von_neumann_entropy,
 )
 from mixent.verify import C4_FAMILIES, DEFAULT_TOLERANCES, _brute_multi_mixing
-from conftest import seeded_density
+from conftest import seeded_density, series_remainder_ratios
 
 
 # ---------------------------------------------------------------------------
@@ -744,15 +745,51 @@ def test_gap_first_s_mix_matches_the_spectrum_oracle(d, zero_in_sigma):
         assert abs(rec.s_mix - _spectrum_s_mix(sig, rho, n_total - 1)) <= 1e-12
 
 
-def test_large_n_gap_matches_the_cumulant_series():
-    # gap = a1/N + a2/N^2 + a3/N^3 + O(N^-4) for m = 1, from the cumulants
-    # k_j of Y = sigma_a/rho_a - 1 under rho; the remainder is below 1e-15
-    # of the gap from N = 2^15 on, so what is left is the route's rounding
-    rho_p, sig_p = np.array([0.7, 0.3]), np.array([0.3, 0.7])
+def _cumulant_series(sig_p, rho_p):
+    """(a1, a2, a3) of gap = a1/N + a2/N^2 + a3/N^3 + O(N^-4) for m = 1.
+
+    From the cumulants k_j of Y = sigma_a/rho_a - 1 under rho; written out
+    here, apart from mixing.gap_series, as its oracle.
+    """
     y = sig_p / rho_p - 1.0
     k2, k3 = rho_p @ y**2, rho_p @ y**3
     k4 = rho_p @ y**4 - 3.0 * k2**2
-    a1, a2, a3 = k2 / 2, k2**2 / 4 - k3 / 6, k4 / 12 - k2 * k3 / 2 + k2**3 / 2
+    return k2 / 2, k2**2 / 4 - k3 / 6, k4 / 12 - k2 * k3 / 2 + k2**3 / 2
+
+
+def _seeded_d3_pair():
+    rng = np.random.default_rng(31)
+    sig_p, rho_p = rng.uniform(0.05, 1.0, size=(2, 3))
+    return sig_p / sig_p.sum(), rho_p / rho_p.sum()
+
+
+@pytest.mark.parametrize("sig_p, rho_p", [
+    ([0.3, 0.7], [0.7, 0.3]),      # criterion 5's pair
+    ([0.2, 0.8], [0.6, 0.4]),      # criterion 8's pair
+    _seeded_d3_pair(),
+], ids=["c5", "c8", "d3"])
+def test_gap_series_matches_the_cumulant_formula(sig_p, rho_p):
+    sig_p, rho_p = np.asarray(sig_p), np.asarray(rho_p)
+    series = mixing.gap_series(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p))
+    np.testing.assert_allclose(series, _cumulant_series(sig_p, rho_p), rtol=1e-13, atol=0.0)
+
+
+def test_gap_series_lives_on_rho_support():
+    # a symbol rho lacks drops out; sigma may put no weight there
+    pair = mixing.gap_series(ClassicalDistribution([0.3, 0.7, 0.0]),
+                             ClassicalDistribution([0.7, 0.3, 0.0]))
+    assert pair == mixing.gap_series(ClassicalDistribution([0.3, 0.7]),
+                                     ClassicalDistribution([0.7, 0.3]))
+    with pytest.raises(InvalidStateError, match="outside rho's support"):
+        mixing.gap_series(ClassicalDistribution([0.3, 0.6, 0.1]),
+                          ClassicalDistribution([0.7, 0.3, 0.0]))
+
+
+def test_large_n_gap_matches_the_cumulant_series():
+    # the remainder O(N^-4) is below 1e-15 of the gap from N = 2^15 on,
+    # so what is left is the route's rounding
+    rho_p, sig_p = np.array([0.7, 0.3]), np.array([0.3, 0.7])
+    a1, a2, a3 = _cumulant_series(sig_p, rho_p)
     for n in (2**15, 2**17, 2**20):
         big_n = n + 1
         series = a1 / big_n + a2 / big_n**2 + a3 / big_n**3
@@ -944,6 +981,7 @@ def test_graceful_identical_states(qubit_h):
     rep = graceful_checks(rho, rho, 2, qubit_h)
     assert rep.energy_residual < 1e-12
     assert rep.commutation_residual < 1e-12
+    assert rep.state_residual < 1e-12
 
 
 def test_graceful_commuting_sigma(qubit_h, exchange_u):
@@ -952,6 +990,7 @@ def test_graceful_commuting_sigma(qubit_h, exchange_u):
     rep = graceful_checks(sigma, rho, 2, qubit_h)
     assert rep.energy_residual < 1e-12
     assert rep.commutation_residual < 1e-12
+    assert rep.state_residual < 1e-12
 
 
 def test_graceful_noncommuting_sigma(qubit_h):
@@ -961,6 +1000,7 @@ def test_graceful_noncommuting_sigma(qubit_h):
         rep = graceful_checks(sigma, rho, n, qubit_h)
         assert rep.energy_residual < 1e-10
         assert rep.commutation_residual < 1e-10
+        assert rep.state_residual < 1e-10
 
 
 def test_graceful_checks_refuses_the_cap_before_building_the_product(qubit_h,
@@ -978,29 +1018,32 @@ def test_graceful_checks_refuses_the_cap_before_building_the_product(qubit_h,
 # ---------------------------------------------------------------------------
 
 def test_sweep_identical_states_all_zero():
-    records, summary = convergence_sweep(RHO_CLASSICAL, RHO_CLASSICAL, [1, 2, 4, 8])
+    records = convergence_sweep(RHO_CLASSICAL, RHO_CLASSICAL, [1, 2, 4, 8])
     assert all(abs(r.s_mix) < 1e-10 for r in records)
-    assert abs(summary.limit) < 1e-9
+    # the series is (0, 0, 0) and the route's gap is exactly its value
+    assert mixing.gap_series(RHO_CLASSICAL, RHO_CLASSICAL) == (0.0, 0.0, 0.0)
+    assert [r.gap for r in records] == [0.0] * 4
 
 
 def test_sweep_classical_converges_to_relative_entropy():
     rho = ClassicalDistribution([0.7, 0.3])
     sig = ClassicalDistribution([0.3, 0.7])
-    records, summary = convergence_sweep(
+    records = convergence_sweep(
         sig, rho, [2**k for k in range(10)], method="classical-exact"
     )
     s_rel = 0.4 * math.log(7.0 / 3.0)
-    assert records[0].s_rel == pytest.approx(s_rel, abs=1e-12)
-    assert abs(summary.limit - s_rel) < 1e-2
+    assert all(r.s_rel == pytest.approx(s_rel, abs=1e-12) for r in records)
     gaps = [r.gap for r in records]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    ratios = series_remainder_ratios(sig.p, rho.p, [(r.n, r.gap) for r in records])
+    assert len(ratios) == 4 and max(ratios) <= DEFAULT_TOLERANCES["series_remainder"]
 
 
 def test_sweep_dense_quantum_gap_positive_decreasing(qubit_h):
     # non-commuting qubit pair, n = 1..10, dense eigensolves
     rho = gibbs_state(qubit_h, 1.0)
     sigma = apply_unitary(rho, random_haar_unitary(42, 2))
-    records, _ = convergence_sweep(sigma, rho, list(range(1, 11)), method="dense")
+    records = convergence_sweep(sigma, rho, list(range(1, 11)), method="dense")
     gaps = [r.gap for r in records]
     assert all(g > 0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -1031,25 +1074,29 @@ def test_mixing_bounds_property(pair, n):
 def test_sweep_bounds_hold():
     rho = ClassicalDistribution([0.6, 0.4])
     sig = ClassicalDistribution([0.15, 0.85])
-    records, _ = convergence_sweep(sig, rho, [1, 2, 4, 8, 16, 32])
+    records = convergence_sweep(sig, rho, [1, 2, 4, 8, 16, 32])
     for r in records:
         assert 0.0 <= r.s_mix <= math.log(r.n + 1)
 
 
-def test_sweep_needs_three_points():
-    with pytest.raises(ValueError):
-        convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, [1, 2])
+def test_one_point_sweep_returns_one_record():
+    records = convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, [4096])
+    assert len(records) == 1
+    assert records[0] == replace(
+        mixing_entropy(SIGMA_CLASSICAL, RHO_CLASSICAL, 4096),
+        wall_time_ms=records[0].wall_time_ms,
+    )
 
 
 @pytest.mark.parametrize("n_list", [[4, 4, 4], [1, 2, 2, 4]])
 def test_sweep_rejects_repeated_n(n_list):
-    # one repeated n fits a "limit" with zero residual that is not S[sigma|rho]
+    # records.csv is keyed by n: a repeated n would write two rows for one key
     with pytest.raises(ValueError, match="more than once"):
         convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, n_list)
 
 
 def test_records_csv_format():
-    records, _ = convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, [1, 2, 4])
+    records = convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, [1, 2, 4])
     text = records_to_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == "n,method,S_mix_nats,S_rel_nats,gap_nats,wall_time_ms"
