@@ -705,8 +705,10 @@ def convergence_sweep(
 ) -> list:
     """One MixingRecord per n, in increasing n.
 
-    Each n may be listed once: records.csv is keyed by n.
+    n_list names at least one n, and each n once: records.csv is keyed by n.
     """
+    if len(n_list) == 0:
+        raise ValueError("sweep lists no n")
     if len(set(n_list)) != len(n_list):
         raise ValueError(f"sweep lists some n more than once: {list(n_list)}")
     records = []

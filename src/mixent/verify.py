@@ -223,16 +223,21 @@ C4_FAMILIES = [
 ]
 
 
-def _string_eigenvalue(sig_p, rho_p, s):
-    n_total = len(s)
+def _string_probs(sig_p, rho_p, n_total: int, m_sigma: int = 1) -> tuple:
+    """R's eigenvalue on each of the d^N strings, by direct enumeration.
+
+    Returns (strings, q). strings is the (d^N, N) symbol array in
+    lexicographic order, the last site fastest. q is the mean, over the
+    C(N, m) sigma placements, of the sigma factors at the placement's sites
+    times the rho factors at the other sites, multiplied in that order.
+    """
+    sig_p, rho_p = np.asarray(sig_p), np.asarray(rho_p)
+    sites = np.indices((len(rho_p),) * n_total).reshape(n_total, -1)
     q = 0.0
-    for k in range(n_total):
-        term = sig_p[s[k]]
-        for m in range(n_total):
-            if m != k:
-                term *= rho_p[s[m]]
-        q += term
-    return q / n_total
+    for pl in itertools.combinations(range(n_total), m_sigma):
+        order = [*pl, *(k for k in range(n_total) if k not in pl)]
+        q += math.prod((sig_p if k in pl else rho_p)[sites[k]] for k in order)
+    return sites.T, q / math.comb(n_total, m_sigma)
 
 
 def _c4_oracle_equivalence(cfg):
@@ -266,21 +271,22 @@ def _c4_oracle_equivalence(cfg):
         spec = type_class_spectrum(
             ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n_total
         )
-        eig_by_type = {
-            tuple(row): (math.exp(lq) if math.isfinite(lq) else 0.0)
-            for row, lq in zip(spec.counts.tolist(), spec.log_q)
-        }
-        mult_by_type = dict(
-            zip(map(tuple, spec.counts.tolist()), spec.exact_multiplicities())
+        strings, q = _string_probs(sig_p, rho_p, n_total)
+        counts = np.stack(
+            [np.count_nonzero(strings == a, axis=1) for a in range(d)], axis=1
         )
-        seen = {t: 0 for t in eig_by_type}
-        for s in itertools.product(range(d), repeat=n_total):
-            t = tuple(s.count(a) for a in range(d))
-            q = _string_eigenvalue(sig_p, rho_p, s)
-            rel = abs(q - eig_by_type[t]) / max(q, 1e-300)
-            max_spec_rel = max(max_spec_rel, rel)
-            seen[t] += 1
-        spectrum_ok = spectrum_ok and seen == mult_by_type and max_spec_rel < spec_tol
+        types, of_type, tally = np.unique(
+            counts, axis=0, return_inverse=True, return_counts=True
+        )
+        if not np.array_equal(types, spec.counts):
+            spectrum_ok = False
+            continue
+        # math.exp, whose last bits the report was pinned on; np.exp's differ
+        eig = np.array([math.exp(lq) for lq in spec.log_q])
+        rel = np.abs(q - eig[of_type]) / np.maximum(q, 1e-300)
+        max_spec_rel = max(max_spec_rel, float(rel.max()))
+        spectrum_ok = (spectrum_ok and tally.tolist() == spec.exact_multiplicities()
+                       and max_spec_rel < spec_tol)
 
     details = {
         "dense_vs_classical_cases": len(ran),
@@ -380,17 +386,7 @@ def _c7_appendix(cfg):
 
 def _brute_multi_mixing(sig: ClassicalDistribution, rho: ClassicalDistribution,
                         n_total: int, m_sigma: int) -> float:
-    placements = list(itertools.combinations(range(n_total), m_sigma))
-    probs = []
-    for s in itertools.product(range(rho.dim), repeat=n_total):
-        q = 0.0
-        for pl in placements:
-            term = 1.0
-            for k in range(n_total):
-                term *= sig.p[s[k]] if k in pl else rho.p[s[k]]
-            q += term
-        probs.append(q / len(placements))
-    probs = np.array(probs)
+    probs = _string_probs(sig.p, rho.p, n_total, m_sigma)[1]
     pos = probs[probs > 0]
     s_r = float(-np.sum(pos * np.log(pos)))
     return s_r - (n_total - m_sigma) * shannon_entropy(rho) - m_sigma * shannon_entropy(sig)

@@ -9,6 +9,8 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -198,6 +200,24 @@ def test_criterion_9_catches_a_nondeterministic_probe(monkeypatch, only):
     assert result.cid == 9
     assert result.status == "fail"
     assert result.details["byte_identical"] is False
+
+
+@pytest.mark.parametrize("fault", ["dropped-type", "shifted-log-q"])
+def test_criterion_4_fails_on_a_wrong_type_class_spectrum(monkeypatch, fault):
+    real = verify.type_class_spectrum
+
+    def wrong(*args):
+        spec = real(*args)
+        if fault == "dropped-type":
+            return replace(spec, counts=spec.counts[1:])
+        return SimpleNamespace(counts=spec.counts, log_q=spec.log_q + 1e-11,
+                               exact_multiplicities=spec.exact_multiplicities)
+
+    monkeypatch.setattr(verify, "type_class_spectrum", wrong)
+    (result,) = run_acceptance(VerifyConfig(seed=SEED), only=(4,)).results
+    assert result.status == "fail"
+    assert not result.details["spectrum_multiplicities_exact"]
+    assert result.details["max_dense_vs_classical"] < 1e-9
 
 
 def test_criterion_6_bounds_the_records_of_the_criteria_that_ran():

@@ -210,12 +210,14 @@ def test_mix_sweep_classical_convergence(tmp_path):
     assert verify_manifest(out)
 
 
-@pytest.mark.parametrize("grid", [
-    {"n_list": [4, 4, 4]},
-    ["--n-list", "4,4,4"],
-    {"n_grid": {"start": 4, "factor": 1, "count": 3}},
-])
-def test_mix_sweep_rejects_repeated_n(tmp_path, capsys, grid):
+@pytest.mark.parametrize("grid,message", [
+    ({"n_list": [4, 4, 4]}, "more than once"),
+    (["--n-list", "4,4,4"], "more than once"),
+    ({"n_grid": {"start": 4, "factor": 1, "count": 3}}, "more than once"),
+    ({"n_list": []}, "lists no n"),
+    ({"n_grid": {"count": 0}}, "lists no n"),
+], ids=["repeated-list", "repeated-flags", "repeated-grid", "empty-list", "empty-grid"])
+def test_mix_sweep_rejects_repeated_or_no_n(tmp_path, capsys, grid, message):
     # a dict is config params, a list is flags
     params = grid if isinstance(grid, dict) else {}
     flags = [] if isinstance(grid, dict) else grid
@@ -226,7 +228,7 @@ def test_mix_sweep_rejects_repeated_n(tmp_path, capsys, grid):
     )
     out = tmp_path / "o"
     assert main(["mix-sweep", "--config", cfg, "--out-dir", str(out)] + flags) == 2
-    assert "more than once" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
