@@ -61,6 +61,10 @@ from .states import (
 
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
+# up to this many types (2.6 MB of counts at d = 5) the whole count matrix
+# costs less than N + 1 runs' per-run overhead; on a 2-vCPU Xeon the
+# crossovers lay between 33K and 177K types at d = 3..5, for m = 1 and 2
+WHOLE_MATRIX_TYPES = 1 << 16
 COMMUTE_TOL = 1e-10
 NORMALIZATION_TOL = 1e-9
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -99,24 +103,28 @@ class MixingRecord:
 class TypeClassSpectrum:
     """Spectrum of a classical symmetrized mixture, one entry per type class.
 
-    counts[t] is the symbol-count vector of type t (rows sum to n_total).
-    Every string of type t has the eigenvalue q(t) = rho^t L(t) (see
-    type_class_spectrum); weight[t] = mult(t) rho^t is the type's probability
-    under Mult(N, rho), excess[t] = L(t) - 1 and log_l[t] = ln L(t). gap() is
-    D(R || rho^{(x)N}) from these. entropy() is S[R], the gap's oracle at
-    small N: the log-eigenvalue log_q (-inf for eigenvalue 0) and the log
-    multiplicity log_mult it reads are formed on first use, from counts and
-    the supported sigma_p and rho_p, as the spectrum has always formed them.
+    Types are in _type_count_matrix's lexicographic order. Every string of
+    type t has the eigenvalue q(t) = rho^t L(t) (see type_class_spectrum);
+    weight[t] = mult(t) rho^t is the type's probability under Mult(N, rho),
+    excess[t] = L(t) - 1 and log_l[t] = ln L(t). gap() is D(R || rho^{(x)N})
+    from these. counts[t], the symbol-count vector of type t, is built on
+    first use, as are what the oracles read from it: entropy() is S[R], the
+    gap's oracle at small N, from the log-eigenvalue log_q (-inf for
+    eigenvalue 0) and the log multiplicity log_mult, formed from counts and
+    the supported sigma_p and rho_p as the spectrum has always formed them.
     """
 
     n_total: int
     m_sigma: int
-    counts: np.ndarray
     weight: np.ndarray
     excess: np.ndarray
     log_l: np.ndarray
     sigma_p: np.ndarray
     rho_p: np.ndarray
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return _type_count_matrix(self.n_total, len(self.rho_p))
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -161,19 +169,20 @@ class TypeClassSpectrum:
         the weights' sum, which cancels the rounding of ln N! shared by every
         weight.
         """
-        # L ln L - L + 1, which is 1 where L = 0
-        terms = np.multiply(
-            1.0 + self.excess, self.log_l, out=np.zeros_like(self.log_l),
-            where=self.excess > -1.0,
-        )
+        # L ln L - L + 1, which is 1 where L = 0 (there 1 + excess is 0)
+        terms = 1.0 + self.excess
+        np.multiply(terms, self.log_l, out=terms, where=self.excess > -1.0)
         terms -= self.excess
         terms *= self.weight
         return float(terms.sum() / self.weight.sum())
 
     def validate(self):
-        """Rows sum to n_total; the weights and E[L] = sum(mult q) are 1."""
-        if np.any(self.counts.sum(axis=1) != self.n_total):
-            raise InvalidStateError("type vector does not sum to the system count")
+        """One entry per type; the weights and E[L] = sum(mult q) are 1."""
+        num_types = _num_types(self.n_total, len(self.rho_p))
+        if len(self.weight) != num_types:
+            raise InvalidStateError(
+                f"{len(self.weight)} type weights for {num_types} type classes"
+            )
         total = float(self.weight.sum())
         mean_l = 1.0 + float(self.weight @ self.excess) / total
         if not (abs(total - 1.0) <= NORMALIZATION_TOL and abs(mean_l - 1.0) <= NORMALIZATION_TOL):
@@ -307,6 +316,16 @@ def gammaln(x):
     return scipy_gammaln(x)
 
 
+def _num_types(n_total: int, d: int) -> int:
+    """C(N + d - 1, d - 1) count vectors, refused past TYPE_CLASS_BUDGET."""
+    num_types = math.comb(n_total + d - 1, d - 1)
+    if num_types > TYPE_CLASS_BUDGET:
+        raise CapExceededError(
+            f"{num_types} type classes exceed the enumeration budget {TYPE_CLASS_BUDGET}"
+        )
+    return num_types
+
+
 def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
     """All count vectors (m_1..m_d) with sum n_total, as an int array.
 
@@ -314,15 +333,12 @@ def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
     positions itertools.combinations(range(n_total + d - 1), d - 1) lists.
     Pass a splits every type's remaining count r into r + 1 types with
     c = 0..r as symbol a's count, repeating the columns fixed so far; the
-    last symbol takes what remains. The array is column-major, so that the
-    lookups by one symbol's counts read contiguous memory. The budget is
-    checked before anything is allocated.
+    last symbol takes what remains. The array is column-major, so that each
+    symbol's counts are contiguous. The budget is checked before anything is
+    allocated. type_class_spectrum builds it only up to WHOLE_MATRIX_TYPES
+    types (see _type_runs); TypeClassSpectrum.counts builds it on request.
     """
-    num_types = math.comb(n_total + d - 1, d - 1)
-    if num_types > TYPE_CLASS_BUDGET:
-        raise CapExceededError(
-            f"{num_types} type classes exceed the enumeration budget {TYPE_CLASS_BUDGET}"
-        )
+    _num_types(n_total, d)
     rest = np.array([n_total], dtype=np.int64)
     columns = []
     for _ in range(d - 1):
@@ -331,6 +347,47 @@ def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
         rest = np.repeat(rest, width) - c
         columns = [np.repeat(col, width) for col in columns] + [c]
     return np.stack(columns + [rest]).T     # each symbol's counts contiguous
+
+
+def _type_runs(n_total: int, d: int):
+    """Yield (rows, index) per run of _type_count_matrix(n_total, d)'s rows.
+
+    index[a] picks symbol a's count in every row of the run: an int, a
+    slice or an int array, to index a per-symbol table of length N + 1.
+    d = 2 is one run, c0 = 0..N against N - c0. Up to WHOLE_MATRIX_TYPES
+    types (d = 1 has one) are one run, the columns of the count matrix.
+    Beyond, the types with first count c0 are one run, and it equals the
+    last C(N - c0 + d - 2, d - 2) rows of the (d-1)-symbol matrix for N with
+    its first column less c0: d >= 4 takes N + 1 runs gathering from that
+    small matrix, and at d = 3 a run is c1 = 0..N - c0 against
+    N - c0 - c1, two slices.
+    """
+    if d == 2:
+        yield slice(0, n_total + 1), [slice(None), slice(None, None, -1)]
+        return
+    num_types = _num_types(n_total, d)
+    if num_types <= WHOLE_MATRIX_TYPES:
+        yield slice(0, num_types), list(_type_count_matrix(n_total, d).T)
+        return
+    tail = _type_count_matrix(n_total, d - 1) if d > 3 else None
+    start = 0
+    for c0 in range(n_total + 1):
+        rest = n_total - c0
+        size = math.comb(rest + d - 2, d - 2)
+        if tail is None:
+            index = [c0, slice(0, rest + 1), slice(rest, None, -1)]
+        else:
+            run = tail[len(tail) - size:]
+            index = [c0, run[:, 0] - c0, *run[:, 1:].T]
+        yield slice(start, start + size), index
+        start += size
+
+
+def _fold(out: np.ndarray, first: float, tables: np.ndarray, index: list):
+    """out = ((first + tables[0][index[0]]) + tables[1][index[1]]) + ..."""
+    np.add(first, tables[0][index[0]], out=out)
+    for table, i in zip(tables[1:], index[1:]):
+        out += table[i]
 
 
 def _supported_pair(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tuple:
@@ -407,16 +464,18 @@ def type_class_spectrum(
         q(t) = (prod_a rho_a^{t_a}) * L(t),   L = e_m(ratio multiset) / C(N, m)
 
     with ratios sigma_a / rho_a and multiplicity N!/prod t_a!; E[L] = 1 under
-    Mult(N, rho). Counts has one column per symbol rho holds (see
-    _supported_pair). Per-symbol tables of length N + 1, looked up by each
-    column of counts, give every type's log weight ln N! + sum_a (c_a ln rho_a
-    - ln c_a!), from one gammaln call, and, for m = 1,
-    L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that
+    Mult(N, rho). Types are in _type_count_matrix's order, over the symbols
+    rho holds (see _supported_pair), and come run by run from _type_runs:
+    past WHOLE_MATRIX_TYPES, one run per first-symbol count, with no d-symbol
+    count matrix. Each run's entries are left folds, symbol by symbol, of
+    lookups in per-symbol tables of length N + 1. They give every type's log weight
+    ln N! + sum_a (c_a ln rho_a - ln c_a!), from one gammaln call, and, for
+    m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that
     ln L = log1p(L - 1) with no cancellation. For m >= 2 the placement
     polynomial prod_a (1 + r_a x)^{c_a}, truncated at x^m, is multiplied up
     symbol by symbol, its ratios scaled by their maximum so that every
-    coefficient stays at or below C(N, k). The spectrum is validated before
-    it is used.
+    coefficient stays at or below C(N, k). The budget is checked before
+    anything is allocated, and the spectrum is validated before it is used.
     """
     if not 1 <= m_sigma < n_total:
         raise ValueError(
@@ -430,40 +489,44 @@ def type_class_spectrum(
     # double range by more than log-gamma's rounding
     if m_sigma > 1 and _log_choose(n_total, min(m_sigma, n_total // 2)) > LOG_FLOAT_MAX + 1.0:
         raise CapExceededError(overflow)
-    counts = _type_count_matrix(n_total, len(rho_p))
+    num_types = _num_types(n_total, len(rho_p))
     c = np.arange(n_total + 1)
     lgamma = gammaln(np.arange(n_total + 2))    # ln k! = lgamma[k + 1]
     log_w_table = np.log(rho_p)[:, None] * c - lgamma[1:]
-    log_w = np.full(len(counts), lgamma[n_total + 1])
-    for a, col in enumerate(counts.T):
-        log_w += log_w_table[a][col]
-    weight = np.exp(log_w, out=log_w)
+    log_w = np.empty(num_types)
     if m_sigma == 1:
         shift = ((sigma_p - rho_p) / rho_p)[:, None] * c    # c (ratio - 1), unrounded
-        excess = np.zeros(len(counts))
-        for a, col in enumerate(counts.T):
-            excess += shift[a][col]
+        excess = np.empty(num_types)
+    else:
+        ratios = sigma_p / rho_p
+        scale = ratios.max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors = _placement_factors(ratios / scale, n_total, m_sigma)
+        e_m = np.empty(num_types)
+    for rows, index in _type_runs(n_total, len(rho_p)):
+        _fold(log_w[rows], lgamma[n_total + 1], log_w_table, index)
+        if m_sigma == 1:
+            _fold(excess[rows], 0.0, shift, index)
+        else:
+            poly = np.ones((1, 1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for factor, i in zip(factors, index):
+                    poly = _truncated_product(poly, factor[:, i])
+            e_m[rows] = poly[m_sigma]
+    weight = np.exp(log_w, out=log_w)
+    if m_sigma == 1:
         excess /= n_total      # L - 1
         with np.errstate(divide="ignore"):
             log_l = np.log1p(excess)
     else:
-        ratios = sigma_p / rho_p
-        scale = ratios.max()
-        poly = np.ones((1, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            factors = _placement_factors(ratios / scale, n_total, m_sigma)
-            for a, col in enumerate(counts.T):
-                poly = _truncated_product(poly, factors[a][:, col])
-        if not np.isfinite(poly[m_sigma]).all():
+        if not np.isfinite(e_m).all():
             raise CapExceededError(overflow)
         with np.errstate(divide="ignore"):
-            log_l = (m_sigma * np.log(scale) + np.log(poly[m_sigma])
-                     - _log_choose(n_total, m_sigma))
+            log_l = m_sigma * np.log(scale) + np.log(e_m) - _log_choose(n_total, m_sigma)
         excess = np.expm1(log_l)
     spec = TypeClassSpectrum(
         n_total=n_total,
         m_sigma=m_sigma,
-        counts=counts,
         weight=weight,
         excess=excess,
         log_l=log_l,

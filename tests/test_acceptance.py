@@ -9,7 +9,6 @@ import hashlib
 import itertools
 import json
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -208,9 +207,12 @@ def test_criterion_4_fails_on_a_wrong_type_class_spectrum(monkeypatch, fault):
 
     def wrong(*args):
         spec = real(*args)
+        counts, log_q = spec.counts, spec.log_q
         if fault == "dropped-type":
-            return replace(spec, counts=spec.counts[1:])
-        return SimpleNamespace(counts=spec.counts, log_q=spec.log_q + 1e-11,
+            counts = counts[1:]
+        else:
+            log_q = log_q + 1e-11
+        return SimpleNamespace(counts=counts, log_q=log_q,
                                exact_multiplicities=spec.exact_multiplicities)
 
     monkeypatch.setattr(verify, "type_class_spectrum", wrong)

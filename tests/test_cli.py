@@ -10,8 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixent import verify
+from mixent import (
+    ClassicalDistribution,
+    InvalidStateError,
+    classical_mixing_entropy_exact,
+    verify,
+)
 from mixent.cli import main, verify_manifest
+from mixent.mixing import TYPE_CLASS_BUDGET
 from conftest import series_remainder_ratios
 
 
@@ -229,6 +235,23 @@ def test_mix_sweep_rejects_repeated_or_no_n(tmp_path, capsys, grid, message):
     out = tmp_path / "o"
     assert main(["mix-sweep", "--config", cfg, "--out-dir", str(out)] + flags) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mix_sweep_past_the_weights_precision_fails_loudly(tmp_path, capsys):
+    # n = 2^21 is within TYPE_CLASS_BUDGET, but each weight's eps ln N!
+    # rounding (ROADMAP item 3) leaves their sum 2.5e-9 off 1, past
+    # NORMALIZATION_TOL: the route refuses, and mix-sweep writes nothing
+    sig, rho = ClassicalDistribution([0.3, 0.7]), ClassicalDistribution([0.7, 0.3])
+    assert 2**21 + 2 <= TYPE_CLASS_BUDGET
+    with pytest.raises(InvalidStateError, match="type weights sum to 1.00000000"):
+        classical_mixing_entropy_exact(sig, rho, 2**21)
+    out = tmp_path / "o"
+    flags = ["--sigma", write_json(tmp_path / "s.json", {"p": [0.3, 0.7]}),
+             "--rho", write_json(tmp_path / "r.json", {"p": [0.7, 0.3]}),
+             "--n-list", str(2**21), "--method", "classical-exact", "--out-dir", str(out)]
+    assert main(["mix-sweep"] + flags) == 2
+    assert "type weights sum to" in capsys.readouterr().err
     assert not out.exists()
 
 

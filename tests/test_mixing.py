@@ -291,6 +291,8 @@ def test_dense_entropy_diagonal_below_floor_rejected():
 def test_mixture_spectrum_representation_validates():
     spec = type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, 4)
     spec.validate()
+    with pytest.raises(InvalidStateError, match="4 type weights for 5 type classes"):
+        replace(spec, weight=spec.weight[1:], excess=spec.excess[1:]).validate()
     probs = string_probs(SIGMA_CLASSICAL.p, RHO_CLASSICAL.p, 4)
     expected = -np.sum(probs * np.log(probs))
     assert spec.entropy() == pytest.approx(expected, abs=1e-12)
@@ -371,12 +373,111 @@ def test_type_class_budget_checked_before_allocating(monkeypatch):
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated past the budget")
 
-    monkeypatch.setattr(np, "repeat", enumerated)
-    monkeypatch.setattr(np, "column_stack", enumerated)
+    pairs = {2: (SIGMA_CLASSICAL, RHO_CLASSICAL), 3: _c4_pair(3)}
+    for name in ("arange", "column_stack", "empty", "full", "repeat", "zeros"):
+        monkeypatch.setattr(np, name, enumerated)
+    monkeypatch.setattr(mixing, "gammaln", enumerated)
     # C(3165, 2) = 5006630 types at d=3
     for n_total, d in [(TYPE_CLASS_BUDGET, 2), (3163, 3)]:
         with pytest.raises(CapExceededError):
             _type_count_matrix(n_total, d)
+        with pytest.raises(CapExceededError):
+            type_class_spectrum(*pairs[d], n_total)
+
+
+def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
+    """(weight, excess, log_l) by gathers through the full count matrix.
+
+    The construction type_class_spectrum used before it enumerated by runs:
+    every symbol's table is looked up by that symbol's column of counts.
+    """
+    counts = _type_count_matrix(n_total, len(rho_p))
+    c = np.arange(n_total + 1)
+    lgamma = gammaln(np.arange(n_total + 2))
+    log_w_table = np.log(rho_p)[:, None] * c - lgamma[1:]
+    log_w = np.full(len(counts), lgamma[n_total + 1])
+    for a, col in enumerate(counts.T):
+        log_w += log_w_table[a][col]
+    if m_sigma == 1:
+        shift = ((sigma_p - rho_p) / rho_p)[:, None] * c
+        excess = np.zeros(len(counts))
+        for a, col in enumerate(counts.T):
+            excess += shift[a][col]
+        excess /= n_total
+        with np.errstate(divide="ignore"):
+            return np.exp(log_w), excess, np.log1p(excess)
+    ratios = sigma_p / rho_p
+    poly = np.ones((1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = mixing._placement_factors(ratios / ratios.max(), n_total, m_sigma)
+        for a, col in enumerate(counts.T):
+            poly = mixing._truncated_product(poly, factors[a][:, col])
+    with np.errstate(divide="ignore"):
+        log_l = (m_sigma * np.log(ratios.max()) + np.log(poly[m_sigma])
+                 - mixing._log_choose(n_total, m_sigma))
+    return np.exp(log_w), np.expm1(log_l), log_l
+
+
+def _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma):
+    sig_p, rho_p = np.asarray(sig_p), np.asarray(rho_p)
+    spec = type_class_spectrum(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p),
+                               n_total, m_sigma)
+    oracle = count_matrix_arrays(sig_p, rho_p, n_total, m_sigma)
+    for got, want in zip((spec.weight, spec.excess, spec.log_l), oracle):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(spec.counts, _type_count_matrix(n_total, len(rho_p)))
+
+
+@pytest.mark.parametrize("whole_matrix_types", [1, mixing.WHOLE_MATRIX_TYPES],
+                         ids=["runs", "whole"])
+@pytest.mark.parametrize("d,n_total,m_sigma", [
+    (d, n_total, m_sigma) for d in range(1, 6) for m_sigma in (1, 2, 3)
+    for n_total in (m_sigma + 1, m_sigma + 2, 9, 24)
+])
+def test_type_runs_give_the_count_matrix_arrays_bit_for_bit(
+    monkeypatch, d, n_total, m_sigma, whole_matrix_types
+):
+    # a limit of 1 sends every d >= 3 spectrum through one run per first count
+    monkeypatch.setattr(mixing, "WHOLE_MATRIX_TYPES", whole_matrix_types)
+    rng = np.random.default_rng(7 * d + n_total)
+    rho_p = rng.uniform(0.05, 1.0, size=d)
+    sig_p = rng.uniform(0.05, 1.0, size=d)
+    if d > 1 and n_total % 2:
+        sig_p[-1] = 0.0     # types with L = 0, whose log_l is -inf
+    _assert_runs_bit_for_bit(sig_p / sig_p.sum(), rho_p / rho_p.sum(), n_total, m_sigma)
+
+
+LARGE_RUN_CASES = [     # (sigma, rho, N, m), each past WHOLE_MATRIX_TYPES
+    *[([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], 401, m) for m in (1, 2, 3)],      # 81003 types
+    *[([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 81, m) for m in (1, 2, 3)],  # 95284
+    *[([0.0, 0.2, 0.3, 0.2, 0.3], [0.3, 0.2, 0.1, 0.2, 0.2], 36, m)            # 91390
+      for m in (1, 2, 3)],
+    ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], 2049, 1),      # classical-sweep's d=3 pair
+    ([0.3, 0.7], [0.7, 0.3], 2**20 + 1, 1),             # CI's d=2 pair
+]
+
+
+@pytest.mark.parametrize("sig_p,rho_p,n_total,m_sigma", LARGE_RUN_CASES,
+                         ids=[f"d{len(c[1])}-{c[2]}-m{c[3]}" for c in LARGE_RUN_CASES])
+def test_type_runs_give_the_count_matrix_arrays_bit_for_bit_at_large_n(
+    sig_p, rho_p, n_total, m_sigma
+):
+    _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma)
+
+
+def test_gap_route_never_builds_the_d_symbol_count_matrix(monkeypatch):
+    real_count_matrix = mixing._type_count_matrix
+    calls = []
+    monkeypatch.setattr(
+        mixing, "_type_count_matrix", lambda *a: calls.append(a) or real_count_matrix(*a)
+    )
+    classical_mixing_entropy_exact(*_c4_pair(3), 2048)
+    assert calls == []
+    # d >= 4 past WHOLE_MATRIX_TYPES gathers from the (d-1)-symbol matrix alone
+    sig, rho = (ClassicalDistribution(p) for p in MULTI_PAIRS[2])
+    classical_mixing_entropy_exact(sig, rho, 80)
+    assert math.comb(84, 3) > mixing.WHOLE_MATRIX_TYPES
+    assert calls == [(81, 3)]
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -935,12 +1036,17 @@ OVERFLOW_PAIR = (ClassicalDistribution([0.2, 0.8]), ClassicalDistribution([0.6, 
 
 
 def _enumerations(monkeypatch) -> list:
-    """The arguments of every _type_count_matrix call from here on."""
-    real_count_matrix = mixing._type_count_matrix
+    """[n_total, d, types yielded] for every _type_runs call from here on."""
+    real_runs = mixing._type_runs
     calls = []
-    monkeypatch.setattr(
-        mixing, "_type_count_matrix", lambda *a: calls.append(a) or real_count_matrix(*a)
-    )
+
+    def runs(n_total, d):
+        calls.append([n_total, d, 0])
+        for rows, index in real_runs(n_total, d):
+            calls[-1][2] += rows.stop - rows.start
+            yield rows, index
+
+    monkeypatch.setattr(mixing, "_type_runs", runs)
     return calls
 
 
@@ -955,12 +1061,12 @@ def test_multi_overflow_raises_cap_exceeded(monkeypatch):
 
 def test_multi_overflow_within_the_rounding_margin_is_refused_after_enumerating(monkeypatch):
     # ln C(1030, 515) = 710.2 lies within the 1 nat allowed for log-gamma's
-    # rounding: the types are enumerated, and the finite check on e_m refuses
+    # rounding: all 1031 types are enumerated, and the finite check on e_m refuses
     assert mixing.LOG_FLOAT_MAX < mixing._log_choose(1030, 515) <= mixing.LOG_FLOAT_MAX + 1.0
     enumerated = _enumerations(monkeypatch)
     with pytest.raises(CapExceededError, match="overflows float range"):
         classical_mixing_entropy_exact(*OVERFLOW_PAIR, 515, 515)
-    assert enumerated == [(1030, 2)]
+    assert enumerated == [[1030, 2, 1031]]
 
 
 # ---------------------------------------------------------------------------
