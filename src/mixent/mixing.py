@@ -61,10 +61,6 @@ from .states import (
 
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
-# up to this many types (2.6 MB of counts at d = 5) the whole count matrix
-# costs less than N + 1 runs' per-run overhead; on a 2-vCPU Xeon the
-# crossovers lay between 33K and 177K types at d = 3..5, for m = 1 and 2
-WHOLE_MATRIX_TYPES = 1 << 16
 COMMUTE_TOL = 1e-10
 NORMALIZATION_TOL = 1e-9
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -335,8 +331,8 @@ def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
     c = 0..r as symbol a's count, repeating the columns fixed so far; the
     last symbol takes what remains. The array is column-major, so that each
     symbol's counts are contiguous. The budget is checked before anything is
-    allocated. type_class_spectrum builds it only up to WHOLE_MATRIX_TYPES
-    types (see _type_runs); TypeClassSpectrum.counts builds it on request.
+    allocated. type_class_spectrum never builds it for d symbols (see
+    _type_runs); TypeClassSpectrum.counts builds it on request.
     """
     _num_types(n_total, d)
     rest = np.array([n_total], dtype=np.int64)
@@ -354,20 +350,18 @@ def _type_runs(n_total: int, d: int):
 
     index[a] picks symbol a's count in every row of the run: an int, a
     slice or an int array, to index a per-symbol table of length N + 1.
-    d = 2 is one run, c0 = 0..N against N - c0. Up to WHOLE_MATRIX_TYPES
-    types (d = 1 has one) are one run, the columns of the count matrix.
-    Beyond, the types with first count c0 are one run, and it equals the
+    d = 1 is its single type, and d = 2 one run, c0 = 0..N against N - c0.
+    For d >= 3 the types with first count c0 are one run, and it equals the
     last C(N - c0 + d - 2, d - 2) rows of the (d-1)-symbol matrix for N with
-    its first column less c0: d >= 4 takes N + 1 runs gathering from that
-    small matrix, and at d = 3 a run is c1 = 0..N - c0 against
-    N - c0 - c1, two slices.
+    its first column less c0: N + 1 runs. d >= 4 gathers from that small
+    matrix; at d = 3 a run is c1 = 0..N - c0 against N - c0 - c1, two
+    slices, which skip the gathers.
     """
+    if d == 1:
+        yield slice(0, 1), [n_total]
+        return
     if d == 2:
         yield slice(0, n_total + 1), [slice(None), slice(None, None, -1)]
-        return
-    num_types = _num_types(n_total, d)
-    if num_types <= WHOLE_MATRIX_TYPES:
-        yield slice(0, num_types), list(_type_count_matrix(n_total, d).T)
         return
     tail = _type_count_matrix(n_total, d - 1) if d > 3 else None
     start = 0
@@ -466,9 +460,9 @@ def type_class_spectrum(
     with ratios sigma_a / rho_a and multiplicity N!/prod t_a!; E[L] = 1 under
     Mult(N, rho). Types are in _type_count_matrix's order, over the symbols
     rho holds (see _supported_pair), and come run by run from _type_runs:
-    past WHOLE_MATRIX_TYPES, one run per first-symbol count, with no d-symbol
-    count matrix. Each run's entries are left folds, symbol by symbol, of
-    lookups in per-symbol tables of length N + 1. They give every type's log weight
+    one run per first-symbol count, with no d-symbol count matrix. Each
+    run's entries are left folds, symbol by symbol, of lookups in per-symbol
+    tables of length N + 1. They give every type's log weight
     ln N! + sum_a (c_a ln rho_a - ln c_a!), from one gammaln call, and, for
     m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that
     ln L = log1p(L - 1) with no cancellation. For m >= 2 the placement

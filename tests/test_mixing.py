@@ -428,17 +428,11 @@ def _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma):
     assert np.array_equal(spec.counts, _type_count_matrix(n_total, len(rho_p)))
 
 
-@pytest.mark.parametrize("whole_matrix_types", [1, mixing.WHOLE_MATRIX_TYPES],
-                         ids=["runs", "whole"])
 @pytest.mark.parametrize("d,n_total,m_sigma", [
     (d, n_total, m_sigma) for d in range(1, 6) for m_sigma in (1, 2, 3)
     for n_total in (m_sigma + 1, m_sigma + 2, 9, 24)
 ])
-def test_type_runs_give_the_count_matrix_arrays_bit_for_bit(
-    monkeypatch, d, n_total, m_sigma, whole_matrix_types
-):
-    # a limit of 1 sends every d >= 3 spectrum through one run per first count
-    monkeypatch.setattr(mixing, "WHOLE_MATRIX_TYPES", whole_matrix_types)
+def test_type_runs_give_the_count_matrix_arrays_bit_for_bit(d, n_total, m_sigma):
     rng = np.random.default_rng(7 * d + n_total)
     rho_p = rng.uniform(0.05, 1.0, size=d)
     sig_p = rng.uniform(0.05, 1.0, size=d)
@@ -447,7 +441,7 @@ def test_type_runs_give_the_count_matrix_arrays_bit_for_bit(
     _assert_runs_bit_for_bit(sig_p / sig_p.sum(), rho_p / rho_p.sum(), n_total, m_sigma)
 
 
-LARGE_RUN_CASES = [     # (sigma, rho, N, m), each past WHOLE_MATRIX_TYPES
+LARGE_RUN_CASES = [     # (sigma, rho, N, m)
     *[([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], 401, m) for m in (1, 2, 3)],      # 81003 types
     *[([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 81, m) for m in (1, 2, 3)],  # 95284
     *[([0.0, 0.2, 0.3, 0.2, 0.3], [0.3, 0.2, 0.1, 0.2, 0.2], 36, m)            # 91390
@@ -473,10 +467,9 @@ def test_gap_route_never_builds_the_d_symbol_count_matrix(monkeypatch):
     )
     classical_mixing_entropy_exact(*_c4_pair(3), 2048)
     assert calls == []
-    # d >= 4 past WHOLE_MATRIX_TYPES gathers from the (d-1)-symbol matrix alone
+    # d >= 4 gathers from the (d-1)-symbol matrix alone
     sig, rho = (ClassicalDistribution(p) for p in MULTI_PAIRS[2])
     classical_mixing_entropy_exact(sig, rho, 80)
-    assert math.comb(84, 3) > mixing.WHOLE_MATRIX_TYPES
     assert calls == [(81, 3)]
 
 
