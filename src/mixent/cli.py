@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -66,23 +67,27 @@ class ConfigError(ValueError):
 # config resolution
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved run description: defaults < config file < command-line flags."""
 
-    def __init__(self, command: str, seed, units: str, dense_cap: int,
-                 out_dir: Path, params: dict):
-        if units not in ("nats", "bits"):
-            raise ConfigError(f"units must be 'nats' or 'bits', got {units!r}")
-        if _checked("dense_cap", dense_cap, int) < 1:
-            raise ConfigError(f"dense_cap must be positive, got {dense_cap}")
-        if seed is not None and _checked("seed", seed, int) < 0:
-            raise ConfigError(f"'seed' must be >= 0, got {seed}")
-        self.command = command
-        self.seed = seed
-        self.units = units
-        self.dense_cap = dense_cap
-        self.out_dir = Path(out_dir)
-        self.params = params
+    command: str
+    seed: int | None
+    units: str
+    dense_cap: int
+    out_dir: Path
+    params: dict
+
+    def __post_init__(self):
+        if self.units not in ("nats", "bits"):
+            raise ConfigError(f"units must be 'nats' or 'bits', got {self.units!r}")
+        # these commands' outputs carry no *_bits companions
+        if self.units == "bits" and self.command in ("mix-sweep", "verify"):
+            raise ConfigError(f"{self.command} reports nats only; units 'bits' is refused")
+        if _checked("dense_cap", self.dense_cap, int) < 1:
+            raise ConfigError(f"dense_cap must be positive, got {self.dense_cap}")
+        if self.seed is not None and _checked("seed", self.seed, int) < 0:
+            raise ConfigError(f"'seed' must be >= 0, got {self.seed}")
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -232,18 +237,6 @@ class RunWriter:
         path = self.cfg.out_dir / "manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
-
-
-def verify_manifest(out_dir: Path) -> bool:
-    """Re-hash every output named in a run manifest."""
-    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    for name, digest in manifest["outputs"].items():
-        path = out_dir / name
-        if not path.exists():
-            return False
-        if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

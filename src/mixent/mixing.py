@@ -107,7 +107,7 @@ class TypeClassSpectrum:
     first use, as are what the oracles read from it: entropy() is S[R], the
     gap's oracle at small N, from the log-eigenvalue log_q (-inf for
     eigenvalue 0) and the log multiplicity log_mult, formed from counts and
-    the supported sigma_p and rho_p as the spectrum has always formed them.
+    the supported sigma_p and rho_p.
     """
 
     n_total: int
@@ -123,23 +123,18 @@ class TypeClassSpectrum:
         return _type_count_matrix(self.n_total, len(self.rho_p))
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """counts, row-major: the layout log_mult and log_q were pinned on."""
-        return np.ascontiguousarray(self.counts)
-
-    @cached_property
     def log_mult(self) -> np.ndarray:
         lgamma = gammaln(np.arange(self.n_total + 2))    # ln k! = lgamma[k + 1]
-        return lgamma[self.n_total + 1] - lgamma[self._rows + 1].sum(axis=1)
+        return lgamma[self.n_total + 1] - lgamma[self.counts + 1].sum(axis=1)
 
     @cached_property
     def log_q(self) -> np.ndarray:
-        log_rho_t = self._rows @ np.log(self.rho_p)
+        log_rho_t = self.counts @ np.log(self.rho_p)
         if self.m_sigma > 1:
             return log_rho_t + self.log_l
         # ln of the mean ratio itself, not log_l, so that S[R] keeps its bits
         with np.errstate(divide="ignore"):
-            return log_rho_t + np.log(self._rows @ (self.sigma_p / self.rho_p) / self.n_total)
+            return log_rho_t + np.log(self.counts @ (self.sigma_p / self.rho_p) / self.n_total)
 
     def exact_multiplicities(self) -> list:
         """Exact integer multiplicities (big ints; intended for small N)."""
@@ -286,7 +281,7 @@ def pair_swap_blocks(
     pair factors, k - a symmetric ones and the leftover (rho, sigma), over N.
     So S[R] = sum_a C(k, a) S[block_a], and no block is wider than
     (d(d+1)/2)^k d^(N mod 2). d^N > dense_cap is refused before anything is
-    built, as the full R was.
+    built.
     """
     d, n_total = rho.dim, n + 1
     check_dense_dim(d, n_total, dense_cap)
@@ -329,8 +324,7 @@ def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
     positions itertools.combinations(range(n_total + d - 1), d - 1) lists.
     Pass a splits every type's remaining count r into r + 1 types with
     c = 0..r as symbol a's count, repeating the columns fixed so far; the
-    last symbol takes what remains. The array is column-major, so that each
-    symbol's counts are contiguous. The budget is checked before anything is
+    last symbol takes what remains. The budget is checked before anything is
     allocated. type_class_spectrum never builds it for d symbols (see
     _type_runs); TypeClassSpectrum.counts builds it on request.
     """
@@ -342,7 +336,7 @@ def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
         c = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         rest = np.repeat(rest, width) - c
         columns = [np.repeat(col, width) for col in columns] + [c]
-    return np.stack(columns + [rest]).T     # each symbol's counts contiguous
+    return np.stack(columns + [rest], axis=1)
 
 
 def _type_runs(n_total: int, d: int):
@@ -363,7 +357,8 @@ def _type_runs(n_total: int, d: int):
     if d == 2:
         yield slice(0, n_total + 1), [slice(None), slice(None, None, -1)]
         return
-    tail = _type_count_matrix(n_total, d - 1) if d > 3 else None
+    # the (d-1)-symbol matrix by symbol, so that each gathered column is contiguous
+    tail = np.ascontiguousarray(_type_count_matrix(n_total, d - 1).T) if d > 3 else None
     start = 0
     for c0 in range(n_total + 1):
         rest = n_total - c0
@@ -371,8 +366,8 @@ def _type_runs(n_total: int, d: int):
         if tail is None:
             index = [c0, slice(0, rest + 1), slice(rest, None, -1)]
         else:
-            run = tail[len(tail) - size:]
-            index = [c0, run[:, 0] - c0, *run[:, 1:].T]
+            run = tail[:, tail.shape[1] - size:]
+            index = [c0, run[0] - c0, *run[1:]]
         yield slice(start, start + size), index
         start += size
 
@@ -553,24 +548,6 @@ def classical_mixing_entropy_exact(
     return MixingRecord(n=n, s_mix=s_rel - gap, s_rel=s_rel, gap=gap, method=method)
 
 
-def _as_tensor(x: np.ndarray, d: int, n_total: int) -> np.ndarray:
-    return np.asarray(x).reshape((d,) * (2 * n_total))
-
-
-def _permutation_conjugate(t: np.ndarray, perm, n_total: int) -> np.ndarray:
-    """Conjugate the matrix-as-tensor t by the subsystem permutation perm."""
-    axes = tuple(perm) + tuple(n_total + p for p in perm)
-    return t.transpose(axes)
-
-
-def _infer_local_dim(dim: int, n_total: int) -> int:
-    d = round(dim ** (1.0 / n_total))
-    for cand in (d - 1, d, d + 1):
-        if cand >= 1 and cand**n_total == dim:
-            return cand
-    raise ValueError(f"matrix dimension {dim} is not a perfect {n_total}-th power")
-
-
 def permutation_twirl_dense(
     x: np.ndarray, n_total: int, dense_cap: int = DENSE_DIM_CAP
 ) -> np.ndarray:
@@ -582,15 +559,16 @@ def permutation_twirl_dense(
         raise CapExceededError(
             f"twirl over {n_total}! permutations exceeds cap {TWIRL_FACTORIAL_CAP}!"
         )
-    d = _infer_local_dim(x.shape[0], n_total)
+    dim = x.shape[0]
+    d = round(dim ** (1 / n_total))
+    if d**n_total != dim:
+        raise ValueError(f"matrix dimension {dim} is not a perfect {n_total}-th power")
     check_dense_dim(d, n_total, dense_cap)
-    t = _as_tensor(x, d, n_total)
-    acc = np.zeros_like(t)
-    count = 0
-    for perm in itertools.permutations(range(n_total)):
-        acc += _permutation_conjugate(t, perm, n_total)
-        count += 1
-    return (acc / count).reshape(x.shape)
+    # x as a tensor with one row and one column axis per subsystem
+    t = x.reshape((d,) * (2 * n_total))
+    perms = list(itertools.permutations(range(n_total)))
+    acc = sum(t.transpose(perm + tuple(n_total + p for p in perm)) for perm in perms)
+    return (acc / len(perms)).reshape(x.shape)
 
 
 def graceful_checks(
@@ -695,12 +673,6 @@ def _in_rho_eigenbasis(sigma: DensityOperator, rho: DensityOperator) -> tuple:
     return DensityOperator(s), DensityOperator(np.diag(w))
 
 
-def _coerce_states(sigma: StateLike, rho: StateLike) -> tuple:
-    s = sigma.as_density() if isinstance(sigma, ClassicalDistribution) else sigma
-    r = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
-    return s, r
-
-
 def mixing_entropy(
     sigma: StateLike,
     rho: StateLike,
@@ -721,7 +693,8 @@ def mixing_entropy(
     'classical-exact' requires commuting states and enumerates type classes;
     'auto' picks classical-exact when the states commute, else dense.
     """
-    sigma_op, rho_op = _coerce_states(sigma, rho)
+    sigma_op = sigma.as_density() if isinstance(sigma, ClassicalDistribution) else sigma
+    rho_op = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if sigma_op.dim != rho_op.dim:
@@ -729,15 +702,15 @@ def mixing_entropy(
     commute = _commutator_max(sigma_op, rho_op) <= COMMUTE_TOL
     if method == "auto":
         method = "classical-exact" if commute else "dense"
-    if method == "classical-exact":
+    if method == "classical-exact" or commute:
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
+    if method == "classical-exact":
         return classical_mixing_entropy_exact(sigma_dist, rho_dist, n)
 
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if commute:
         # in a joint eigenbasis R is diagonal and its diagonal is its spectrum
-        sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
         n_total = n + 1
         r_diagonal = kron_sum(rho_dist.p, sigma_dist.p, n_total, dense_cap)
         s_r = entropy_of_spectrum(clamp_spectrum(r_diagonal / n_total))

@@ -73,8 +73,6 @@ DEFAULT_TOLERANCES = {
 QUBIT_H = HermitianOperator(np.diag([0.0, 1.0]))
 EXCHANGE = UnitaryOperator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
-RUNTIME_BUDGETS_S = {1: 10.0, 3: 30.0, 4: 120.0, 5: 60.0, 7: 10.0, 8: 30.0}
-
 PASS = "pass"
 FAIL = "fail"
 SKIPPED_CAP = "skipped: cap"

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,18 @@ def exchange_u() -> UnitaryOperator:
 def seeded_density(seed: int, d: int, beta: float = 1.0) -> DensityOperator:
     """Full-rank random state: the Gibbs state of a seeded random Hamiltonian."""
     return gibbs_state(random_hermitian(seed, d), beta)
+
+
+def verify_manifest(out_dir: Path) -> bool:
+    """Re-hash every output named in a run manifest."""
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    for name, digest in manifest["outputs"].items():
+        path = out_dir / name
+        if not path.exists():
+            return False
+        if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+            return False
+    return True
 
 
 def series_remainder_ratios(sig_p, rho_p, n_gaps, from_n=64) -> list:

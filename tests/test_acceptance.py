@@ -18,12 +18,12 @@ from mixent.cli import main
 from mixent.errors import CapExceededError
 from mixent.verify import (
     PROBE_CRITERIA,
-    RUNTIME_BUDGETS_S,
     VerifyConfig,
     run_acceptance,
 )
 
 SEED = 9
+RUNTIME_BUDGETS_S = {1: 10.0, 3: 30.0, 4: 120.0, 5: 60.0, 7: 10.0, 8: 30.0}
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,9 @@ from mixent import (
     classical_mixing_entropy_exact,
     verify,
 )
-from mixent.cli import main, verify_manifest
+from mixent.cli import main
 from mixent.mixing import TYPE_CLASS_BUDGET
-from conftest import series_remainder_ratios
+from conftest import series_remainder_ratios, verify_manifest
 
 
 def write_json(path, obj):
@@ -344,6 +344,30 @@ def test_bits_conversion_on_emitted_entropies(tmp_path):
         assert row["S_rho_bits"] == pytest.approx(
             row["S_rho"] / math.log(2), abs=1e-12
         )
+
+
+def test_mix_sweep_refuses_bits_and_writes_nothing(tmp_path, capsys):
+    # records.csv has nats columns only: bits would reach the manifest and no output
+    flags = ["--sigma", write_json(tmp_path / "s.json", {"p": [0.3, 0.7]}),
+             "--rho", write_json(tmp_path / "r.json", {"p": [0.7, 0.3]}),
+             "--n-list", "1,4"]
+    out = tmp_path / "o"
+    assert main(["mix-sweep", *flags, "--units", "bits", "--out-dir", str(out)]) == 2
+    assert "mix-sweep reports nats only" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["mix-sweep", *flags, "--units", "nats", "--out-dir", str(out)]) == 0
+
+
+def test_verify_refuses_bits_and_writes_nothing(tmp_path, capsys):
+    def config(units):
+        return write_json(tmp_path / f"{units}.json", {
+            "seed": 9, "units": units, "command": {"name": "verify", "params": {"criteria": [6]}}})
+
+    out = tmp_path / "o"
+    assert main(["verify", "--config", config("bits"), "--out-dir", str(out)]) == 2
+    assert "verify reports nats only" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", "--config", config("nats"), "--out-dir", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------

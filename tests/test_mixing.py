@@ -483,6 +483,7 @@ def test_type_count_matrix_is_stars_and_bars_in_order(d):
         ], dtype=np.int64)
         counts = _type_count_matrix(n_total, d)
         assert counts.dtype == np.int64
+        assert counts.flags.c_contiguous
         assert np.array_equal(counts, expected)
 
 
@@ -1111,6 +1112,16 @@ def test_twirl_caps():
         permutation_twirl_dense(np.eye(2**9), 9)
     with pytest.raises(CapExceededError, match=r"^dense dimension 2\^8 = 256 exceeds cap 255$"):
         permutation_twirl_dense(np.eye(2**8), 8, dense_cap=255)
+
+
+def test_twirl_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4, 2\)$"):
+        permutation_twirl_dense(np.ones((4, 2)), 2)
+
+
+def test_twirl_refuses_a_dimension_that_is_no_power_of_n_total():
+    with pytest.raises(ValueError, match=r"^matrix dimension 8 is not a perfect 2-th power$"):
+        permutation_twirl_dense(np.eye(8), 2)
 
 
 # ---------------------------------------------------------------------------
