@@ -51,8 +51,6 @@ from .mixing import (
     type_class_spectrum,
 )
 from .combinatorics import (
-    InsertionFactor,
-    TypicalityCheck,
     classical_mixing_increase_formula,
     insertion_factor,
     log_multinomial,
@@ -98,8 +96,6 @@ __all__ = [
     "permutation_twirl_dense",
     "graceful_checks",
     "convergence_sweep",
-    "TypicalityCheck",
-    "InsertionFactor",
     "log_multinomial",
     "round_counts",
     "typicality_entropy_check",

@@ -413,16 +413,14 @@ def cmd_appendix(cfg: ExperimentConfig) -> int:
     formula_ok = checks["max_formula_err"] < DEFAULT_TOLERANCES["increase_formula"]
     all_ok = typicality_ok and checks["insertion_ok"] and formula_ok
 
-    def typicality_row(c):
-        row = c.as_dict()
-        if cfg.units == "bits":
+    if cfg.units == "bits":
+        for row in checks["typicality"]:
             for key in ("lhs_per_symbol", "S_rho", "deficit"):
                 row[f"{key}_bits"] = nats_to_bits(row[key])
-        return row
 
     report = {
         "units": cfg.units,
-        "typicality": [typicality_row(c) for c in checks["typicality"]],
+        "typicality": checks["typicality"],
         "typicality_ok": typicality_ok,
         "insertion": checks["insertion_rows"],
         "insertion_ok": checks["insertion_ok"],
@@ -433,10 +431,10 @@ def cmd_appendix(cfg: ExperimentConfig) -> int:
     }
     writer.write_json("report.json", report)
     writer.finish()
-    for c in checks["typicality"]:
+    for row in checks["typicality"]:
         print(
-            f"appendix: n={c.n} per-symbol {c.lhs_per_symbol:.6f} vs "
-            f"S[rho]={c.s_rho:.6f} (deficit {c.deficit:.3e})"
+            f"appendix: n={row['n']} per-symbol {row['lhs_per_symbol']:.6f} vs "
+            f"S[rho]={row['S_rho']:.6f} (deficit {row['deficit']:.3e})"
         )
     print(f"appendix: all checks {'pass' if all_ok else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL

@@ -175,7 +175,14 @@ def run_collision_sequence(spec: CollisionSpec) -> CollisionLedger:
 
 
 def check_dense_dim(d: int, n: int, dense_cap: int = DENSE_DIM_CAP) -> None:
-    """Refuse d^n > dense_cap, before anything of that size is built."""
+    """Refuse d^n > dense_cap, before anything of that size is built.
+
+    With d >= 2 and n past dense_cap's bit length, d^n >= 2^n > dense_cap:
+    that is refused without forming the power, which can run to thousands
+    of digits.
+    """
+    if d >= 2 and n > dense_cap.bit_length():
+        raise CapExceededError(f"dense dimension {d}^{n} exceeds cap {dense_cap}")
     dim = d**n
     if dim > dense_cap:
         raise CapExceededError(

@@ -9,7 +9,6 @@ exactly the classical relative entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,49 +47,27 @@ def round_counts(dist: ClassicalDistribution, n: int) -> tuple:
     return tuple(int(x) for x in floors)
 
 
-@dataclass(frozen=True)
-class TypicalityCheck:
-    """Per-symbol multinomial entropy of the rounded typical class vs S[rho]."""
-
-    n: int
-    lhs_per_symbol: float
-    s_rho: float
-    deficit: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lhs_per_symbol": self.lhs_per_symbol,
-            "S_rho": self.s_rho,
-            "deficit": self.deficit,
-        }
-
-
-def typicality_entropy_check(rho: ClassicalDistribution, n: int) -> TypicalityCheck:
+def typicality_entropy_check(rho: ClassicalDistribution, n: int) -> dict:
     """Compare ln(multinomial of rounded counts)/n against S[rho].
 
-    The deficit S[rho] - lhs is positive and O(ln n / n): the typical class
-    alone already counts ~ e^{n S[rho]} strings.
+    Returns the row {n, lhs_per_symbol, S_rho, deficit}. The deficit
+    S[rho] - lhs is positive and O(ln n / n): the typical class alone
+    already counts ~ e^{n S[rho]} strings.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     counts = round_counts(rho, n)
     lhs = log_multinomial(counts) / n
     s_rho = shannon_entropy(rho)
-    return TypicalityCheck(n=n, lhs_per_symbol=lhs, s_rho=s_rho, deficit=s_rho - lhs)
+    return {"n": n, "lhs_per_symbol": lhs, "S_rho": s_rho, "deficit": s_rho - lhs}
 
 
-@dataclass(frozen=True)
-class InsertionFactor:
-    """Count growth from inserting one symbol a into a typical string."""
+def insertion_factor(n: int, rho_a: float) -> dict:
+    """Exact factor (n+1)/(round(n rho_a) + 1) against its large-n limit 1/rho_a.
 
-    exact: float
-    limit: float
-    rel_err: float
-
-
-def insertion_factor(n: int, rho_a: float) -> InsertionFactor:
-    """Exact factor (n+1)/(round(n rho_a) + 1) against its large-n limit 1/rho_a."""
+    Returns the row {n, rho_a, exact, limit, rel_err, bound}, with the bound
+    2/(n rho_a) on rel_err = |exact - limit| rho_a.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 < rho_a <= 1.0:
@@ -100,20 +77,13 @@ def insertion_factor(n: int, rho_a: float) -> InsertionFactor:
     m = round(n * rho_a)
     exact = (n + 1) / (m + 1)
     limit = 1.0 / rho_a
-    return InsertionFactor(exact=exact, limit=limit, rel_err=abs(exact - limit) * rho_a)
+    return {"n": n, "rho_a": rho_a, "exact": exact, "limit": limit,
+            "rel_err": abs(exact - limit) * rho_a, "bound": 2.0 / (n * rho_a)}
 
 
 def insertion_factor_rows(ns: Sequence[int], rho_as: Sequence[float]) -> list:
-    """The insertion factor at each (n, rho_a), with the bound 2/(n rho_a) on rel_err."""
-    rows = []
-    for n in ns:
-        for rho_a in rho_as:
-            fac = insertion_factor(n, rho_a)
-            rows.append(
-                {"n": n, "rho_a": rho_a, "exact": fac.exact, "limit": fac.limit,
-                 "rel_err": fac.rel_err, "bound": 2.0 / (n * rho_a)}
-            )
-    return rows
+    """The insertion factor's row at each (n, rho_a), n-major."""
+    return [insertion_factor(n, rho_a) for n in ns for rho_a in rho_as]
 
 
 def classical_mixing_increase_formula(
@@ -171,7 +141,7 @@ def appendix_checks(rho: ClassicalDistribution, pairs: Sequence[tuple]) -> dict:
     the deficits' values.
     """
     typicality = [typicality_entropy_check(rho, n) for n in TYPICALITY_N]
-    deficits = [c.deficit for c in typicality]
+    deficits = [row["deficit"] for row in typicality]
     rows = insertion_factor_rows(INSERTION_N, INSERTION_RHO)
     return {
         "typicality": typicality,

@@ -99,7 +99,7 @@ class MixingRecord:
 class TypeClassSpectrum:
     """Spectrum of a classical symmetrized mixture, one entry per type class.
 
-    Types are in _type_count_matrix's lexicographic order. Every string of
+    Types are in _type_runs's lexicographic order. Every string of
     type t has the eigenvalue q(t) = rho^t L(t) (see type_class_spectrum);
     weight[t] = mult(t) rho^t is the type's probability under Mult(N, rho),
     excess[t] = L(t) - 1 and log_l[t] = ln L(t). gap() is D(R || rho^{(x)N})
@@ -318,38 +318,35 @@ def _num_types(n_total: int, d: int) -> int:
 
 
 def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
-    """All count vectors (m_1..m_d) with sum n_total, as an int array.
+    """All count vectors (m_1..m_d) with sum n_total, as C-contiguous int64.
 
-    Rows are in lexicographic order, the order of the stars-and-bars bar
-    positions itertools.combinations(range(n_total + d - 1), d - 1) lists.
-    Pass a splits every type's remaining count r into r + 1 types with
-    c = 0..r as symbol a's count, repeating the columns fixed so far; the
-    last symbol takes what remains. The budget is checked before anything is
-    allocated. type_class_spectrum never builds it for d symbols (see
-    _type_runs); TypeClassSpectrum.counts builds it on request.
+    Filled run by run from _type_runs, in its order: symbol a's column takes
+    the counts index[a] picks from 0..N. The budget is checked before
+    anything is allocated. TypeClassSpectrum.counts builds it on request,
+    and _type_runs for d - 1 symbols at d >= 4.
     """
-    _num_types(n_total, d)
-    rest = np.array([n_total], dtype=np.int64)
-    columns = []
-    for _ in range(d - 1):
-        width = rest + 1
-        c = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-        rest = np.repeat(rest, width) - c
-        columns = [np.repeat(col, width) for col in columns] + [c]
-    return np.stack(columns + [rest], axis=1)
+    counts = np.empty((_num_types(n_total, d), d), np.int64)
+    c = np.arange(n_total + 1)
+    for rows, index in _type_runs(n_total, d):
+        for a, i in enumerate(index):
+            counts[rows, a] = c[i]
+    return counts
 
 
 def _type_runs(n_total: int, d: int):
-    """Yield (rows, index) per run of _type_count_matrix(n_total, d)'s rows.
+    """Yield (rows, index) per run of the d-symbol types for N = n_total.
 
     index[a] picks symbol a's count in every row of the run: an int, a
     slice or an int array, to index a per-symbol table of length N + 1.
+    The types are in lexicographic order, the order of the stars-and-bars
+    bar positions itertools.combinations(range(N + d - 1), d - 1) lists.
     d = 1 is its single type, and d = 2 one run, c0 = 0..N against N - c0.
     For d >= 3 the types with first count c0 are one run, and it equals the
-    last C(N - c0 + d - 2, d - 2) rows of the (d-1)-symbol matrix for N with
-    its first column less c0: N + 1 runs. d >= 4 gathers from that small
-    matrix; at d = 3 a run is c1 = 0..N - c0 against N - c0 - c1, two
-    slices, which skip the gathers.
+    last C(N - c0 + d - 2, d - 2) rows of the (d-1)-symbol count matrix for
+    N with its first column less c0: N + 1 runs. d >= 4 gathers from that
+    small matrix, itself filled from these runs for d - 1; at d = 3 a run
+    is c1 = 0..N - c0 against N - c0 - c1, two slices, which skip the
+    gathers.
     """
     if d == 1:
         yield slice(0, 1), [n_total]
@@ -453,11 +450,11 @@ def type_class_spectrum(
         q(t) = (prod_a rho_a^{t_a}) * L(t),   L = e_m(ratio multiset) / C(N, m)
 
     with ratios sigma_a / rho_a and multiplicity N!/prod t_a!; E[L] = 1 under
-    Mult(N, rho). Types are in _type_count_matrix's order, over the symbols
-    rho holds (see _supported_pair), and come run by run from _type_runs:
-    one run per first-symbol count, with no d-symbol count matrix. Each
-    run's entries are left folds, symbol by symbol, of lookups in per-symbol
-    tables of length N + 1. They give every type's log weight
+    Mult(N, rho). Types come run by run from _type_runs, in its order, over
+    the symbols rho holds (see _supported_pair): one run per first-symbol
+    count, with no d-symbol count matrix. Each run's entries are left folds,
+    symbol by symbol, of lookups in per-symbol tables of length N + 1. They
+    give every type's log weight
     ln N! + sum_a (c_a ln rho_a - ln c_a!), from one gammaln call, and, for
     m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that
     ln L = log1p(L - 1) with no cancellation. For m >= 2 the placement
@@ -620,9 +617,14 @@ def _commutator_max(sigma: DensityOperator, rho: DensityOperator) -> float:
 def simultaneous_classical_pair(sigma: DensityOperator, rho: DensityOperator) -> tuple:
     """Diagonalize a commuting pair in a joint eigenbasis.
 
-    Returns (sigma_dist, rho_dist) as classical distributions. Degenerate
-    rho-eigenvalue blocks are resolved by diagonalizing sigma within each
-    block, so degeneracy in rho is handled exactly.
+    Returns (sigma_dist, rho_dist) as classical distributions, entry i of
+    each on one joint eigenvector. rho eigenvalues closer than
+    DEGENERACY_GAP form one block, in which sigma is diagonalized, and each
+    eigenvector v of that block carries sigma's eigenvalue and rho's value
+    <v|rho|v> = r_0 + sum_k |v_k|^2 (r_k - r_0), r_0 the block's first rho
+    eigenvalue. A nearly degenerate block so keeps each sigma value with its
+    own rho value, and an exactly degenerate one keeps rho's bits. A block
+    of one keeps both diagonal entries as they are.
     """
     if sigma.dim != rho.dim:
         raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
@@ -634,6 +636,7 @@ def simultaneous_classical_pair(sigma: DensityOperator, rho: DensityOperator) ->
     sigma_in_basis = basis.conj().T @ sigma.entries @ basis
 
     sigma_probs = np.empty(sigma.dim)
+    rho_probs = rho_eigs.copy()
     start = 0
     for stop in range(1, sigma.dim + 1):
         if stop < sigma.dim and rho_eigs[stop] - rho_eigs[stop - 1] < DEGENERACY_GAP:
@@ -642,12 +645,14 @@ def simultaneous_classical_pair(sigma: DensityOperator, rho: DensityOperator) ->
         if stop - start == 1:
             sigma_probs[start] = block[0, 0].real
         else:
-            sigma_probs[start:stop] = np.linalg.eigvalsh(block)
+            sigma_probs[start:stop], vecs = np.linalg.eigh(block)
+            spread = rho_eigs[start:stop] - rho_eigs[start]
+            rho_probs[start:stop] = rho_eigs[start] + (np.abs(vecs) ** 2).T @ spread
         start = stop
 
     return (
         ClassicalDistribution(clamp_spectrum(sigma_probs)),
-        ClassicalDistribution(clamp_spectrum(rho_eigs)),
+        ClassicalDistribution(clamp_spectrum(rho_probs)),
     )
 
 

@@ -40,7 +40,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 def distribution_from_json(obj: dict) -> ClassicalDistribution:
     try:
-        p = obj["p"]
+        p = np.asarray(obj["p"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distribution JSON: {exc}") from exc
-    return ClassicalDistribution(np.asarray(p, dtype=float))
+    return ClassicalDistribution(p)

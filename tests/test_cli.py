@@ -255,6 +255,27 @@ def test_mix_sweep_past_the_weights_precision_fails_loudly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mix_sweep_dense_far_past_the_cap_exits_3(tmp_path, capsys):
+    # 2^20001 has 6021 digits, past what Python formats as a string
+    out = tmp_path / "o"
+    flags = ["--sigma", write_json(tmp_path / "s.json", {"p": [0.3, 0.7]}),
+             "--rho", write_json(tmp_path / "r.json", {"p": [0.7, 0.3]}),
+             "--n-list", "20000", "--method", "dense", "--out-dir", str(out)]
+    assert main(["mix-sweep"] + flags) == 3
+    assert "dense dimension 2^20001 exceeds cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mix_sweep_non_list_distribution_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    flags = ["--sigma", write_json(tmp_path / "s.json", {"p": {"a": 1}}),
+             "--rho", write_json(tmp_path / "r.json", {"p": [0.7, 0.3]}),
+             "--n-list", "4", "--out-dir", str(out)]
+    assert main(["mix-sweep"] + flags) == 2
+    assert "malformed distribution JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mix_sweep_dense_quantum_within_cap(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",

@@ -18,7 +18,13 @@ from mixent import (
     run_collision_sequence,
     von_neumann_entropy,
 )
-from mixent.collisions import DENSE_DIM_CAP, LEDGER_CSV_HEADER, kron_sum, site_kron_sum
+from mixent.collisions import (
+    DENSE_DIM_CAP,
+    LEDGER_CSV_HEADER,
+    check_dense_dim,
+    kron_sum,
+    site_kron_sum,
+)
 from mixent.errors import CapExceededError
 from mixent.mixing import kron_all
 
@@ -247,6 +253,13 @@ def test_kron_sum_of_diagonals_with_an_exact_zero():
     for n in range(1, 6):
         _assert_diagonal_build_is_bitwise(a, b, n)
         assert np.count_nonzero(kron_sum(a, b, n)) < 3**n
+
+
+def test_dense_cap_refuses_a_huge_power_without_forming_it():
+    # 2^(10^6) has 301030 digits, past what Python formats as a string
+    with pytest.raises(CapExceededError, match=r"^dense dimension 2\^1000000 exceeds cap 4096$"):
+        check_dense_dim(2, 10**6)
+    check_dense_dim(1, 10**6)     # one level is dimension 1 at any n
 
 
 def test_kron_sum_of_diagonals_refuses_the_cap_before_it_builds(monkeypatch):

@@ -839,6 +839,18 @@ def test_simultaneous_diagonalization_degenerate_rho():
     assert rec.s_mix == pytest.approx(dense.s_mix, abs=1e-9)
 
 
+def test_near_degenerate_rho_keeps_each_sigma_value_with_its_own():
+    # rho's first two eigenvalues are 5e-9 apart, within DEGENERACY_GAP: one
+    # block, whose sigma eigenvalues must stay paired with their rho values
+    sig = ClassicalDistribution([0.5, 0.1, 0.4])
+    rho = ClassicalDistribution([0.3, 0.3 + 5e-9, 0.4 - 5e-9])
+    sig_p, rho_p = simultaneous_classical_pair(sig.as_density(), rho.as_density())
+    assert sorted(zip(rho_p.p, sig_p.p)) == sorted(zip(rho.p, sig.p))
+    oracle = _brute_multi_mixing(sig, rho, 7, 1)
+    for method in ("classical-exact", "dense"):
+        assert abs(mixing_entropy(sig, rho, 6, method=method).s_mix - oracle) <= 1e-12
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("zero_in_sigma", [False, True])
 def test_gap_first_s_mix_matches_the_spectrum_oracle(d, zero_in_sigma):

@@ -61,3 +61,8 @@ def test_malformed_matrix_json_rejected():
         matrix_from_json({"re": [[1]]})
     with pytest.raises(ValueError):
         distribution_from_json({"q": [1.0]})
+
+
+def test_non_list_distribution_json_rejected():
+    with pytest.raises(ValueError, match="malformed distribution JSON"):
+        distribution_from_json({"p": {"a": 1}})
