@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .collisions import (
     DENSE_DIM_CAP,
@@ -35,11 +37,6 @@ from .combinatorics import (
 )
 from .errors import CapExceededError, MixentError
 from .mixing import METHODS, convergence_sweep, records_to_csv
-from .serialize import (
-    distribution_from_json,
-    matrix_from_json,
-    matrix_to_json,
-)
 from .states import (
     ClassicalDistribution,
     DensityOperator,
@@ -181,12 +178,28 @@ def _object_param(params: dict, key: str) -> dict:
     return _checked(key, value, dict)
 
 
-def _load_state_param(params: dict, key: str):
-    """A state is a distribution {p: [...]}, a matrix object, or a file path."""
-    value = _object_param(params, key)
-    if "p" in value:
-        return distribution_from_json(value)
-    return DensityOperator(matrix_from_json(value))
+def _operator_param(params: dict, key: str, kind):
+    """params[key] as kind, from a matrix {"dim": d, "re": [...], "im": [...]}.
+
+    A DensityOperator may instead be a distribution {"p": [...]}, returned as
+    a ClassicalDistribution. Values are read like config values; any other
+    key exits 2.
+    """
+    obj = _object_param(params, key)
+    try:
+        if kind is DensityOperator and "p" in obj:
+            _refuse_unknown(obj, ("p",), "distribution key")
+            return ClassicalDistribution(_list_param(obj, "p", float))
+        _refuse_unknown(obj, ("dim", "re", "im"), "matrix key")
+        dim = _param(obj, "dim", int)
+        re, im = ([[_checked(part, x, float) for x in row] for row in _list_param(obj, part, list)]
+                  for part in ("re", "im"))
+        if dim < 1 or {len(re), len(im), *map(len, re + im)} != {dim}:
+            raise ConfigError(f"'re' and 'im' must each be {dim} lists of {dim} numbers, "
+                              "and 'dim' >= 1")
+    except ConfigError as exc:
+        raise ConfigError(f"parameter {key!r}: {exc}") from exc
+    return kind(np.array(re, dtype=float) + 1j * np.array(im, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +258,7 @@ class RunWriter:
 
 def cmd_gibbs(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg)
-    h = HermitianOperator(matrix_from_json(_object_param(cfg.params, "hamiltonian")))
+    h = _operator_param(cfg.params, "hamiltonian", HermitianOperator)
     beta = _param(cfg.params, "beta", float)
     rho = gibbs_state(h, beta)
     entropy = von_neumann_entropy(rho)
@@ -253,7 +266,8 @@ def cmd_gibbs(cfg: ExperimentConfig) -> int:
         "units": cfg.units,
         "beta": beta,
         "beta_flagged_nonpositive": beta <= 0.0,
-        "state": matrix_to_json(rho.entries),
+        "state": {"dim": rho.dim, "re": rho.entries.real.tolist(),
+                  "im": rho.entries.imag.tolist()},
         **_entropy_fields("entropy", entropy, cfg.units),
     }
     writer.write_json("state.json", out)
@@ -271,11 +285,11 @@ def _collide_instance(cfg: ExperimentConfig):
             raise ConfigError("collide needs 'hamiltonian' or a random-instance 'dim'")
         h = random_hermitian(cfg.require_seed(), d)
     else:
-        h = HermitianOperator(matrix_from_json(_object_param(cfg.params, "hamiltonian")))
+        h = _operator_param(cfg.params, "hamiltonian", HermitianOperator)
     if "unitary" not in cfg.params or cfg.params["unitary"] == "haar":
         u = random_haar_unitary(cfg.require_seed() + 1, h.dim)
     else:
-        u = UnitaryOperator(matrix_from_json(_object_param(cfg.params, "unitary")))
+        u = _operator_param(cfg.params, "unitary", UnitaryOperator)
     return h, u
 
 
@@ -369,8 +383,8 @@ def _gap_plot_svg(records) -> str:
 
 def cmd_mix_sweep(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg)
-    sigma = _load_state_param(cfg.params, "sigma")
-    rho = _load_state_param(cfg.params, "rho")
+    sigma = _operator_param(cfg.params, "sigma", DensityOperator)
+    rho = _operator_param(cfg.params, "rho", DensityOperator)
     n_list = _resolve_n_list(cfg.params)
     method = _param(cfg.params, "method", str, "auto")
     svg = _param(cfg.params, "svg", bool, False)
@@ -401,7 +415,7 @@ def cmd_appendix(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg)
     rho = ClassicalDistribution(TYPICALITY_RHO)
     if "rho" in cfg.params:
-        rho = _load_state_param(cfg.params, "rho")
+        rho = _operator_param(cfg.params, "rho", DensityOperator)
     if not isinstance(rho, ClassicalDistribution):
         raise ConfigError("appendix 'rho' must be a distribution {\"p\": [...]}")
     if cfg.seed is not None:

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfiniteRelativeEntropyError
-from .states import ClassicalDistribution, relative_entropy, shannon_entropy
+from .errors import InfiniteRelativeEntropyError
+from .states import ClassicalDistribution, _check_same_dim, relative_entropy, shannon_entropy
 
 # defaults shared by the `appendix` command and verify criterion 7
 TYPICALITY_RHO = (0.5, 0.5)
@@ -94,8 +94,7 @@ def classical_mixing_increase_formula(
     This is the classical relative entropy S[sigma|rho]; it must match the
     operator-level relative entropy on diagonal embeddings to 1e-12.
     """
-    if sigma.dim != rho.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
+    _check_same_dim(sigma.p, rho.p)
     support = sigma.p > 0.0
     if np.any(rho.p[support] <= 0.0):
         raise InfiniteRelativeEntropyError(

@@ -52,7 +52,9 @@ from .states import (
     ClassicalDistribution,
     DensityOperator,
     HermitianOperator,
-    SUPPORT_TOL,
+    _as_square_complex,
+    _check_same_dim,
+    _check_support,
     clamp_spectrum,
     entropy_of_spectrum,
     relative_entropy,
@@ -158,14 +160,19 @@ class TypeClassSpectrum:
         Every term is >= 0 (1 where L = 0), so no O(N) entropy is formed and
         the gap keeps its relative precision at any N. The sum is divided by
         the weights' sum, which cancels the rounding of ln N! shared by every
-        weight.
+        weight. A type whose L ln L leaves the double range is a cap.
         """
         # L ln L - L + 1, which is 1 where L = 0 (there 1 + excess is 0)
         terms = 1.0 + self.excess
-        np.multiply(terms, self.log_l, out=terms, where=self.excess > -1.0)
-        terms -= self.excess
-        terms *= self.weight
-        return float(terms.sum() / self.weight.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(terms, self.log_l, out=terms, where=self.excess > -1.0)
+            terms -= self.excess
+            terms *= self.weight
+        gap = float(terms.sum() / self.weight.sum())
+        if not math.isfinite(gap):
+            # a type's L ln L passed the double range (its weight may be 0)
+            raise CapExceededError(f"gap term L ln L overflows float range: gap {gap}")
+        return gap
 
     def validate(self):
         """One entry per type; the weights and E[L] = sum(mult q) are 1."""
@@ -237,8 +244,7 @@ def symmetrized_state_dense(
 
     R is float64 when sigma and rho are both real, complex128 otherwise.
     """
-    if sigma.dim != rho.dim:
-        raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
+    _check_same_dim(sigma.entries, rho.entries)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     n_total = n + 1
@@ -382,11 +388,9 @@ def _supported_pair(sigma: ClassicalDistribution, rho: ClassicalDistribution) ->
     Symbols outside rho's support appear in no string; sigma may hold no
     other beyond SUPPORT_TOL, the rounding a joint eigenbasis leaves.
     """
-    if sigma.dim != rho.dim:
-        raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
+    _check_same_dim(sigma.p, rho.p)
     support = rho.p > 0.0
-    if np.any(sigma.p[~support] > SUPPORT_TOL):
-        raise InvalidStateError("sigma has weight outside rho's support")
+    _check_support(sigma.p[~support])
     return sigma.p[support], rho.p[support]
 
 
@@ -469,7 +473,8 @@ def type_class_spectrum(
             f"got m_sigma={m_sigma}, n_total={n_total}"
         )
     sigma_p, rho_p = _supported_pair(sigma, rho)
-    overflow = f"elementary symmetric polynomial e_{m_sigma} overflows float range"
+    overflow = (f"e_{m_sigma} or the placement mean L = e_{m_sigma} / C(N, {m_sigma}) "
+                "overflows float range")
     # the type with every count on the largest ratio has scaled coefficients
     # C(N, k), k <= m: refuse before enumerating when the largest leaves the
     # double range by more than log-gamma's rounding
@@ -505,11 +510,12 @@ def type_class_spectrum(
         with np.errstate(divide="ignore"):
             log_l = np.log1p(excess)
     else:
-        if not np.isfinite(e_m).all():
-            raise CapExceededError(overflow)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             log_l = m_sigma * np.log(scale) + np.log(e_m) - _log_choose(n_total, m_sigma)
-        excess = np.expm1(log_l)
+            excess = np.expm1(log_l)
+        # an overflowing e_m, or an L past the double range, leaves excess inf
+        if not np.isfinite(excess).all():
+            raise CapExceededError(overflow)
     spec = TypeClassSpectrum(
         n_total=n_total,
         m_sigma=m_sigma,
@@ -549,9 +555,7 @@ def permutation_twirl_dense(
     x: np.ndarray, n_total: int, dense_cap: int = DENSE_DIM_CAP
 ) -> np.ndarray:
     """(1/N!) sum_pi P_pi X P_pi† over all N! subsystem permutations."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    x = _as_square_complex(x)
     if n_total > TWIRL_FACTORIAL_CAP:
         raise CapExceededError(
             f"twirl over {n_total}! permutations exceeds cap {TWIRL_FACTORIAL_CAP}!"
@@ -626,8 +630,7 @@ def simultaneous_classical_pair(sigma: DensityOperator, rho: DensityOperator) ->
     own rho value, and an exactly degenerate one keeps rho's bits. A block
     of one keeps both diagonal entries as they are.
     """
-    if sigma.dim != rho.dim:
-        raise DimensionMismatchError(f"dims {sigma.dim} vs {rho.dim}")
+    _check_same_dim(sigma.entries, rho.entries)
     if _commutator_max(sigma, rho) > COMMUTE_TOL:
         raise InvalidStateError(
             f"[sigma, rho] exceeds {COMMUTE_TOL}: states do not commute"
@@ -702,8 +705,7 @@ def mixing_entropy(
     rho_op = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if sigma_op.dim != rho_op.dim:
-        raise DimensionMismatchError(f"dims {sigma_op.dim} vs {rho_op.dim}")
+    _check_same_dim(sigma_op.entries, rho_op.entries)
     commute = _commutator_max(sigma_op, rho_op) <= COMMUTE_TOL
     if method == "auto":
         method = "classical-exact" if commute else "dense"
@@ -714,6 +716,8 @@ def mixing_entropy(
 
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    # refuses sigma off rho's support before R is built
+    s_rel = relative_entropy(sigma_op, rho_op)
     if commute:
         # in a joint eigenbasis R is diagonal and its diagonal is its spectrum
         n_total = n + 1
@@ -727,7 +731,6 @@ def mixing_entropy(
         - n * von_neumann_entropy(rho_op)
         - von_neumann_entropy(sigma_op)
     )
-    s_rel = relative_entropy(sigma_op, rho_op)
     return MixingRecord(n=n, s_mix=s_mix, s_rel=s_rel, gap=s_rel - s_mix, method="dense")
 
 

@@ -126,7 +126,9 @@ class ClassicalDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.p, dtype=float).reshape(-1)
+        v = np.array(self.p, dtype=float)
+        if v.ndim != 1:
+            raise InvalidStateError(f"a distribution is a 1-D vector, got shape {v.shape}")
         if v.size == 0:
             raise InvalidStateError("empty distribution")
         if not np.all(v >= 0.0):
@@ -157,6 +159,14 @@ def clamp_spectrum(eigs: np.ndarray) -> np.ndarray:
 def _check_same_dim(a, b):
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+
+
+def _check_support(outside: np.ndarray):
+    """sigma's weights where rho has none may be rounding (SUPPORT_TOL) only."""
+    if np.any(outside > SUPPORT_TOL):
+        raise InfiniteRelativeEntropyError(
+            "support of sigma is not contained in support of rho"
+        )
 
 
 def gibbs_state(h: HermitianOperator, beta) -> DensityOperator:
@@ -213,10 +223,7 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     ))
     weights = np.where((weights < 0.0) & (weights > -EIG_FLOOR), 0.0, weights)
     zero = rho_eigs <= 0.0
-    if np.any(weights[zero] > SUPPORT_TOL):
-        raise InfiniteRelativeEntropyError(
-            "support of sigma is not contained in support of rho"
-        )
+    _check_support(weights[zero])
     supported = ~zero & (weights > 0.0)
     cross = -math.fsum(weights[supported] * np.log(rho_eigs[supported]))
     return cross - von_neumann_entropy(sigma)

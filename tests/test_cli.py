@@ -12,11 +12,16 @@ import pytest
 
 from mixent import (
     ClassicalDistribution,
+    DensityOperator,
+    HermitianOperator,
     InvalidStateError,
+    UnitaryOperator,
     classical_mixing_entropy_exact,
+    random_haar_unitary,
+    random_hermitian,
     verify,
 )
-from mixent.cli import main
+from mixent.cli import _operator_param, main
 from mixent.mixing import TYPE_CLASS_BUDGET
 from conftest import series_remainder_ratios, verify_manifest
 
@@ -26,11 +31,11 @@ def write_json(path, obj):
     return str(path)
 
 
+QUBIT_H = {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
 def qubit_h_file(tmp_path):
-    return write_json(
-        tmp_path / "H.json",
-        {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-    )
+    return write_json(tmp_path / "H.json", QUBIT_H)
 
 
 def exchange_file(tmp_path):
@@ -42,6 +47,68 @@ def exchange_file(tmp_path):
 
 def load(out_dir, name):
     return json.loads((out_dir / name).read_text())
+
+
+# ---------------------------------------------------------------------------
+# state and matrix objects
+# ---------------------------------------------------------------------------
+
+def _read(obj, kind):
+    """obj through JSON text and the CLI's reader, as parameter 'x' of type kind."""
+    return _operator_param({"x": json.loads(json.dumps(obj))}, "x", kind)
+
+
+def _matrix_json(m):
+    return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def test_matrix_round_trip_is_bit_exact():
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    assert np.array_equal(_read(_matrix_json(m), np.asarray), m)
+
+
+def test_matrix_json_schema_keys(tmp_path):
+    h = write_json(tmp_path / "H0.json", _matrix_json(np.zeros((2, 2))))
+    out = tmp_path / "out"
+    assert main(["gibbs", "--hamiltonian", h, "--beta", "1.0", "--out-dir", str(out)]) == 0
+    obj = load(out, "state.json")["state"]
+    assert set(obj) == {"dim", "re", "im"}
+    assert obj["dim"] == 2
+    assert obj["re"] == [[0.5, 0.0], [0.0, 0.5]]
+    assert obj["im"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_operators_round_trip_and_validate_on_parse():
+    h = random_hermitian(3, 4)
+    assert np.array_equal(_read(_matrix_json(h.entries), HermitianOperator).entries, h.entries)
+    u = random_haar_unitary(3, 4)
+    assert np.array_equal(_read(_matrix_json(u.entries), UnitaryOperator).entries, u.entries)
+    skew = h.entries.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(InvalidStateError):
+        _read(_matrix_json(skew), HermitianOperator)
+    with pytest.raises(InvalidStateError):
+        _read(_matrix_json(2 * u.entries), UnitaryOperator)
+
+
+def test_distribution_round_trip():
+    dist = ClassicalDistribution([0.7, 0.2, 0.1])
+    assert np.array_equal(_read({"p": dist.p.tolist()}, DensityOperator).p, dist.p)
+
+
+def test_malformed_matrix_json_rejected():
+    with pytest.raises(ValueError):
+        _read({"dim": 2, "re": [[1, 0]], "im": [[0, 0], [0, 0]]}, np.asarray)
+    with pytest.raises(ValueError):
+        _read({"re": [[1]]}, np.asarray)
+    with pytest.raises(ValueError):
+        _read({"q": [1.0]}, DensityOperator)
+
+
+def test_non_list_distribution_json_rejected():
+    with pytest.raises(ValueError, match="'p' must be of type list"):
+        _read({"p": {"a": 1}}, DensityOperator)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +339,7 @@ def test_mix_sweep_non_list_distribution_exits_2(tmp_path, capsys):
              "--rho", write_json(tmp_path / "r.json", {"p": [0.7, 0.3]}),
              "--n-list", "4", "--out-dir", str(out)]
     assert main(["mix-sweep"] + flags) == 2
-    assert "malformed distribution JSON" in capsys.readouterr().err
+    assert "parameter 'sigma': 'p' must be of type list" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -524,6 +591,11 @@ def test_nonpositive_dense_cap_rejected(tmp_path):
 SWEEP_STATES = {"sigma": {"p": [0.3, 0.7]}, "rho": {"p": [0.7, 0.3]}}
 
 
+def _sweep(sigma, rho):
+    return {"sigma": sigma, "rho": rho, "n_list": [1, 2, 4]}
+
+
+# key "a.b" names parameter 'a' and its object's key 'b'
 @pytest.mark.parametrize("command, top, params, key", [
     # rho.json holds a density matrix; appendix needs a distribution
     ("appendix", {}, {"rho": "rho.json"}, "rho"),
@@ -534,6 +606,22 @@ SWEEP_STATES = {"sigma": {"p": [0.3, 0.7]}, "rho": {"p": [0.7, 0.3]}}
     ("appendix", {"dense_cap": "16"}, {}, "dense_cap"),
     ("mix-sweep", {}, {**SWEEP_STATES, "n_list": [1, 2, 4], "svg": "false"}, "svg"),
     ("mix-sweep", {}, {**SWEEP_STATES, "n_list": [1, 2, 4], "method": 1}, "method"),
+    # state and matrix objects: each value is typed, and no key is ignored
+    ("mix-sweep", {}, _sweep({"p": [[0.2, 0.3], [0.1, 0.4]]}, {"p": [0.25] * 4}), "sigma.p"),
+    ("mix-sweep", {}, _sweep({"p": [True, False]}, {"p": [0.5, 0.5]}), "sigma.p"),
+    ("mix-sweep", {}, _sweep({"p": [0.3, 0.7]}, {"p": ["0.7", "0.3"]}), "rho.p"),
+    ("mix-sweep", {}, _sweep({"p": [0.3, 0.7], "comment": "x"}, {"p": [0.7, 0.3]}),
+     "sigma.comment"),
+    ("gibbs", {}, {"beta": 1.0, "hamiltonian": {**QUBIT_H, "dim": 2.5}}, "hamiltonian.dim"),
+    ("gibbs", {}, {"beta": 1.0, "hamiltonian": {**QUBIT_H, "dim": "2"}}, "hamiltonian.dim"),
+    ("gibbs", {}, {"beta": 1.0, "hamiltonian": {"dim": True, "re": [[0.0]], "im": [[0.0]]}},
+     "hamiltonian.dim"),
+    ("gibbs", {}, {"beta": 1.0, "hamiltonian": {**QUBIT_H, "re": [["0.5", "0"], ["0", "1"]]}},
+     "hamiltonian.re"),
+    ("gibbs", {}, {"beta": 1.0, "hamiltonian": {**QUBIT_H, "comment": "x"}},
+     "hamiltonian.comment"),
+    ("collide", {}, {"beta": 1.0, "collisions": 1, "reservoir_size": 1, "hamiltonian": QUBIT_H,
+                     "unitary": {**QUBIT_H, "re": [[False, True], [True, False]]}}, "unitary.re"),
 ])
 def test_malformed_input_exits_2_naming_the_parameter(tmp_path, monkeypatch, capsys,
                                                       command, top, params, key):
@@ -543,7 +631,8 @@ def test_malformed_input_exits_2_naming_the_parameter(tmp_path, monkeypatch, cap
     cfg = write_json(tmp_path / "cfg.json",
                      {**top, "command": {"name": command, "params": params}})
     assert main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(f"'{name}'" in err for name in key.split("."))
     assert not (tmp_path / "o").exists()
 
 

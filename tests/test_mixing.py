@@ -15,6 +15,7 @@ from mixent import (
     DensityOperator,
     DimensionMismatchError,
     HermitianOperator,
+    InfiniteRelativeEntropyError,
     InvalidStateError,
     classical_mixing_entropy_exact,
     convergence_sweep,
@@ -359,8 +360,15 @@ def test_two_sigma_spectrum_matches_placement_enumeration(n_total):
 
 
 def test_type_class_spectrum_requires_full_support():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InfiniteRelativeEntropyError):
         type_class_spectrum(SIGMA_CLASSICAL, ClassicalDistribution([1.0, 0.0]), 3)
+
+
+@pytest.mark.parametrize("method", ["auto", "classical-exact", "dense"])
+def test_every_method_refuses_sigma_off_rho_support_alike(method):
+    with pytest.raises(InfiniteRelativeEntropyError, match="not contained in support of rho"):
+        mixing_entropy(ClassicalDistribution([0.5, 0.5]), ClassicalDistribution([1.0, 0.0]),
+                       3, method=method)
 
 
 def test_type_class_budget():
@@ -902,7 +910,7 @@ def test_gap_series_lives_on_rho_support():
                              ClassicalDistribution([0.7, 0.3, 0.0]))
     assert pair == mixing.gap_series(ClassicalDistribution([0.3, 0.7]),
                                      ClassicalDistribution([0.7, 0.3]))
-    with pytest.raises(InvalidStateError, match="outside rho's support"):
+    with pytest.raises(InfiniteRelativeEntropyError, match="not contained in support of rho"):
         mixing.gap_series(ClassicalDistribution([0.3, 0.6, 0.1]),
                           ClassicalDistribution([0.7, 0.3, 0.0]))
 
@@ -1018,7 +1026,7 @@ def test_multi_validates_arguments():
         classical_mixing_entropy_exact(SIGMA_CLASSICAL, RHO_CLASSICAL, 4, 0)
     with pytest.raises(ValueError):     # m_sigma = n_total leaves no rho
         classical_mixing_entropy_exact(SIGMA_CLASSICAL, RHO_CLASSICAL, 0, 4)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InfiniteRelativeEntropyError):
         classical_mixing_entropy_exact(
             SIGMA_CLASSICAL, ClassicalDistribution([1.0, 0.0]), 2, 2
         )
@@ -1065,9 +1073,22 @@ def test_multi_overflow_raises_cap_exceeded(monkeypatch):
     assert enumerated == []
 
 
+# one sigma symbol has ratio 999 and the other 1/999: the all-argmax type's L
+# passes the double range at m = 103, and its L ln L at m = 102
+ARGMAX_PAIR = (ClassicalDistribution([0.001, 0.999]), ClassicalDistribution([0.999, 0.001]))
+
+
+def test_multi_overflowing_placement_mean_is_refused():
+    assert classical_mixing_entropy_exact(*ARGMAX_PAIR, 103, 101).gap == 558.6723701149836
+    # neither a NaN gap (m = 102) nor a state called invalid (m = 103)
+    for m_sigma in (102, 103):
+        with pytest.raises(CapExceededError, match="overflows float range"):
+            classical_mixing_entropy_exact(*ARGMAX_PAIR, 204 - m_sigma, m_sigma)
+
+
 def test_multi_overflow_within_the_rounding_margin_is_refused_after_enumerating(monkeypatch):
     # ln C(1030, 515) = 710.2 lies within the 1 nat allowed for log-gamma's
-    # rounding: all 1031 types are enumerated, and the finite check on e_m refuses
+    # rounding: all 1031 types are enumerated, and the finite check on L refuses
     assert mixing.LOG_FLOAT_MAX < mixing._log_choose(1030, 515) <= mixing.LOG_FLOAT_MAX + 1.0
     enumerated = _enumerations(monkeypatch)
     with pytest.raises(CapExceededError, match="overflows float range"):

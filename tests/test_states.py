@@ -79,6 +79,14 @@ def test_distribution_invariants():
         ClassicalDistribution([1.2, -0.2])
 
 
+def test_distribution_is_a_vector():
+    # a 2 x 2 table of probabilities is not a 4-symbol distribution
+    with pytest.raises(InvalidStateError, match=r"1-D vector, got shape \(2, 2\)"):
+        ClassicalDistribution([[0.2, 0.3], [0.1, 0.4]])
+    with pytest.raises(InvalidStateError, match=r"got shape \(\)"):
+        ClassicalDistribution(1.0)
+
+
 @pytest.mark.parametrize("build,message", [
     (lambda: HermitianOperator([[0.0, 1.0], [0.0, 0.0]]),
      "matrix is not Hermitian to 1e-12"),
