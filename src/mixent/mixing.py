@@ -13,7 +13,11 @@ their joint eigenbasis); and, for commuting states, the gap first,
 gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}), as a sum of
 nonnegative terms over the type classes, with S_mix = S[sigma|rho] - gap.
 One exact type-class spectrum holds both: its gap() is the route's, its
-entropy() is S[R], the gap's oracle at small n.
+entropy() is S[R], the gap's oracle at small n. For m = 1 the gap is an
+expectation under Mult(N, rho), whose mass lies within O(sqrt N) of N rho,
+so the gap's arrays cover only the types in a Hoeffding box about N rho
+(_typical_box); the types outside add at most GAP_TAIL to the gap. The
+oracles still cover every type.
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho];
 for commuting states gap_series gives the rate, the first three terms of the
 gap's series in 1/N. The type-class route also spreads m sigma factors over
@@ -54,7 +58,7 @@ from .states import (
     HermitianOperator,
     _as_square_complex,
     _check_same_dim,
-    _check_support,
+    _supported_pair,
     clamp_spectrum,
     entropy_of_spectrum,
     relative_entropy,
@@ -63,6 +67,8 @@ from .states import (
 
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
+# the most the types outside _typical_box add to an m = 1 gap
+GAP_TAIL = 1e-20
 COMMUTE_TOL = 1e-10
 NORMALIZATION_TOL = 1e-9
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -102,14 +108,17 @@ class TypeClassSpectrum:
     """Spectrum of a classical symmetrized mixture, one entry per type class.
 
     Types are in _type_runs's lexicographic order. Every string of
-    type t has the eigenvalue q(t) = rho^t L(t) (see type_class_spectrum);
+    type t has the eigenvalue q(t) = rho^t L(t) (see type_class_spectrum).
+    weight, excess and log_l cover the kept types, those in _typical_box:
     weight[t] = mult(t) rho^t is the type's probability under Mult(N, rho),
     excess[t] = L(t) - 1 and log_l[t] = ln L(t). gap() is D(R || rho^{(x)N})
-    from these. counts[t], the symbol-count vector of type t, is built on
-    first use, as are what the oracles read from it: entropy() is S[R], the
-    gap's oracle at small N, from the log-eigenvalue log_q (-inf for
-    eigenvalue 0) and the log multiplicity log_mult, formed from counts and
-    the supported sigma_p and rho_p.
+    from these. For m >= 2 every type is kept; for m = 1 the types outside
+    the box move the gap by at most 2 GAP_TAIL. The oracle side covers every
+    type: counts[t], the symbol-count vector of type t, is built on first
+    use, as are what the oracles read from it: entropy() is S[R], the gap's
+    oracle at small N, from the log-eigenvalue log_q (-inf for eigenvalue 0)
+    and the log multiplicity log_mult, formed from counts and the supported
+    sigma_p and rho_p; exact_multiplicities() reads counts too.
     """
 
     n_total: int
@@ -175,8 +184,9 @@ class TypeClassSpectrum:
         return gap
 
     def validate(self):
-        """One entry per type; the weights and E[L] = sum(mult q) are 1."""
-        num_types = _num_types(self.n_total, len(self.rho_p))
+        """One entry per kept type; the weights and E[L] = sum(mult q) are 1."""
+        box = _typical_box(self.sigma_p, self.rho_p, self.n_total, self.m_sigma)
+        num_types = _num_types(self.n_total, *box)
         if len(self.weight) != num_types:
             raise InvalidStateError(
                 f"{len(self.weight)} type weights for {num_types} type classes"
@@ -313,9 +323,22 @@ def gammaln(x):
     return scipy_gammaln(x)
 
 
-def _num_types(n_total: int, d: int) -> int:
-    """C(N + d - 1, d - 1) count vectors, refused past TYPE_CLASS_BUDGET."""
-    num_types = math.comb(n_total + d - 1, d - 1)
+def _num_types(n_total: int, lo: Sequence[int], hi: Sequence[int]) -> int:
+    """Count vectors with sum N in the box lo_a <= c_a <= hi_a, refused past
+    TYPE_CLASS_BUDGET.
+
+    Inclusion-exclusion over the symbols whose upper bound binds, in Python
+    integers, so that nothing is allocated; the full box [0, N]^d has
+    C(N + d - 1, d - 1).
+    """
+    d, free = len(lo), n_total - sum(lo)
+    widths = [h - l + 1 for l, h in zip(lo, hi) if h - l < free]
+    num_types = sum(
+        (-1) ** k * math.comb(free - sum(over) + d - 1, d - 1)
+        for k in range(len(widths) + 1)
+        for over in itertools.combinations(widths, k)
+        if sum(over) <= free
+    )
     if num_types > TYPE_CLASS_BUDGET:
         raise CapExceededError(
             f"{num_types} type classes exceed the enumeration budget {TYPE_CLASS_BUDGET}"
@@ -326,53 +349,102 @@ def _num_types(n_total: int, d: int) -> int:
 def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
     """All count vectors (m_1..m_d) with sum n_total, as C-contiguous int64.
 
-    Filled run by run from _type_runs, in its order: symbol a's column takes
-    the counts index[a] picks from 0..N. The budget is checked before
-    anything is allocated. TypeClassSpectrum.counts builds it on request,
-    and _type_runs for d - 1 symbols at d >= 4.
+    Filled run by run from _type_runs over the full box [0, N]^d, in its
+    order: symbol a's column takes the counts index[a] picks from 0..N. The
+    budget is checked before anything is allocated.
+    TypeClassSpectrum.counts builds it on request, and _type_runs for d - 1
+    symbols at d >= 4.
     """
-    counts = np.empty((_num_types(n_total, d), d), np.int64)
+    lo, hi = [0] * d, [n_total] * d
+    counts = np.empty((_num_types(n_total, lo, hi), d), np.int64)
     c = np.arange(n_total + 1)
-    for rows, index in _type_runs(n_total, d):
+    for rows, index in _type_runs(n_total, lo, hi):
         for a, i in enumerate(index):
             counts[rows, a] = c[i]
     return counts
 
 
-def _type_runs(n_total: int, d: int):
-    """Yield (rows, index) per run of the d-symbol types for N = n_total.
+def _span(first: int, last: int) -> slice:
+    """The counts first..last, descending when last < first."""
+    if last >= first:
+        return slice(first, last + 1)
+    return slice(first, last - 1 if last > 0 else None, -1)
 
+
+def _type_runs(n_total: int, lo: Sequence[int], hi: Sequence[int]):
+    """Yield (rows, index) per run of the types in the box lo_a <= c_a <= hi_a.
+
+    d = len(lo) symbols and N = n_total; the box [0, N]^d is every type.
     index[a] picks symbol a's count in every row of the run: an int, a
     slice or an int array, to index a per-symbol table of length N + 1.
     The types are in lexicographic order, the order of the stars-and-bars
-    bar positions itertools.combinations(range(N + d - 1), d - 1) lists.
-    d = 1 is its single type, and d = 2 one run, c0 = 0..N against N - c0.
-    For d >= 3 the types with first count c0 are one run, and it equals the
-    last C(N - c0 + d - 2, d - 2) rows of the (d-1)-symbol count matrix for
-    N with its first column less c0: N + 1 runs. d >= 4 gathers from that
-    small matrix, itself filled from these runs for d - 1; at d = 3 a run
-    is c1 = 0..N - c0 against N - c0 - c1, two slices, which skip the
-    gathers.
+    bar positions itertools.combinations(range(N + d - 1), d - 1) lists,
+    and rows number the box's types alone. d = 1 is its single type, and
+    d = 2 one run, c0 against N - c0, c0 clipped to both symbols' bounds.
+    For d >= 3 the types with first count c0, for each c0 in the first
+    symbol's bounds, are one run. At d = 3 a run is c1 against
+    N - c0 - c1, two slices that skip the gathers, c1 clipped to its bounds
+    and c2's. At d >= 4 a run is the last C(N - c0 + d - 2, d - 2) rows of
+    the (d-1)-symbol count matrix for N with its first column less c0, a
+    gather from that small matrix, itself filled from these runs for
+    d - 1; only the first symbol's bounds are read, so the others must be
+    0..N (see _typical_box).
     """
+    d = len(lo)
     if d == 1:
         yield slice(0, 1), [n_total]
         return
     if d == 2:
-        yield slice(0, n_total + 1), [slice(None), slice(None, None, -1)]
+        first, last = max(lo[0], n_total - hi[1]), min(hi[0], n_total - lo[1])
+        yield (slice(0, last - first + 1),
+               [_span(first, last), _span(n_total - first, n_total - last)])
         return
     # the (d-1)-symbol matrix by symbol, so that each gathered column is contiguous
     tail = np.ascontiguousarray(_type_count_matrix(n_total, d - 1).T) if d > 3 else None
     start = 0
-    for c0 in range(n_total + 1):
+    for c0 in range(lo[0], hi[0] + 1):
         rest = n_total - c0
-        size = math.comb(rest + d - 2, d - 2)
         if tail is None:
-            index = [c0, slice(0, rest + 1), slice(rest, None, -1)]
+            first, last = max(lo[1], rest - hi[2]), min(hi[1], rest - lo[2])
+            if first > last:
+                continue
+            size = last - first + 1
+            index = [c0, _span(first, last), _span(rest - first, rest - last)]
         else:
+            size = math.comb(rest + d - 2, d - 2)
             run = tail[:, tail.shape[1] - size:]
             index = [c0, run[0] - c0, *run[1:]]
         yield slice(start, start + size), index
         start += size
+
+
+def _typical_box(sigma_p: np.ndarray, rho_p: np.ndarray, n_total: int, m_sigma: int) -> tuple:
+    """(lo, hi): the per-symbol count bounds of the types a spectrum keeps.
+
+    For m = 1 the gap is E[f(L)] under Mult(N, rho), f(L) = L ln L - L + 1
+    with f(0) = 1, and L is a mean of the ratios r = sigma/rho, so f being
+    convex every term is at most B = max(f(r_min), f(r_max)). By Hoeffding's
+    inequality (JASA 58, 1963) and a union over the d symbols, at most
+    eps = GAP_TAIL / max(1, B) of Mult(N, rho) lies outside the box
+    |c_a - N rho_a| < t, t = sqrt(N/2 ln(2d/eps)), whose bounds are rounded
+    outward. So the types outside add at most GAP_TAIL to the gap, and once
+    the kept weights are normalized the gap moves by at most 2 GAP_TAIL. At
+    d >= 4 only the first symbol is bounded, as _type_runs reads no other
+    bound there; the kept types still hold the box. For m >= 2 the box is
+    [0, N]^d: the overflow refusals are defined over every type.
+    """
+    d = len(rho_p)
+    lo, hi = [0] * d, [n_total] * d
+    if m_sigma > 1:
+        return lo, hi
+    ratios = sigma_p / rho_p
+    bound = max(1.0, *(r * math.log(r) - r + 1.0 if r > 0.0 else 1.0
+                       for r in (float(ratios.min()), float(ratios.max()))))
+    t = math.sqrt(n_total / 2 * math.log(2 * d * bound / GAP_TAIL))
+    for a in range(1 if d >= 4 else d):
+        lo[a] = math.floor(max(0.0, n_total * rho_p[a] - t))
+        hi[a] = math.ceil(min(n_total, n_total * rho_p[a] + t))
+    return lo, hi
 
 
 def _fold(out: np.ndarray, first: float, tables: np.ndarray, index: list):
@@ -380,18 +452,6 @@ def _fold(out: np.ndarray, first: float, tables: np.ndarray, index: list):
     np.add(first, tables[0][index[0]], out=out)
     for table, i in zip(tables[1:], index[1:]):
         out += table[i]
-
-
-def _supported_pair(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tuple:
-    """(sigma, rho) probabilities on rho's support.
-
-    Symbols outside rho's support appear in no string; sigma may hold no
-    other beyond SUPPORT_TOL, the rounding a joint eigenbasis leaves.
-    """
-    _check_same_dim(sigma.p, rho.p)
-    support = rho.p > 0.0
-    _check_support(sigma.p[~support])
-    return sigma.p[support], rho.p[support]
 
 
 def gap_series(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tuple:
@@ -456,16 +516,20 @@ def type_class_spectrum(
     with ratios sigma_a / rho_a and multiplicity N!/prod t_a!; E[L] = 1 under
     Mult(N, rho). Types come run by run from _type_runs, in its order, over
     the symbols rho holds (see _supported_pair): one run per first-symbol
-    count, with no d-symbol count matrix. Each run's entries are left folds,
-    symbol by symbol, of lookups in per-symbol tables of length N + 1. They
-    give every type's log weight
-    ln N! + sum_a (c_a ln rho_a - ln c_a!), from one gammaln call, and, for
-    m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that
+    count, with no d-symbol count matrix. For m = 1 only the types in
+    _typical_box, within O(sqrt N) of N rho, are enumerated, which moves
+    the gap by at most 2 GAP_TAIL; for m >= 2 every type is. The oracle
+    side of the spectrum (counts, log_q, log_mult) covers every type.
+    Each run's entries are left folds, symbol by symbol, of lookups in
+    per-symbol tables of length N + 1. They give every kept type's log
+    weight ln N! + sum_a (c_a ln rho_a - ln c_a!), from one gammaln call,
+    and, for m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that
     ln L = log1p(L - 1) with no cancellation. For m >= 2 the placement
     polynomial prod_a (1 + r_a x)^{c_a}, truncated at x^m, is multiplied up
     symbol by symbol, its ratios scaled by their maximum so that every
-    coefficient stays at or below C(N, k). The budget is checked before
-    anything is allocated, and the spectrum is validated before it is used.
+    coefficient stays at or below C(N, k). The budget counts the kept types
+    and is checked before anything is allocated, and the spectrum is
+    validated before it is used.
     """
     if not 1 <= m_sigma < n_total:
         raise ValueError(
@@ -480,7 +544,8 @@ def type_class_spectrum(
     # double range by more than log-gamma's rounding
     if m_sigma > 1 and _log_choose(n_total, min(m_sigma, n_total // 2)) > LOG_FLOAT_MAX + 1.0:
         raise CapExceededError(overflow)
-    num_types = _num_types(n_total, len(rho_p))
+    lo, hi = _typical_box(sigma_p, rho_p, n_total, m_sigma)
+    num_types = _num_types(n_total, lo, hi)
     c = np.arange(n_total + 1)
     lgamma = gammaln(np.arange(n_total + 2))    # ln k! = lgamma[k + 1]
     log_w_table = np.log(rho_p)[:, None] * c - lgamma[1:]
@@ -494,7 +559,7 @@ def type_class_spectrum(
         with np.errstate(over="ignore", invalid="ignore"):
             factors = _placement_factors(ratios / scale, n_total, m_sigma)
         e_m = np.empty(num_types)
-    for rows, index in _type_runs(n_total, len(rho_p)):
+    for rows, index in _type_runs(n_total, lo, hi):
         _fold(log_w[rows], lgamma[n_total + 1], log_w_table, index)
         if m_sigma == 1:
             _fold(excess[rows], 0.0, shift, index)

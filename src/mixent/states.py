@@ -169,6 +169,24 @@ def _check_support(outside: np.ndarray):
         )
 
 
+def _supported_pair(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tuple:
+    """(sigma, rho) probabilities on rho's support.
+
+    sigma may hold weight off it up to SUPPORT_TOL, the rounding a joint
+    eigenbasis leaves; that weight is dropped and the rest renormalized, so
+    that both terms of S[sigma|rho] see one sigma. With none to drop, the
+    probabilities keep their bits.
+    """
+    _check_same_dim(sigma.p, rho.p)
+    support = rho.p > 0.0
+    outside = sigma.p[~support]
+    _check_support(outside)
+    sigma_p = sigma.p[support]
+    if outside.any():
+        sigma_p = sigma_p / sigma_p.sum()
+    return sigma_p, rho.p[support]
+
+
 def gibbs_state(h: HermitianOperator, beta) -> DensityOperator:
     """Gibbs equilibrium state e^{-beta H} / tr e^{-beta H}.
 
@@ -212,7 +230,9 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
 
     Nonnegative; zero iff sigma equals rho. If sigma has support where rho
     has none the value is +infinity, reported as an explicit error rather
-    than a large float.
+    than a large float. Weight off rho's support up to SUPPORT_TOL is
+    rounding: it is dropped from both terms, sigma projected onto the
+    support and renormalized, as _supported_pair does for distributions.
     """
     _check_same_dim(sigma.entries, rho.entries)
     rho_eigs, rho_basis = np.linalg.eigh(rho.entries)
@@ -224,9 +244,17 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     weights = np.where((weights < 0.0) & (weights > -EIG_FLOOR), 0.0, weights)
     zero = rho_eigs <= 0.0
     _check_support(weights[zero])
-    supported = ~zero & (weights > 0.0)
+    if weights[zero].any():
+        basis = rho_basis[:, ~zero]
+        block = basis.conj().T @ sigma.entries @ basis
+        block /= block.trace().real
+        s_sigma = entropy_of_spectrum(clamp_spectrum(np.linalg.eigvalsh(block)))
+        weights, rho_eigs = block.diagonal().real, rho_eigs[~zero]
+    else:
+        s_sigma = von_neumann_entropy(sigma)
+    supported = (rho_eigs > 0.0) & (weights > 0.0)
     cross = -math.fsum(weights[supported] * np.log(rho_eigs[supported]))
-    return cross - von_neumann_entropy(sigma)
+    return cross - s_sigma
 
 
 def energy_mean(rho: DensityOperator, h: HermitianOperator) -> float:

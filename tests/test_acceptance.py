@@ -132,7 +132,7 @@ def test_criterion_9_determinism(outcome, tmp_path):
 
 # sha256 of the report bytes as RunWriter.write_json writes them (numpy 2.4.6,
 # scipy 1.17.1, the versions CI pins)
-VERIFY_REPORT_SHA256 = "dcafeca3ca52bf489942c1ae975e45ff4b7af8ce4de6a60629459e3e42590e1d"
+VERIFY_REPORT_SHA256 = "42b510b776a1a85ef4f0c666777d7195b678cbdda7e7f3ddae6defaa2f972435"
 APPENDIX_REPORT_SHA256 = {
     None: "73f1ee56947fbbc8e7db2a32806e4f3fb3945b7b657990c24447f5bf5d522f51",
     9: "88adaa0a5f9e0442454cf8b2ecadeb2eeeeeb7d741e4f907452563ff58124dbe",

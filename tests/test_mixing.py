@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -371,10 +372,15 @@ def test_every_method_refuses_sigma_off_rho_support_alike(method):
                        3, method=method)
 
 
+# the spectrum keeps the types in its Hoeffding box: 9767003 of them at d=2
+# and 7184269 at d=3, both past the budget
+KEPT_PAST_BUDGET = {2: 10**12, 3: 10**5}
+
+
 def test_type_class_budget():
-    # d=2 has n_total + 1 types: one past the budget raises before enumerating
+    # the budget counts the kept types, and raises before enumerating
     with pytest.raises(CapExceededError):
-        type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, TYPE_CLASS_BUDGET)
+        type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, KEPT_PAST_BUDGET[2])
 
 
 def test_type_class_budget_checked_before_allocating(monkeypatch):
@@ -385,10 +391,11 @@ def test_type_class_budget_checked_before_allocating(monkeypatch):
     for name in ("arange", "column_stack", "empty", "full", "repeat", "zeros"):
         monkeypatch.setattr(np, name, enumerated)
     monkeypatch.setattr(mixing, "gammaln", enumerated)
-    # C(3165, 2) = 5006630 types at d=3
+    # every type: n_total + 1 at d=2, and C(3165, 2) = 5006630 at d=3
     for n_total, d in [(TYPE_CLASS_BUDGET, 2), (3163, 3)]:
         with pytest.raises(CapExceededError):
             _type_count_matrix(n_total, d)
+    for d, n_total in KEPT_PAST_BUDGET.items():
         with pytest.raises(CapExceededError):
             type_class_spectrum(*pairs[d], n_total)
 
@@ -426,13 +433,22 @@ def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
     return np.exp(log_w), np.expm1(log_l), log_l
 
 
+def kept_rows(sig_p, rho_p, n_total, m_sigma):
+    """Which rows of the full count matrix lie in the spectrum's kept box."""
+    lo, hi = mixing._typical_box(sig_p, rho_p, n_total, m_sigma)
+    counts = _type_count_matrix(n_total, len(rho_p))
+    return ((counts >= lo) & (counts <= hi)).all(axis=1)
+
+
 def _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma):
+    """The spectrum's arrays are the count-matrix rows inside the kept box."""
     sig_p, rho_p = np.asarray(sig_p), np.asarray(rho_p)
     spec = type_class_spectrum(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p),
                                n_total, m_sigma)
     oracle = count_matrix_arrays(sig_p, rho_p, n_total, m_sigma)
+    kept = kept_rows(sig_p, rho_p, n_total, m_sigma)
     for got, want in zip((spec.weight, spec.excess, spec.log_l), oracle):
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want[kept].tobytes()
     assert np.array_equal(spec.counts, _type_count_matrix(n_total, len(rho_p)))
 
 
@@ -465,6 +481,57 @@ def test_type_runs_give_the_count_matrix_arrays_bit_for_bit_at_large_n(
     sig_p, rho_p, n_total, m_sigma
 ):
     _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma)
+
+
+WINDOW_CASES = [     # (sigma, rho, N), each with types outside the box
+    *[([0.3, 0.7], [0.7, 0.3], n) for n in (64, 513, 2049)],
+    *[([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], n) for n in (65, 401, 2049)],
+    *[([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], n) for n in (81, 161)],
+]
+
+
+def _gap_term(l):
+    """L ln L - L + 1, with 1 at L = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(l > 0.0, l * np.log(l) - l + 1.0, 1.0)
+
+
+@pytest.mark.parametrize("sig_p,rho_p,n_total", WINDOW_CASES,
+                         ids=[f"d{len(c[1])}-{c[2]}" for c in WINDOW_CASES])
+def test_window_gap_is_the_full_gap_within_its_tail_bound(sig_p, rho_p, n_total):
+    sig_p, rho_p = np.array(sig_p), np.array(rho_p)
+    spec = type_class_spectrum(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p),
+                               n_total)
+    weight, excess, log_l = count_matrix_arrays(sig_p, rho_p, n_total, 1)
+    kept = kept_rows(sig_p, rho_p, n_total, 1)
+    assert len(spec.weight) == kept.sum() < len(kept)
+    full_gap = replace(spec, weight=weight, excess=excess, log_l=log_l).gap()
+    assert abs(spec.gap() - full_gap) <= 2 * mixing.GAP_TAIL + 4 * math.ulp(full_gap)
+    # Hoeffding's bound on the dropped Mult(N, rho) mass, from the ratios' end terms
+    ratios = sig_p / rho_p
+    eps = mixing.GAP_TAIL / max(1.0, *_gap_term(np.array([ratios.min(), ratios.max()])))
+    total = weight.sum()
+    assert weight[~kept].sum() / total <= eps
+    assert (weight * _gap_term(1.0 + excess))[~kept].sum() / total <= mixing.GAP_TAIL
+
+
+def test_window_of_identical_states_has_a_gap_of_exactly_zero():
+    rho = _c4_pair(3)[1]
+    spec = type_class_spectrum(rho, rho, 30001)
+    assert len(spec.weight) < math.comb(30003, 2)
+    assert spec.gap() == 0.0
+
+
+@pytest.mark.parametrize("n", [10**4, 3 * 10**4])
+def test_window_reaches_d3_past_the_full_enumeration(n):
+    # every type would be C(n + 3, 2), ten times the budget or more
+    assert math.comb(n + 3, 2) > 10 * TYPE_CLASS_BUDGET
+    sig, rho = _c4_pair(3)
+    start = time.perf_counter()
+    rec = classical_mixing_entropy_exact(sig, rho, n)
+    assert time.perf_counter() - start < 1.0
+    ratios = series_remainder_ratios(sig.p, rho.p, [(n, rec.gap)])
+    assert ratios[0] <= DEFAULT_TOLERANCES["series_remainder"]
 
 
 def test_gap_route_never_builds_the_d_symbol_count_matrix(monkeypatch):
@@ -1054,9 +1121,9 @@ def _enumerations(monkeypatch) -> list:
     real_runs = mixing._type_runs
     calls = []
 
-    def runs(n_total, d):
-        calls.append([n_total, d, 0])
-        for rows, index in real_runs(n_total, d):
+    def runs(n_total, lo, hi):
+        calls.append([n_total, len(lo), 0])
+        for rows, index in real_runs(n_total, lo, hi):
             calls[-1][2] += rows.stop - rows.start
             yield rows, index
 

@@ -23,7 +23,8 @@ from mixent import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from mixent.mixing import dense_state_entropy, type_class_spectrum
+from mixent.combinatorics import classical_mixing_increase_formula
+from mixent.mixing import dense_state_entropy, mixing_entropy, type_class_spectrum
 from mixent.states import beta_value, clamp_spectrum
 from conftest import seeded_density
 
@@ -326,6 +327,26 @@ def test_relative_entropy_singular_rho_raises():
 def test_relative_entropy_singular_rho_ok_when_supported():
     pure = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
     assert relative_entropy(pure, pure) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_rounding_off_rho_support_is_dropped_from_both_terms():
+    # sigma's 1e-13 off rho's support is rounding: dropped, not a negative entropy
+    sigma = ClassicalDistribution([1.0 - 1e-13, 1e-13])
+    rho = ClassicalDistribution([1.0, 0.0])
+    assert relative_entropy(sigma.as_density(), rho.as_density()) == 0.0
+    assert classical_mixing_increase_formula(sigma, rho) == 0.0
+    assert mixing_entropy(sigma, rho, 3).s_mix >= 0.0
+
+
+def test_off_support_rounding_leaves_sigma_renormalized_on_the_support():
+    sigma = ClassicalDistribution([0.5 - 5e-14, 0.5 - 5e-14, 1e-13])
+    rho = ClassicalDistribution([0.25, 0.75, 0.0])
+    expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)   # D((1/2, 1/2) || (1/4, 3/4))
+    u = random_haar_unitary(4, 3)
+    for s, r in [(sigma.as_density(), rho.as_density()),
+                 (apply_unitary(sigma.as_density(), u), apply_unitary(rho.as_density(), u))]:
+        assert relative_entropy(s, r) == pytest.approx(expected, abs=1e-15)
+    assert classical_mixing_increase_formula(sigma, rho) == pytest.approx(expected, abs=1e-15)
 
 
 def test_klein_inequality_seeded_pairs():
