@@ -329,8 +329,15 @@ def _num_types(n_total: int, lo: Sequence[int], hi: Sequence[int]) -> int:
 
     Inclusion-exclusion over the symbols whose upper bound binds, in Python
     integers, so that nothing is allocated; the full box [0, N]^d has
-    C(N + d - 1, d - 1).
+    C(N + d - 1, d - 1). The per-symbol tables of length N + 1 that every
+    enumeration indexes are held to the budget too, as a box of few types
+    may still have a large N.
     """
+    if n_total + 1 > TYPE_CLASS_BUDGET:
+        raise CapExceededError(
+            f"per-symbol tables of {n_total + 1} entries exceed the enumeration "
+            f"budget {TYPE_CLASS_BUDGET}"
+        )
     d, free = len(lo), n_total - sum(lo)
     widths = [h - l + 1 for l, h in zip(lo, hi) if h - l < free]
     num_types = sum(
@@ -387,10 +394,12 @@ def _type_runs(n_total: int, lo: Sequence[int], hi: Sequence[int]):
     and c2's. At d >= 4 a run is the last C(N - c0 + d - 2, d - 2) rows of
     the (d-1)-symbol count matrix for N with its first column less c0, a
     gather from that small matrix, itself filled from these runs for
-    d - 1; only the first symbol's bounds are read, so the others must be
-    0..N (see _typical_box).
+    d - 1; only the first symbol may be bounded there (see _typical_box),
+    and a box that bounds another is refused.
     """
     d = len(lo)
+    if d >= 4 and (any(lo[1:]) or any(h != n_total for h in hi[1:])):
+        raise ValueError(f"only the first of {d} symbols may be bounded, got {lo}..{hi}")
     if d == 1:
         yield slice(0, 1), [n_total]
         return
@@ -429,8 +438,8 @@ def _typical_box(sigma_p: np.ndarray, rho_p: np.ndarray, n_total: int, m_sigma: 
     |c_a - N rho_a| < t, t = sqrt(N/2 ln(2d/eps)), whose bounds are rounded
     outward. So the types outside add at most GAP_TAIL to the gap, and once
     the kept weights are normalized the gap moves by at most 2 GAP_TAIL. At
-    d >= 4 only the first symbol is bounded, as _type_runs reads no other
-    bound there; the kept types still hold the box. For m >= 2 the box is
+    d >= 4 only the first symbol is bounded, the one bound _type_runs takes
+    there; the kept types still hold the box. For m >= 2 the box is
     [0, N]^d: the overflow refusals are defined over every type.
     """
     d = len(rho_p)
@@ -527,9 +536,9 @@ def type_class_spectrum(
     ln L = log1p(L - 1) with no cancellation. For m >= 2 the placement
     polynomial prod_a (1 + r_a x)^{c_a}, truncated at x^m, is multiplied up
     symbol by symbol, its ratios scaled by their maximum so that every
-    coefficient stays at or below C(N, k). The budget counts the kept types
-    and is checked before anything is allocated, and the spectrum is
-    validated before it is used.
+    coefficient stays at or below C(N, k). The budget bounds both the kept
+    types and the tables' N + 1 entries and is checked before anything is
+    allocated; the spectrum is validated before it is used.
     """
     if not 1 <= m_sigma < n_total:
         raise ValueError(

@@ -333,6 +333,19 @@ def test_mix_sweep_dense_far_past_the_cap_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["auto", "classical-exact"])
+def test_mix_sweep_tables_past_the_type_budget_exit_3(tmp_path, capsys, method):
+    # the window keeps about 1e5 types at n = 10^8, but each symbol's table
+    # would hold n + 2 entries, past TYPE_CLASS_BUDGET: refused before allocating
+    out = tmp_path / "o"
+    flags = ["--sigma", write_json(tmp_path / "s.json", {"p": [0.3, 0.7]}),
+             "--rho", write_json(tmp_path / "r.json", {"p": [0.7, 0.3]}),
+             "--n-list", str(10**8), "--method", method, "--out-dir", str(out)]
+    assert main(["mix-sweep"] + flags) == 3
+    assert "per-symbol tables of 100000002 entries exceed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mix_sweep_non_list_distribution_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     flags = ["--sigma", write_json(tmp_path / "s.json", {"p": {"a": 1}}),

@@ -1,6 +1,5 @@
 import itertools
 import math
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -372,22 +371,28 @@ def test_every_method_refuses_sigma_off_rho_support_alike(method):
                        3, method=method)
 
 
-# the spectrum keeps the types in its Hoeffding box: 9767003 of them at d=2
-# and 7184269 at d=3, both past the budget
-KEPT_PAST_BUDGET = {2: 10**12, 3: 10**5}
+# the spectrum keeps the types in its Hoeffding box, and indexes tables of
+# N + 1 entries per symbol. d=2 at N = TYPE_CLASS_BUDGET keeps about 2.2e4
+# types, but its tables pass the budget, as at N = 10^8 with about 1e5 kept;
+# d=3 at N = 10^5 keeps 7184269 types, past the budget
+PAST_BUDGET = [(2, TYPE_CLASS_BUDGET), (2, 10**8), (3, 10**5)]
 
 
 def test_type_class_budget():
-    # the budget counts the kept types, and raises before enumerating
-    with pytest.raises(CapExceededError):
-        type_class_spectrum(SIGMA_CLASSICAL, RHO_CLASSICAL, KEPT_PAST_BUDGET[2])
+    # the budget bounds the kept types and the tables, and raises before enumerating
+    for d, n_total in PAST_BUDGET:
+        with pytest.raises(CapExceededError):
+            type_class_spectrum(*_budget_pair(d), n_total)
+
+
+def _budget_pair(d):
+    return (SIGMA_CLASSICAL, RHO_CLASSICAL) if d == 2 else _c4_pair(d)
 
 
 def test_type_class_budget_checked_before_allocating(monkeypatch):
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated past the budget")
 
-    pairs = {2: (SIGMA_CLASSICAL, RHO_CLASSICAL), 3: _c4_pair(3)}
     for name in ("arange", "column_stack", "empty", "full", "repeat", "zeros"):
         monkeypatch.setattr(np, name, enumerated)
     monkeypatch.setattr(mixing, "gammaln", enumerated)
@@ -395,9 +400,20 @@ def test_type_class_budget_checked_before_allocating(monkeypatch):
     for n_total, d in [(TYPE_CLASS_BUDGET, 2), (3163, 3)]:
         with pytest.raises(CapExceededError):
             _type_count_matrix(n_total, d)
-    for d, n_total in KEPT_PAST_BUDGET.items():
+    for d, n_total in PAST_BUDGET:
         with pytest.raises(CapExceededError):
-            type_class_spectrum(*pairs[d], n_total)
+            type_class_spectrum(*_budget_pair(d), n_total)
+
+
+def test_type_runs_refuse_a_bound_past_the_first_symbol_at_d4():
+    # at d >= 4 _type_runs clips the first symbol alone, so that its rows
+    # are the _num_types count of the box
+    lo, hi = [0, 1, 0, 0], [10] * 4
+    with pytest.raises(ValueError, match="only the first of 4 symbols"):
+        next(mixing._type_runs(10, lo, hi))
+    lo, hi = [2, 0, 0, 0], [7, 10, 10, 10]
+    rows = sum(r.stop - r.start for r, _ in mixing._type_runs(10, lo, hi))
+    assert rows == mixing._num_types(10, lo, hi)
 
 
 def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
@@ -524,12 +540,13 @@ def test_window_of_identical_states_has_a_gap_of_exactly_zero():
 
 @pytest.mark.parametrize("n", [10**4, 3 * 10**4])
 def test_window_reaches_d3_past_the_full_enumeration(n):
-    # every type would be C(n + 3, 2), ten times the budget or more
+    # every type would be C(n + 3, 2), ten times the budget or more, while
+    # the box keeps under half of it
     assert math.comb(n + 3, 2) > 10 * TYPE_CLASS_BUDGET
     sig, rho = _c4_pair(3)
-    start = time.perf_counter()
+    box = mixing._typical_box(sig.p, rho.p, n + 1, 1)
+    assert mixing._num_types(n + 1, *box) < TYPE_CLASS_BUDGET / 2
     rec = classical_mixing_entropy_exact(sig, rho, n)
-    assert time.perf_counter() - start < 1.0
     ratios = series_remainder_ratios(sig.p, rho.p, [(n, rec.gap)])
     assert ratios[0] <= DEFAULT_TOLERANCES["series_remainder"]
 
