@@ -541,8 +541,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (MixentError, ConfigError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (MixentError, ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -87,11 +87,6 @@ def insertion_factor(n: int, rho_a: float) -> dict:
             "rel_err": abs(exact - limit) * rho_a, "bound": 2.0 / (n * rho_a)}
 
 
-def insertion_factor_rows(ns: Sequence[int], rho_as: Sequence[float]) -> list:
-    """The insertion factor's row at each (n, rho_a), n-major."""
-    return [insertion_factor(n, rho_a) for n in ns for rho_a in rho_as]
-
-
 def classical_mixing_increase_formula(
     sigma: ClassicalDistribution, rho: ClassicalDistribution
 ) -> float:
@@ -144,7 +139,7 @@ def appendix_checks(rho: ClassicalDistribution, pairs: Sequence[tuple]) -> dict:
     """
     typicality = [typicality_entropy_check(rho, n) for n in TYPICALITY_N]
     deficits = [row["deficit"] for row in typicality]
-    rows = insertion_factor_rows(INSERTION_N, INSERTION_RHO)
+    rows = [insertion_factor(n, rho_a) for n in INSERTION_N for rho_a in INSERTION_RHO]
     return {
         "typicality": typicality,
         "deficits": deficits,

@@ -15,9 +15,8 @@ nonnegative terms over the type classes, with S_mix = S[sigma|rho] - gap.
 One exact type-class spectrum holds both: its gap() is the route's, its
 entropy() is S[R], the gap's oracle at small n. For m = 1 the gap is an
 expectation under Mult(N, rho), whose mass lies within O(sqrt N) of N rho,
-so the gap's arrays cover only the types in a Hoeffding box about N rho
-(_typical_box); the types outside add at most GAP_TAIL to the gap. The
-oracles still cover every type.
+so the spectrum covers only the types in a Hoeffding box about N rho
+(_typical_box); the types outside add at most GAP_TAIL to the gap.
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho];
 for commuting states gap_series gives the rate, the first three terms of the
 gap's series in 1/N. The type-class route also spreads m sigma factors over
@@ -107,18 +106,17 @@ class MixingRecord:
 class TypeClassSpectrum:
     """Spectrum of a classical symmetrized mixture, one entry per type class.
 
-    Types are in _type_runs's lexicographic order. Every string of
-    type t has the eigenvalue q(t) = rho^t L(t) (see type_class_spectrum).
-    weight, excess and log_l cover the kept types, those in _typical_box:
-    weight[t] = mult(t) rho^t is the type's probability under Mult(N, rho),
-    excess[t] = L(t) - 1 and log_l[t] = ln L(t). gap() is D(R || rho^{(x)N})
-    from these. For m >= 2 every type is kept; for m = 1 the types outside
-    the box move the gap by at most 2 GAP_TAIL. The oracle side covers every
-    type: counts[t], the symbol-count vector of type t, is built on first
-    use, as are what the oracles read from it: entropy() is S[R], the gap's
-    oracle at small N, from the log-eigenvalue log_q (-inf for eigenvalue 0)
+    The types are the kept ones, those in _typical_box, in _type_runs's
+    lexicographic order. Every string of type t has the eigenvalue
+    q(t) = rho^t L(t) (see type_class_spectrum). weight[t] = mult(t) rho^t
+    is the type's probability under Mult(N, rho), excess[t] = L(t) - 1 and
+    log_l[t] = ln L(t). gap() is D(R || rho^{(x)N}) from these. For m >= 2
+    every type is kept; for m = 1 the types outside the box move the gap by
+    at most 2 GAP_TAIL. counts[t], the symbol-count vector of type t, is
+    built on first use, as are what entropy(), S[R], the gap's oracle at
+    small N, reads from it: the log-eigenvalue log_q (-inf for eigenvalue 0)
     and the log multiplicity log_mult, formed from counts and the supported
-    sigma_p and rho_p; exact_multiplicities() reads counts too.
+    sigma_p and rho_p.
     """
 
     n_total: int
@@ -131,7 +129,8 @@ class TypeClassSpectrum:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        return _type_count_matrix(self.n_total, len(self.rho_p))
+        box = _typical_box(self.sigma_p, self.rho_p, self.n_total, self.m_sigma)
+        return _type_count_matrix(self.n_total, *box)
 
     @cached_property
     def log_mult(self) -> np.ndarray:
@@ -147,18 +146,15 @@ class TypeClassSpectrum:
         with np.errstate(divide="ignore"):
             return log_rho_t + np.log(self.counts @ (self.sigma_p / self.rho_p) / self.n_total)
 
-    def exact_multiplicities(self) -> list:
-        """Exact integer multiplicities (big ints; intended for small N)."""
-        mults = []
-        for row in self.counts:
-            m = math.factorial(self.n_total)
-            for c in row:
-                m //= math.factorial(int(c))
-            mults.append(m)
-        return mults
-
     def entropy(self) -> float:
-        """S[R] = -sum_m mult(m) q(m) ln q(m), in nats."""
+        """S[R] = -sum_t mult(t) q(t) ln q(t) over the kept types, in nats.
+
+        A type's terms sum to w (L ln(1/rho^t) - L ln L), w its weight. For
+        m = 1 the types outside the box weigh at most eps (see _typical_box),
+        and there L <= r_max, the largest ratio sigma_a/rho_a, -L ln L <= 1/e
+        and ln(1/rho^t) <= N ln(1/rho_min). So the S[R] they hold is at most
+        eps (r_max N ln(1/rho_min) + 1/e). For m >= 2 every type is kept.
+        """
         finite = np.isfinite(self.log_q)
         lq = self.log_q[finite]
         return math.fsum(-np.exp(self.log_mult[finite] + lq) * lq)
@@ -353,17 +349,17 @@ def _num_types(n_total: int, lo: Sequence[int], hi: Sequence[int]) -> int:
     return num_types
 
 
-def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
-    """All count vectors (m_1..m_d) with sum n_total, as C-contiguous int64.
+def _type_count_matrix(n_total: int, lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
+    """The count vectors with sum N in the box lo_a <= c_a <= hi_a, as
+    C-contiguous int64.
 
-    Filled run by run from _type_runs over the full box [0, N]^d, in its
-    order: symbol a's column takes the counts index[a] picks from 0..N. The
-    budget is checked before anything is allocated.
-    TypeClassSpectrum.counts builds it on request, and _type_runs for d - 1
-    symbols at d >= 4.
+    Filled run by run from _type_runs, in its order: symbol a's column takes
+    the counts index[a] picks from 0..N. The budget is checked before
+    anything is allocated. TypeClassSpectrum.counts builds it for the kept
+    box on request, and _type_runs for d - 1 symbols over [0, N]^(d-1) at
+    d >= 4.
     """
-    lo, hi = [0] * d, [n_total] * d
-    counts = np.empty((_num_types(n_total, lo, hi), d), np.int64)
+    counts = np.empty((_num_types(n_total, lo, hi), len(lo)), np.int64)
     c = np.arange(n_total + 1)
     for rows, index in _type_runs(n_total, lo, hi):
         for a, i in enumerate(index):
@@ -408,8 +404,9 @@ def _type_runs(n_total: int, lo: Sequence[int], hi: Sequence[int]):
         yield (slice(0, last - first + 1),
                [_span(first, last), _span(n_total - first, n_total - last)])
         return
-    # the (d-1)-symbol matrix by symbol, so that each gathered column is contiguous
-    tail = np.ascontiguousarray(_type_count_matrix(n_total, d - 1).T) if d > 3 else None
+    # the (d-1)-symbol matrix by symbol, so that each gathered column is
+    # contiguous; lo[1:] and hi[1:] are its full box [0, N]^(d-1) here
+    tail = np.ascontiguousarray(_type_count_matrix(n_total, lo[1:], hi[1:]).T) if d > 3 else None
     start = 0
     for c0 in range(lo[0], hi[0] + 1):
         rest = n_total - c0
@@ -527,8 +524,7 @@ def type_class_spectrum(
     the symbols rho holds (see _supported_pair): one run per first-symbol
     count, with no d-symbol count matrix. For m = 1 only the types in
     _typical_box, within O(sqrt N) of N rho, are enumerated, which moves
-    the gap by at most 2 GAP_TAIL; for m >= 2 every type is. The oracle
-    side of the spectrum (counts, log_q, log_mult) covers every type.
+    the gap by at most 2 GAP_TAIL; for m >= 2 every type is.
     Each run's entries are left folds, symbol by symbol, of lookups in
     per-symbol tables of length N + 1. They give every kept type's log
     weight ln N! + sum_a (c_a ln rho_a - ln c_a!), from one gammaln call,

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -66,8 +67,8 @@ def test_criterion_3_gracefulness(outcome):
 def test_criterion_4_oracle_equivalence(outcome):
     result = _check(outcome, 4)
     assert result.details["max_dense_vs_classical"] < 1e-9
-    assert result.details["spectrum_multiplicities_exact"]
-    assert result.details["max_spectrum_rel_err"] < 1e-12
+    assert result.details["types_exact"]
+    assert result.details["max_type_mass_rel_err"] < 1e-12
 
 
 def test_criterion_5_conjecture_convergence(outcome):
@@ -132,7 +133,7 @@ def test_criterion_9_determinism(outcome, tmp_path):
 
 # sha256 of the report bytes as RunWriter.write_json writes them (numpy 2.4.6,
 # scipy 1.17.1, the versions CI pins)
-VERIFY_REPORT_SHA256 = "42b510b776a1a85ef4f0c666777d7195b678cbdda7e7f3ddae6defaa2f972435"
+VERIFY_REPORT_SHA256 = "bb851a3f13578187535a1c5015f93081c72f2cc6581efee70ecad27f9b1c17c8"
 APPENDIX_REPORT_SHA256 = {
     None: "73f1ee56947fbbc8e7db2a32806e4f3fb3945b7b657990c24447f5bf5d522f51",
     9: "88adaa0a5f9e0442454cf8b2ecadeb2eeeeeb7d741e4f907452563ff58124dbe",
@@ -201,24 +202,26 @@ def test_criterion_9_catches_a_nondeterministic_probe(monkeypatch, only):
     assert result.details["byte_identical"] is False
 
 
-@pytest.mark.parametrize("fault", ["dropped-type", "shifted-log-q"])
+@pytest.mark.parametrize("fault", ["dropped-type", "one-weight"])
 def test_criterion_4_fails_on_a_wrong_type_class_spectrum(monkeypatch, fault):
     real = verify.type_class_spectrum
 
     def wrong(*args):
         spec = real(*args)
-        counts, log_q = spec.counts, spec.log_q
         if fault == "dropped-type":
-            counts = counts[1:]
-        else:
-            log_q = log_q + 1e-11
-        return SimpleNamespace(counts=counts, log_q=log_q,
-                               exact_multiplicities=spec.exact_multiplicities)
+            return SimpleNamespace(counts=spec.counts[1:], weight=spec.weight[1:],
+                                   excess=spec.excess[1:])
+        # a fault the gap, the dense oracle and criterion 8 let through
+        weight = spec.weight.copy()
+        weight[len(weight) // 2] *= 1.0 + 1e-10
+        return replace(spec, weight=weight)
 
     monkeypatch.setattr(verify, "type_class_spectrum", wrong)
     (result,) = run_acceptance(VerifyConfig(seed=SEED), only=(4,)).results
     assert result.status == "fail"
-    assert not result.details["spectrum_multiplicities_exact"]
+    assert result.details["types_exact"] == (fault != "dropped-type")
+    if fault == "one-weight":
+        assert result.details["max_type_mass_rel_err"] > 1e-11
     assert result.details["max_dense_vs_classical"] < 1e-9
 
 

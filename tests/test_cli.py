@@ -21,6 +21,7 @@ from mixent import (
     random_hermitian,
     verify,
 )
+from mixent import cli
 from mixent.cli import _operator_param, main
 from mixent.mixing import TYPE_CLASS_BUDGET
 from conftest import series_remainder_ratios, verify_manifest
@@ -686,6 +687,18 @@ def test_unknown_key_message_names_it_and_the_accepted_keys(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown mix-sweep parameter 'metod'" in err
     assert "'method'" in err and "'n_grid'" in err
+
+
+def test_a_key_error_in_a_handler_propagates(tmp_path, monkeypatch):
+    # every key is read through a checked reader, so a KeyError is a fault
+    # of the program, not invalid input
+    def faulty(cfg):
+        raise KeyError("missing internal key")
+
+    _, help_text, params = cli.PARAMS["appendix"]
+    monkeypatch.setitem(cli.PARAMS, "appendix", (faulty, help_text, params))
+    with pytest.raises(KeyError, match="missing internal key"):
+        main(["appendix", "--out-dir", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("command", ["verify", "appendix"])

@@ -25,7 +25,6 @@ from mixent.combinatorics import (
     INSERTION_RHO,
     TYPICALITY_RHO,
     appendix_checks,
-    insertion_factor_rows,
     max_increase_formula_error,
     random_distribution_pairs,
 )
@@ -192,7 +191,7 @@ def test_increase_formula_equals_relative_entropy():
 
 
 def test_insertion_factor_rows_cover_the_grid_within_bound():
-    rows = insertion_factor_rows(INSERTION_N, INSERTION_RHO)
+    rows = appendix_checks(ClassicalDistribution(TYPICALITY_RHO), [])["insertion_rows"]
     assert [(r["n"], r["rho_a"]) for r in rows] == [
         (n, rho_a) for n in INSERTION_N for rho_a in INSERTION_RHO
     ]

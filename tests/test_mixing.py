@@ -320,7 +320,9 @@ def _check_spectrum_against_strings(sig_p, rho_p, n_total, m_sigma=1):
     eigen_by_type = {
         t: math.exp(lq) if math.isfinite(lq) else 0.0 for t, lq in zip(types, spec.log_q)
     }
-    mult_by_type = dict(zip(types, spec.exact_multiplicities()))
+    mult_by_type = {
+        t: math.factorial(n_total) // math.prod(math.factorial(c) for c in t) for t in types
+    }
     # the arrays gap() sums: weight = mult rho^t and 1 + excess = L, per type
     route_by_type = dict(zip(types, spec.weight * (1.0 + spec.excess)))
 
@@ -399,21 +401,43 @@ def test_type_class_budget_checked_before_allocating(monkeypatch):
     # every type: n_total + 1 at d=2, and C(3165, 2) = 5006630 at d=3
     for n_total, d in [(TYPE_CLASS_BUDGET, 2), (3163, 3)]:
         with pytest.raises(CapExceededError):
-            _type_count_matrix(n_total, d)
+            full_count_matrix(n_total, d)
     for d, n_total in PAST_BUDGET:
         with pytest.raises(CapExceededError):
             type_class_spectrum(*_budget_pair(d), n_total)
 
 
 def test_type_runs_refuse_a_bound_past_the_first_symbol_at_d4():
-    # at d >= 4 _type_runs clips the first symbol alone, so that its rows
-    # are the _num_types count of the box
+    # at d >= 4 _type_runs clips the first symbol alone
     lo, hi = [0, 1, 0, 0], [10] * 4
     with pytest.raises(ValueError, match="only the first of 4 symbols"):
         next(mixing._type_runs(10, lo, hi))
-    lo, hi = [2, 0, 0, 0], [7, 10, 10, 10]
-    rows = sum(r.stop - r.start for r, _ in mixing._type_runs(10, lo, hi))
-    assert rows == mixing._num_types(10, lo, hi)
+
+
+def full_count_matrix(n_total, d):
+    """Every type of N = n_total over d symbols: the box [0, N]^d."""
+    return _type_count_matrix(n_total, [0] * d, [n_total] * d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_type_count_matrix_of_a_box_is_the_full_matrix_inside_it(data):
+    # any bounds at d <= 3, the first symbol's alone at d >= 4; the box
+    # holds the type `inside`, so it is never empty
+    d = data.draw(st.integers(1, 5), label="d")
+    n_total = data.draw(st.integers(1, 24 if d <= 3 else 10), label="n_total")
+    inside = []
+    for _ in range(d - 1):
+        inside.append(data.draw(st.integers(0, n_total - sum(inside))))
+    inside.append(n_total - sum(inside))
+    lo, hi = [0] * d, [n_total] * d
+    for a in range(d if d <= 3 else 1):
+        lo[a] = data.draw(st.integers(0, inside[a]), label=f"lo[{a}]")
+        hi[a] = data.draw(st.integers(inside[a], n_total), label=f"hi[{a}]")
+    full = full_count_matrix(n_total, d)
+    counts = _type_count_matrix(n_total, lo, hi)
+    assert len(counts) == mixing._num_types(n_total, lo, hi)
+    assert np.array_equal(counts, full[((full >= lo) & (full <= hi)).all(axis=1)])
 
 
 def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
@@ -422,7 +446,7 @@ def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
     The construction type_class_spectrum used before it enumerated by runs:
     every symbol's table is looked up by that symbol's column of counts.
     """
-    counts = _type_count_matrix(n_total, len(rho_p))
+    counts = full_count_matrix(n_total, len(rho_p))
     c = np.arange(n_total + 1)
     lgamma = gammaln(np.arange(n_total + 2))
     log_w_table = np.log(rho_p)[:, None] * c - lgamma[1:]
@@ -452,7 +476,7 @@ def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
 def kept_rows(sig_p, rho_p, n_total, m_sigma):
     """Which rows of the full count matrix lie in the spectrum's kept box."""
     lo, hi = mixing._typical_box(sig_p, rho_p, n_total, m_sigma)
-    counts = _type_count_matrix(n_total, len(rho_p))
+    counts = full_count_matrix(n_total, len(rho_p))
     return ((counts >= lo) & (counts <= hi)).all(axis=1)
 
 
@@ -465,7 +489,9 @@ def _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma):
     kept = kept_rows(sig_p, rho_p, n_total, m_sigma)
     for got, want in zip((spec.weight, spec.excess, spec.log_l), oracle):
         assert got.tobytes() == want[kept].tobytes()
-    assert np.array_equal(spec.counts, _type_count_matrix(n_total, len(rho_p)))
+    # one set of types: counts holds exactly the rows the arrays cover
+    assert len(spec.counts) == len(spec.weight)
+    assert np.array_equal(spec.counts, full_count_matrix(n_total, len(rho_p))[kept])
 
 
 @pytest.mark.parametrize("d,n_total,m_sigma", [
@@ -531,6 +557,36 @@ def test_window_gap_is_the_full_gap_within_its_tail_bound(sig_p, rho_p, n_total)
     assert (weight * _gap_term(1.0 + excess))[~kept].sum() / total <= mixing.GAP_TAIL
 
 
+@pytest.mark.parametrize("sig_p,rho_p,n_total", WINDOW_CASES,
+                         ids=[f"d{len(c[1])}-{c[2]}" for c in WINDOW_CASES])
+def test_box_entropy_is_the_full_entropy_within_its_stated_bound(
+    monkeypatch, sig_p, rho_p, n_total
+):
+    sig, rho = ClassicalDistribution(sig_p), ClassicalDistribution(rho_p)
+    box = type_class_spectrum(sig, rho, n_total).entropy()
+    d = len(rho_p)
+    monkeypatch.setattr(mixing, "_typical_box", lambda s, r, n, m: ([0] * d, [n] * d))
+    full = type_class_spectrum(sig, rho, n_total).entropy()
+    # entropy()'s bound on the S[R] outside the box
+    ratios = np.array(sig_p) / np.array(rho_p)
+    eps = mixing.GAP_TAIL / max(1.0, *_gap_term(np.array([ratios.min(), ratios.max()])))
+    bound = eps * (ratios.max() * n_total * math.log(1.0 / min(rho_p)) + 1.0 / math.e)
+    assert abs(box - full) <= bound + math.ulp(full)
+
+
+def test_counts_and_entropy_cover_the_box_past_the_full_enumeration():
+    # every type at d=3, N = 10^4 + 1 is ten times the budget; the box's are not
+    sig, rho = _c4_pair(3)
+    n = 10**4
+    spec = type_class_spectrum(sig, rho, n + 1)
+    assert len(spec.counts) == len(spec.weight) < TYPE_CLASS_BUDGET / 2
+    s_r = spec.entropy()
+    s_mix = s_r - n * shannon_entropy(rho) - shannon_entropy(sig)
+    # every term of S[R] carries the rounding of ln N!, which the gap route cancels
+    tol = s_r * np.finfo(float).eps * math.lgamma(n + 2)
+    assert s_mix == pytest.approx(classical_mixing_entropy_exact(sig, rho, n).s_mix, abs=tol)
+
+
 def test_window_of_identical_states_has_a_gap_of_exactly_zero():
     rho = _c4_pair(3)[1]
     spec = type_class_spectrum(rho, rho, 30001)
@@ -562,7 +618,7 @@ def test_gap_route_never_builds_the_d_symbol_count_matrix(monkeypatch):
     # d >= 4 gathers from the (d-1)-symbol matrix alone
     sig, rho = (ClassicalDistribution(p) for p in MULTI_PAIRS[2])
     classical_mixing_entropy_exact(sig, rho, 80)
-    assert calls == [(81, 3)]
+    assert calls == [(81, [0, 0, 0], [81, 81, 81])]
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -573,7 +629,7 @@ def test_type_count_matrix_is_stars_and_bars_in_order(d):
             np.diff((-1,) + bars + (n_total + d - 1,)) - 1
             for bars in itertools.combinations(range(n_total + d - 1), d - 1)
         ], dtype=np.int64)
-        counts = _type_count_matrix(n_total, d)
+        counts = full_count_matrix(n_total, d)
         assert counts.dtype == np.int64
         assert counts.flags.c_contiguous
         assert np.array_equal(counts, expected)
@@ -637,7 +693,9 @@ def test_spectrum_sums_keep_the_per_call_formula_bits(d, zero_in_sigma):
         spec = type_class_spectrum(ClassicalDistribution(sig_p / sig_p.sum()),
                                    ClassicalDistribution(rho_p / rho_p.sum()), n_total)
         finite = np.isfinite(spec.log_q)
-        assert finite.all() != zero_in_sigma
+        # the box may leave out the one L = 0 type, every count on symbol 0
+        holds_l0 = zero_in_sigma and (spec.counts[:, 0] == n_total).any()
+        assert finite.all() != holds_l0
         lq = spec.log_q[finite]
         entropy = math.fsum(-np.exp(spec.log_mult[finite] + lq) * lq)
         assert spec.entropy().hex() == entropy.hex()
@@ -1048,7 +1106,7 @@ def test_multi_reduces_to_single_insertion():
     for d, n_total in [(2, 7), (3, 9), (4, 6)]:
         ratios = np.random.default_rng(d).uniform(0.0, 3.0, size=d)
         factors = mixing._placement_factors(ratios, n_total, 1)
-        counts = _type_count_matrix(n_total, d)
+        counts = full_count_matrix(n_total, d)
         poly = np.ones((1, 1))
         for a, col in enumerate(counts.T):
             poly = mixing._truncated_product(poly, factors[a][:, col])
