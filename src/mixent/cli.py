@@ -388,13 +388,19 @@ def cmd_mix_sweep(cfg: ExperimentConfig) -> int:
     n_list = _resolve_n_list(cfg.params)
     method = _param(cfg.params, "method", str, "auto")
     svg = _param(cfg.params, "svg", bool, False)
+    t0 = time.perf_counter()
     records = convergence_sweep(sigma, rho, n_list, method=method, dense_cap=cfg.dense_cap)
+    sweep_ms = (time.perf_counter() - t0) * 1e3
     writer.write_text("records.csv", records_to_csv(records))
     plot_lines = ["n,gap_nats"] + [f"{r.n},{r.gap!r}" for r in records]
     writer.write_text("gap_plot.csv", "\n".join(plot_lines) + "\n")
     if svg:
         writer.write_text("plot.svg", _gap_plot_svg(records))
-    writer.finish()
+    # the sweep's time outside its records is the pair's preparation
+    writer.finish(timings_ms={
+        "sweep": sweep_ms,
+        "prepare": sweep_ms - math.fsum(r.wall_time_ms for r in records),
+    })
     last = records[-1]
     print(
         f"mix-sweep: {len(records)} points, method {last.method}; "

@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -66,6 +66,9 @@ from .states import (
 
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
+# the most cells of a d = 3 run's rectangle (see _type_runs), which bounds
+# its temporaries and the cells its mask drops
+TYPE_BLOCK_CELLS = 2**15
 # the most the types outside _typical_box add to an m = 1 gap
 GAP_TAIL = 1e-20
 COMMUTE_TOL = 1e-10
@@ -354,16 +357,16 @@ def _type_count_matrix(n_total: int, lo: Sequence[int], hi: Sequence[int]) -> np
     C-contiguous int64.
 
     Filled run by run from _type_runs, in its order: symbol a's column takes
-    the counts index[a] picks from 0..N. The budget is checked before
+    the counts its lookup picks from 0..N. The budget is checked before
     anything is allocated. TypeClassSpectrum.counts builds it for the kept
     box on request, and _type_runs for d - 1 symbols over [0, N]^(d-1) at
     d >= 4.
     """
     counts = np.empty((_num_types(n_total, lo, hi), len(lo)), np.int64)
-    c = np.arange(n_total + 1)
-    for rows, index in _type_runs(n_total, lo, hi):
-        for a, i in enumerate(index):
-            counts[rows, a] = c[i]
+    c = [np.arange(n_total + 1)] * len(lo)
+    for rows, keep, lookup in _type_runs(n_total, lo, hi):
+        for a, picked in enumerate(lookup(c)):
+            counts[rows, a] = _kept(picked, keep)
     return counts
 
 
@@ -374,53 +377,112 @@ def _span(first: int, last: int) -> slice:
     return slice(first, last - 1 if last > 0 else None, -1)
 
 
+def _lookup(index: list, tables) -> list:
+    """[tables[a][..., index[a]]]: each symbol's entries for one run, views
+    where index[a] is an int or a slice."""
+    return [table[..., i] for table, i in zip(tables, index)]
+
+
+def _gather(index: list, tables) -> list:
+    """_lookup's entries where index[a] may be an int array: a gather."""
+    return [table.take(i, axis=-1) for table, i in zip(tables, index)]
+
+
+def _anti_diagonal(table: np.ndarray, top: int, shape: tuple) -> np.ndarray:
+    """table[..., top - i - j] over the cells (i, j) of shape, 0 where top - i - j < 0.
+
+    Row i is a window of the reversed table (sliding_window_view), so
+    nothing is gathered; only when some top - i - j < 0 are the h + w - 1
+    entries the windows read copied, with their zero padding.
+    """
+    height, width = shape
+    span = height + width - 1
+    reversed_run = table[..., top::-1][..., :span]
+    pad = span - reversed_run.shape[-1]
+    if pad:
+        zeros = np.zeros(reversed_run.shape[:-1] + (pad,), reversed_run.dtype)
+        reversed_run = np.concatenate([reversed_run, zeros], axis=-1)
+    return np.lib.stride_tricks.sliding_window_view(reversed_run, width, axis=-1)
+
+
+def _block_lookup(c0s: slice, c1s: slice, top: int, shape: tuple, tables) -> list:
+    """A d = 3 block's lookups: c0 down the rows, c1 across, c2 = N - c0 - c1."""
+    t0, t1, t2 = tables
+    return [t0[..., c0s, None], t1[..., None, c1s], _anti_diagonal(t2, top, shape)]
+
+
+def _kept(values: np.ndarray, keep) -> np.ndarray:
+    """A run's values, broadcast over its cells, at its kept types in row order."""
+    return values if keep is None else np.broadcast_to(values, keep.shape)[keep]
+
+
 def _type_runs(n_total: int, lo: Sequence[int], hi: Sequence[int]):
-    """Yield (rows, index) per run of the types in the box lo_a <= c_a <= hi_a.
+    """Yield (rows, keep, lookup) per run of the types in the box lo_a <= c_a <= hi_a.
 
     d = len(lo) symbols and N = n_total; the box [0, N]^d is every type.
-    index[a] picks symbol a's count in every row of the run: an int, a
-    slice or an int array, to index a per-symbol table of length N + 1.
-    The types are in lexicographic order, the order of the stars-and-bars
-    bar positions itertools.combinations(range(N + d - 1), d - 1) lists,
-    and rows number the box's types alone. d = 1 is its single type, and
-    d = 2 one run, c0 against N - c0, c0 clipped to both symbols' bounds.
-    For d >= 3 the types with first count c0, for each c0 in the first
-    symbol's bounds, are one run. At d = 3 a run is c1 against
-    N - c0 - c1, two slices that skip the gathers, c1 clipped to its bounds
-    and c2's. At d >= 4 a run is the last C(N - c0 + d - 2, d - 2) rows of
-    the (d-1)-symbol count matrix for N with its first column less c0, a
-    gather from that small matrix, itself filled from these runs for
-    d - 1; only the first symbol may be bounded there (see _typical_box),
-    and a box that bounds another is refused.
+    lookup(tables), for per-symbol tables whose last axis has length N + 1,
+    gives each symbol's entries for the run's cells: arrays that broadcast
+    together, each tables[a] looked up at symbol a's count. keep is None
+    when the cells are the run's types, else a boolean mask over the cells
+    whose row-major compression gives them. The types are in lexicographic
+    order, the order of the stars-and-bars bar positions
+    itertools.combinations(range(N + d - 1), d - 1) lists, and rows number
+    the box's types alone. d = 1 is its single type, and d = 2 one run, c0
+    against N - c0, c0 clipped to both symbols' bounds. At d = 3 a run is a
+    block of consecutive first counts c0, a rectangle of cells (c0, c1)
+    with at most TYPE_BLOCK_CELLS cells unless a single c0 is wider: c0 is a
+    column, c1 a row clipped to its bounds and c2's, and c2 = N - c0 - c1
+    an anti-diagonal view of symbol 2's reversed table (_anti_diagonal);
+    keep holds the cells with c2 in its bounds. At d >= 4 a run is the types
+    with one first count c0, the last C(N - c0 + d - 2, d - 2) rows of the
+    (d-1)-symbol count matrix for N with its first column less c0, a gather
+    from that small matrix, itself filled from these runs for d - 1; only
+    the first symbol may be bounded there (see _typical_box), and a box
+    that bounds another is refused.
     """
     d = len(lo)
     if d >= 4 and (any(lo[1:]) or any(h != n_total for h in hi[1:])):
         raise ValueError(f"only the first of {d} symbols may be bounded, got {lo}..{hi}")
     if d == 1:
-        yield slice(0, 1), [n_total]
+        yield slice(0, 1), None, partial(_lookup, [n_total])
         return
     if d == 2:
         first, last = max(lo[0], n_total - hi[1]), min(hi[0], n_total - lo[1])
-        yield (slice(0, last - first + 1),
-               [_span(first, last), _span(n_total - first, n_total - last)])
+        index = [_span(first, last), _span(n_total - first, n_total - last)]
+        yield slice(0, last - first + 1), None, partial(_lookup, index)
+        return
+    start = 0
+    if d == 3:
+        c = np.arange(n_total + 1)
+        c2_inside = (c >= lo[2]) & (c <= hi[2])
+        top_c0 = lo[0]
+        while top_c0 <= hi[0]:
+            # c1's most is the top row's, and its least falls row by row
+            most = min(hi[1], n_total - top_c0 - lo[2])
+            last_c0 = top_c0
+            while last_c0 < hi[0] and (last_c0 + 2 - top_c0) * (
+                most - max(lo[1], n_total - last_c0 - 1 - hi[2]) + 1
+            ) <= TYPE_BLOCK_CELLS:
+                last_c0 += 1
+            least = max(lo[1], n_total - last_c0 - hi[2])
+            if least <= most:
+                top = n_total - top_c0 - least
+                shape = (last_c0 - top_c0 + 1, most - least + 1)
+                keep = _anti_diagonal(c2_inside, top, shape)
+                size = int(np.count_nonzero(keep))
+                yield (slice(start, start + size), keep,
+                       partial(_block_lookup, slice(top_c0, last_c0 + 1),
+                               slice(least, most + 1), top, shape))
+                start += size
+            top_c0 = last_c0 + 1
         return
     # the (d-1)-symbol matrix by symbol, so that each gathered column is
     # contiguous; lo[1:] and hi[1:] are its full box [0, N]^(d-1) here
-    tail = np.ascontiguousarray(_type_count_matrix(n_total, lo[1:], hi[1:]).T) if d > 3 else None
-    start = 0
+    tail = np.ascontiguousarray(_type_count_matrix(n_total, lo[1:], hi[1:]).T)
     for c0 in range(lo[0], hi[0] + 1):
-        rest = n_total - c0
-        if tail is None:
-            first, last = max(lo[1], rest - hi[2]), min(hi[1], rest - lo[2])
-            if first > last:
-                continue
-            size = last - first + 1
-            index = [c0, _span(first, last), _span(rest - first, rest - last)]
-        else:
-            size = math.comb(rest + d - 2, d - 2)
-            run = tail[:, tail.shape[1] - size:]
-            index = [c0, run[0] - c0, *run[1:]]
-        yield slice(start, start + size), index
+        size = math.comb(n_total - c0 + d - 2, d - 2)
+        run = tail[:, tail.shape[1] - size:]
+        yield slice(start, start + size), None, partial(_gather, [c0, run[0] - c0, *run[1:]])
         start += size
 
 
@@ -453,11 +515,20 @@ def _typical_box(sigma_p: np.ndarray, rho_p: np.ndarray, n_total: int, m_sigma: 
     return lo, hi
 
 
-def _fold(out: np.ndarray, first: float, tables: np.ndarray, index: list):
-    """out = ((first + tables[0][index[0]]) + tables[1][index[1]]) + ..."""
-    np.add(first, tables[0][index[0]], out=out)
-    for table, i in zip(tables[1:], index[1:]):
-        out += table[i]
+def _fold(out: np.ndarray, rows: slice, keep, first: float, picked: list):
+    """out[rows] = ((first + picked[0]) + picked[1]) + ... at a run's types.
+
+    picked is the run's lookup of per-symbol tables and keep its mask (see
+    _type_runs): the sums are taken over the run's cells, in place in
+    out[rows] when the cells are its types, and each cell's sum symbol by
+    symbol in one order at every d.
+    """
+    cells = out[rows] if keep is None else np.empty(np.broadcast(*picked).shape)
+    np.add(first, picked[0], out=cells)
+    for values in picked[1:]:
+        cells += values
+    if keep is not None:
+        out[rows] = cells[keep]
 
 
 def gap_series(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tuple:
@@ -498,8 +569,11 @@ def _placement_factors(ratios: np.ndarray, n_total: int, m_sigma: int) -> np.nda
 
 
 def _truncated_product(poly: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """poly * factor truncated at factor's degree; row k is the x^k coefficient."""
-    product = np.zeros_like(factor)
+    """poly * factor truncated at factor's degree; row k is the x^k coefficient.
+
+    Past the first axis the coefficients broadcast over a run's cells.
+    """
+    product = np.zeros(np.broadcast(poly[0], factor).shape)
     for k, coef in enumerate(poly):
         product[k:] += coef * factor[: len(factor) - k]
     return product
@@ -521,18 +595,21 @@ def type_class_spectrum(
 
     with ratios sigma_a / rho_a and multiplicity N!/prod t_a!; E[L] = 1 under
     Mult(N, rho). Types come run by run from _type_runs, in its order, over
-    the symbols rho holds (see _supported_pair): one run per first-symbol
-    count, with no d-symbol count matrix. For m = 1 only the types in
-    _typical_box, within O(sqrt N) of N rho, are enumerated, which moves
-    the gap by at most 2 GAP_TAIL; for m >= 2 every type is.
-    Each run's entries are left folds, symbol by symbol, of lookups in
-    per-symbol tables of length N + 1. They give every kept type's log
-    weight ln N! + sum_a (c_a ln rho_a - ln c_a!), from one gammaln call,
-    and, for m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) / (rho_a N), so that
-    ln L = log1p(L - 1) with no cancellation. For m >= 2 the placement
-    polynomial prod_a (1 + r_a x)^{c_a}, truncated at x^m, is multiplied up
-    symbol by symbol, its ratios scaled by their maximum so that every
-    coefficient stays at or below C(N, k). The budget bounds both the kept
+    the symbols rho holds (see _supported_pair), with no d-symbol count
+    matrix: one run at d = 2, blocks of consecutive first-symbol counts at
+    d = 3 and one run per first-symbol count at d >= 4. For m = 1 only the
+    types in _typical_box, within O(sqrt N) of N rho, are enumerated, which
+    moves the gap by at most 2 GAP_TAIL; for m >= 2 every type is.
+    Each run's entries are left folds (_fold), symbol by symbol, of lookups
+    in per-symbol tables of length N + 1, broadcast over the run's cells
+    and then compressed to its types; a type's entry takes the same
+    operations in the same order whatever run holds it. They give every
+    kept type's log weight ln N! + sum_a (c_a ln rho_a - ln c_a!), from one
+    gammaln call, and, for m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) /
+    (rho_a N), so that ln L = log1p(L - 1) with no cancellation. For m >= 2
+    the placement polynomial prod_a (1 + r_a x)^{c_a}, truncated at x^m, is
+    multiplied up symbol by symbol, its ratios scaled by their maximum so
+    that every coefficient stays at or below C(N, k). The budget bounds both the kept
     types and the tables' N + 1 entries and is checked before anything is
     allocated; the spectrum is validated before it is used.
     """
@@ -564,16 +641,16 @@ def type_class_spectrum(
         with np.errstate(over="ignore", invalid="ignore"):
             factors = _placement_factors(ratios / scale, n_total, m_sigma)
         e_m = np.empty(num_types)
-    for rows, index in _type_runs(n_total, lo, hi):
-        _fold(log_w[rows], lgamma[n_total + 1], log_w_table, index)
+    for rows, keep, lookup in _type_runs(n_total, lo, hi):
+        _fold(log_w, rows, keep, lgamma[n_total + 1], lookup(log_w_table))
         if m_sigma == 1:
-            _fold(excess[rows], 0.0, shift, index)
+            _fold(excess, rows, keep, 0.0, lookup(shift))
         else:
-            poly = np.ones((1, 1))
+            poly = np.ones(1)
             with np.errstate(over="ignore", invalid="ignore"):
-                for factor, i in zip(factors, index):
-                    poly = _truncated_product(poly, factor[:, i])
-            e_m[rows] = poly[m_sigma]
+                for factor in lookup(factors):
+                    poly = _truncated_product(poly, factor)
+            e_m[rows] = _kept(poly[m_sigma], keep)
     weight = np.exp(log_w, out=log_w)
     if m_sigma == 1:
         excess /= n_total      # L - 1
@@ -613,10 +690,22 @@ def classical_mixing_entropy_exact(
     and its gap column the route's gap itself. For m = 1 the gap follows
     gap_series; for m >= 2 its leading term is m^2 a1/N.
     """
+    return _classical_record(sigma, rho, relative_entropy(sigma.as_density(), rho.as_density()),
+                             n, m_sigma)
+
+
+def _classical_record(
+    sigma: ClassicalDistribution,
+    rho: ClassicalDistribution,
+    s_rel: float,
+    n: int,
+    m_sigma: int = 1,
+) -> MixingRecord:
+    """classical_mixing_entropy_exact's record, given s_rel = S[sigma|rho]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     gap = type_class_spectrum(sigma, rho, n + m_sigma, m_sigma).gap()
-    s_rel = m_sigma * relative_entropy(sigma.as_density(), rho.as_density())
+    s_rel = m_sigma * s_rel
     method = "classical-exact" if m_sigma == 1 else f"classical-multi(m_sigma={m_sigma})"
     return MixingRecord(n=n, s_mix=s_rel - gap, s_rel=s_rel, gap=gap, method=method)
 
@@ -751,6 +840,52 @@ def _in_rho_eigenbasis(sigma: DensityOperator, rho: DensityOperator) -> tuple:
     return DensityOperator(s), DensityOperator(np.diag(w))
 
 
+def _prepare(sigma: StateLike, rho: StateLike, method: str):
+    """The per-pair work of mixing_entropy's route, done once: returns record.
+
+    record(n, dense_cap) is the MixingRecord for one n. The commutator
+    check, the joint diagonalization and S[sigma|rho] are the pair's, and
+    for the dense routes also rho's eigenbasis, S[rho] and S[sigma]; only R's
+    spectrum, or the type-class gap, depends on n.
+    """
+    sigma_op = sigma.as_density() if isinstance(sigma, ClassicalDistribution) else sigma
+    rho_op = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    _check_same_dim(sigma_op.entries, rho_op.entries)
+    commute = _commutator_max(sigma_op, rho_op) <= COMMUTE_TOL
+    if method == "auto":
+        method = "classical-exact" if commute else "dense"
+    if method == "classical-exact" or commute:
+        sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
+    if method == "classical-exact":
+        s_rel = relative_entropy(sigma_dist.as_density(), rho_dist.as_density())
+        return lambda n, dense_cap: _classical_record(sigma_dist, rho_dist, s_rel, n)
+
+    # refuses sigma off rho's support before R is built
+    s_rel = relative_entropy(sigma_op, rho_op)
+    s_rho, s_sigma = von_neumann_entropy(rho_op), von_neumann_entropy(sigma_op)
+    if commute:
+        def r_entropy(n, dense_cap):
+            # in a joint eigenbasis R is diagonal and its diagonal is its spectrum
+            r_diagonal = kron_sum(rho_dist.p, sigma_dist.p, n + 1, dense_cap)
+            return entropy_of_spectrum(clamp_spectrum(r_diagonal / (n + 1)))
+    else:
+        pair = _in_rho_eigenbasis(sigma_op, rho_op)
+
+        def r_entropy(n, dense_cap):
+            blocks = pair_swap_blocks(*pair, n, dense_cap)
+            return math.fsum(weight * dense_state_entropy(block) for weight, block in blocks)
+
+    def record(n, dense_cap):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        s_mix = r_entropy(n, dense_cap) - n * s_rho - s_sigma
+        return MixingRecord(n=n, s_mix=s_mix, s_rel=s_rel, gap=s_rel - s_mix, method="dense")
+
+    return record
+
+
 def mixing_entropy(
     sigma: StateLike,
     rho: StateLike,
@@ -770,38 +905,10 @@ def mixing_entropy(
     simultaneous_classical_pair gives;
     'classical-exact' requires commuting states and enumerates type classes;
     'auto' picks classical-exact when the states commute, else dense.
+    The pair's share of the work is _prepare's, which convergence_sweep
+    does once for all its n.
     """
-    sigma_op = sigma.as_density() if isinstance(sigma, ClassicalDistribution) else sigma
-    rho_op = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    _check_same_dim(sigma_op.entries, rho_op.entries)
-    commute = _commutator_max(sigma_op, rho_op) <= COMMUTE_TOL
-    if method == "auto":
-        method = "classical-exact" if commute else "dense"
-    if method == "classical-exact" or commute:
-        sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
-    if method == "classical-exact":
-        return classical_mixing_entropy_exact(sigma_dist, rho_dist, n)
-
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    # refuses sigma off rho's support before R is built
-    s_rel = relative_entropy(sigma_op, rho_op)
-    if commute:
-        # in a joint eigenbasis R is diagonal and its diagonal is its spectrum
-        n_total = n + 1
-        r_diagonal = kron_sum(rho_dist.p, sigma_dist.p, n_total, dense_cap)
-        s_r = entropy_of_spectrum(clamp_spectrum(r_diagonal / n_total))
-    else:
-        blocks = pair_swap_blocks(*_in_rho_eigenbasis(sigma_op, rho_op), n, dense_cap)
-        s_r = math.fsum(weight * dense_state_entropy(block) for weight, block in blocks)
-    s_mix = (
-        s_r
-        - n * von_neumann_entropy(rho_op)
-        - von_neumann_entropy(sigma_op)
-    )
-    return MixingRecord(n=n, s_mix=s_mix, s_rel=s_rel, gap=s_rel - s_mix, method="dense")
+    return _prepare(sigma, rho, method)(n, dense_cap)
 
 
 def convergence_sweep(
@@ -811,18 +918,21 @@ def convergence_sweep(
     method: str = "auto",
     dense_cap: int = DENSE_DIM_CAP,
 ) -> list:
-    """One MixingRecord per n, in increasing n.
+    """One MixingRecord per n, in increasing n, each mixing_entropy's.
 
     n_list names at least one n, and each n once: records.csv is keyed by n.
+    The pair is prepared once (_prepare), so a record's wall_time_ms covers
+    its own n alone.
     """
     if len(n_list) == 0:
         raise ValueError("sweep lists no n")
     if len(set(n_list)) != len(n_list):
         raise ValueError(f"sweep lists some n more than once: {list(n_list)}")
+    record = _prepare(sigma, rho, method)
     records = []
     for n in sorted(n_list):
         t0 = time.perf_counter()
-        rec = mixing_entropy(sigma, rho, n, method=method, dense_cap=dense_cap)
+        rec = record(n, dense_cap)
         wall_ms = (time.perf_counter() - t0) * 1e3
         records.append(replace(rec, wall_time_ms=wall_ms))
     return records

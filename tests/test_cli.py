@@ -282,6 +282,9 @@ def test_mix_sweep_classical_convergence(tmp_path):
     assert not (out / "extrapolation.json").exists()
     assert (out / "plot.svg").read_text().startswith("<svg")
     assert verify_manifest(out)
+    # the pair's preparation is timed apart from the records, within the sweep
+    timings = load(out, "manifest.json")["timings_ms"]
+    assert 0.0 <= timings["prepare"] <= timings["sweep"] <= timings["total"]
 
 
 @pytest.mark.parametrize("grid,message", [
@@ -290,7 +293,10 @@ def test_mix_sweep_classical_convergence(tmp_path):
     ({"n_grid": {"start": 4, "factor": 1, "count": 3}}, "more than once"),
     ({"n_list": []}, "lists no n"),
     ({"n_grid": {"count": 0}}, "lists no n"),
-], ids=["repeated-list", "repeated-flags", "repeated-grid", "empty-list", "empty-grid"])
+    ({"n_list": [4, 0, 1]}, "need n >= 1"),
+    (["--n-list", "0,4", "--method", "dense"], "need n >= 1"),
+], ids=["repeated-list", "repeated-flags", "repeated-grid", "empty-list", "empty-grid",
+        "zero-in-list", "zero-in-flags-dense"])
 def test_mix_sweep_rejects_repeated_or_no_n(tmp_path, capsys, grid, message):
     # a dict is config params, a list is flags
     params = grid if isinstance(grid, dict) else {}

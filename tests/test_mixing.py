@@ -435,7 +435,11 @@ def test_type_count_matrix_of_a_box_is_the_full_matrix_inside_it(data):
         lo[a] = data.draw(st.integers(0, inside[a]), label=f"lo[{a}]")
         hi[a] = data.draw(st.integers(inside[a], n_total), label=f"hi[{a}]")
     full = full_count_matrix(n_total, d)
-    counts = _type_count_matrix(n_total, lo, hi)
+    # a d = 3 box in blocks of any size, down to one c0 per block
+    cells = data.draw(st.sampled_from([1, 7, 64, mixing.TYPE_BLOCK_CELLS]), label="cells")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixing, "TYPE_BLOCK_CELLS", cells)
+        counts = _type_count_matrix(n_total, lo, hi)
     assert len(counts) == mixing._num_types(n_total, lo, hi)
     assert np.array_equal(counts, full[((full >= lo) & (full <= hi)).all(axis=1)])
 
@@ -523,6 +527,50 @@ def test_type_runs_give_the_count_matrix_arrays_bit_for_bit_at_large_n(
     sig_p, rho_p, n_total, m_sigma
 ):
     _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma)
+
+
+def _d3_blocks(sig_p, rho_p, n_total, m_sigma):
+    """(keep, c0 + c1) over the cells of each d = 3 run of the spectrum's box."""
+    box = mixing._typical_box(np.asarray(sig_p), np.asarray(rho_p), n_total, m_sigma)
+    c = [np.arange(n_total + 1)] * 3
+    return [(keep, sum(lookup(c)[:2])) for _, keep, lookup in mixing._type_runs(n_total, *box)]
+
+
+D3_PAIR = ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45])
+BLOCK_EDGE_CASES = [    # (sigma, rho, N, m, TYPE_BLOCK_CELLS, edges the blocks show)
+    # c2's window, clipped at 0, is narrower than c1's: both its bounds cut
+    ([0.4, 0.4, 0.2], [0.45, 0.5, 0.05], 200, 1, 2**10, {"corners", "padding"}),
+    ([0.2, 0.3, 0.5], [0.05, 0.15, 0.8], 32, 1, 2**6, {"padding"}),   # CI's vertex pair
+    *[(*D3_PAIR, 24, m, 2**5, {"padding"}) for m in (1, 2, 3)],
+    *[(*D3_PAIR, 90, m, 2**9, {"padding"}) for m in (2, 3)],     # the full triangle
+]
+
+
+@pytest.mark.parametrize("sig_p,rho_p,n_total,m_sigma,cells,edges", BLOCK_EDGE_CASES,
+                         ids=[f"{c[2]}-m{c[3]}-cells{c[4]}" for c in BLOCK_EDGE_CASES])
+def test_d3_blocks_give_the_count_matrix_arrays_bit_for_bit(
+    monkeypatch, sig_p, rho_p, n_total, m_sigma, cells, edges
+):
+    # "corners": c2's bounds drop both corners of a block's rectangle;
+    # "padding": a block has c0 + c1 > N, where c2's view reads padding
+    monkeypatch.setattr(mixing, "TYPE_BLOCK_CELLS", cells)
+    blocks = _d3_blocks(sig_p, rho_p, n_total, m_sigma)
+    assert len(blocks) >= 2
+    assert all(keep.size <= cells for keep, _ in blocks if keep.shape[0] > 1)
+    if "corners" in edges:
+        assert any(not keep[0, 0] and not keep[-1, -1] for keep, _ in blocks)
+    if "padding" in edges:
+        assert any(c01.max() > n_total for _, c01 in blocks)
+    _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma)
+
+
+def test_large_d3_boxes_span_several_blocks():
+    # LARGE_RUN_CASES at the module's own block size: m = 1 at N = 2049, and
+    # the full triangle at N = 401
+    for n_total, m_sigma in [(2049, 1), (401, 2), (401, 3)]:
+        blocks = _d3_blocks(*D3_PAIR, n_total, m_sigma)
+        assert len(blocks) >= 2
+        assert all(keep.size <= mixing.TYPE_BLOCK_CELLS for keep, _ in blocks)
 
 
 WINDOW_CASES = [     # (sigma, rho, N), each with types outside the box
@@ -1198,9 +1246,9 @@ def _enumerations(monkeypatch) -> list:
 
     def runs(n_total, lo, hi):
         calls.append([n_total, len(lo), 0])
-        for rows, index in real_runs(n_total, lo, hi):
+        for rows, keep, lookup in real_runs(n_total, lo, hi):
             calls[-1][2] += rows.stop - rows.start
-            yield rows, index
+            yield rows, keep, lookup
 
     monkeypatch.setattr(mixing, "_type_runs", runs)
     return calls
@@ -1413,6 +1461,55 @@ def test_one_point_sweep_returns_one_record():
         mixing_entropy(SIGMA_CLASSICAL, RHO_CLASSICAL, 4096),
         wall_time_ms=records[0].wall_time_ms,
     )
+
+
+HOIST_CASES = {     # (sigma, rho, method, n_list)
+    "classical-d2": (SIGMA_CLASSICAL, RHO_CLASSICAL, "auto", [1, 3, 64, 4096]),
+    "classical-d3": (ClassicalDistribution([0.5, 0.3, 0.2]),
+                     ClassicalDistribution([0.2, 0.35, 0.45]), "classical-exact",
+                     [1, 5, 64, 2048]),
+    "dense-commuting": (SIGMA_CLASSICAL, RHO_CLASSICAL, "dense", [1, 2, 5, 9]),
+    "dense-qubit": (*_haar_qubit_pair(1), "dense", [1, 2, 5, 8]),
+    # rho's first two eigenvalues 5e-9 apart, within DEGENERACY_GAP
+    **{f"near-degenerate-{method}": (
+        ClassicalDistribution([0.5, 0.1, 0.4]),
+        ClassicalDistribution([0.3, 0.3 + 5e-9, 0.4 - 5e-9]), method, [1, 2, 6])
+       for method in ("classical-exact", "dense")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOIST_CASES))
+def test_sweep_records_are_mixing_entropy_bit_for_bit(name):
+    sigma, rho, method, n_list = HOIST_CASES[name]
+    records = convergence_sweep(sigma, rho, n_list, method=method)
+    assert [r.n for r in records] == n_list
+    for rec in records:
+        one = mixing_entropy(sigma, rho, rec.n, method=method)
+        assert rec.method == one.method
+        assert [rec.s_mix.hex(), rec.s_rel.hex(), rec.gap.hex()] == [
+            one.s_mix.hex(), one.s_rel.hex(), one.gap.hex()]
+
+
+def test_a_sweep_prepares_its_pair_once(monkeypatch):
+    calls = []
+    for name in ("simultaneous_classical_pair", "_in_rho_eigenbasis"):
+        def counted(*args, real=getattr(mixing, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(mixing, name, counted)
+    n_list = [1, 2, 4, 8]
+    convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, n_list)
+    assert calls == ["simultaneous_classical_pair"]
+    convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, n_list, method="dense")
+    assert calls == ["simultaneous_classical_pair"] * 2
+    convergence_sweep(*_haar_qubit_pair(1), n_list, method="dense")
+    assert calls == ["simultaneous_classical_pair"] * 2 + ["_in_rho_eigenbasis"]
+
+
+@pytest.mark.parametrize("method", ["classical-exact", "dense"])
+def test_sweep_rejects_an_n_below_1(method):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        convergence_sweep(SIGMA_CLASSICAL, RHO_CLASSICAL, [4, 0, 1], method=method)
 
 
 @pytest.mark.parametrize("n_list", [[4, 4, 4], [1, 2, 2, 4]])
