@@ -107,9 +107,10 @@ class CollisionLedger:
 
 
 def commutator_norm(u: UnitaryOperator, h: HermitianOperator) -> float:
-    """Frobenius norm of [U, H]; zero means energy-conserving collisions."""
+    """Frobenius norm of [U, H], one per matrix; zero means energy-conserving collisions."""
     c = u.entries @ h.entries - h.entries @ u.entries
-    return float(np.linalg.norm(c))
+    norms = [float(np.linalg.norm(m)) for m in c.reshape(-1, *c.shape[-2:])]
+    return norms[0] if c.ndim == 2 else np.reshape(norms, c.shape[:-2])
 
 
 def collision_energy_transfer(
@@ -118,7 +119,7 @@ def collision_energy_transfer(
     """Mean energy transfer tr(sigma H) - tr(rho H) with sigma = U rho U†.
 
     Strictly positive for a Gibbs state at beta > 0 whenever sigma != rho,
-    where it equals S[sigma|rho] / beta.
+    where it equals S[sigma|rho] / beta. Stacks give one transfer per matrix.
     """
     sigma = apply_unitary(rho, u)
     return energy_mean(sigma, h) - energy_mean(rho, h)

@@ -24,7 +24,7 @@ N = n + m systems, the mixture after m collisions, whose candidate limit is
 m S[sigma|rho]; there S_mix = m S[sigma|rho] - gap, and the acceptance
 matrix asserts its leading term m^2 a1/N.
 scipy is imported on the first call to gammaln, so only the type-class routes
-pay for it.
+pay for it, when they prepare a pair.
 """
 
 from __future__ import annotations
@@ -859,6 +859,7 @@ def _prepare(sigma: StateLike, rho: StateLike, method: str):
     if method == "classical-exact" or commute:
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
     if method == "classical-exact":
+        gammaln(1.0)   # scipy's import is the pair's cost, not its first record's
         s_rel = relative_entropy(sigma_dist.as_density(), rho_dist.as_density())
         return lambda n, dense_cap: _classical_record(sigma_dist, rho_dist, s_rel, n)
 

@@ -1,6 +1,8 @@
 """Finite-dimensional operator algebra, state construction, and entropy functionals.
 
 All entropies are in nats (natural log). Convert to bits by dividing by ln 2.
+The operator types and functions also take (..., d, d) stacks of matrices,
+each matrix getting its own 2-D call's bits, and one number per matrix back.
 """
 
 from __future__ import annotations
@@ -30,11 +32,29 @@ SUPPORT_TOL = 1e-12
 LN2 = math.log(2.0)
 
 
-def _as_square_complex(entries) -> np.ndarray:
+def _as_square_complex(entries, stack: bool = False) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise InvalidStateError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _refuse(values, ok, message: str):
+    """Raise message % v, v the value of the first matrix (row-major) failing ok."""
+    if ok.ndim == 0 and ok:
+        return
+    failing = np.asarray(values)[~np.asarray(ok)]
+    if failing.size:
+        raise InvalidStateError(message % failing[0].item())
+
+
+def _per_matrix(values):
+    """A float for one matrix, else the array of one value per matrix of a stack."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -44,15 +64,15 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_complex(self.entries)
-        if not np.max(np.abs(m - m.conj().T)) <= ALGEBRA_TOL:
+        m = _as_square_complex(self.entries, stack=True)
+        if not np.max(np.abs(m - _dagger(m))) <= ALGEBRA_TOL:
             raise InvalidStateError(f"matrix is not Hermitian to {ALGEBRA_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -66,23 +86,19 @@ class DensityOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_complex(self.entries)
-        if not np.max(np.abs(m - m.conj().T)) <= ALGEBRA_TOL:
+        m = _as_square_complex(self.entries, stack=True)
+        if not np.max(np.abs(m - _dagger(m))) <= ALGEBRA_TOL:
             raise InvalidStateError(f"density matrix is not Hermitian to {ALGEBRA_TOL}")
-        tr = m.trace()
-        if not abs(tr - 1.0) <= ALGEBRA_TOL:
-            raise InvalidStateError(f"density matrix trace {tr} != 1 to {ALGEBRA_TOL}")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if not lo >= -EIG_FLOOR:
-            raise InvalidStateError(
-                f"density matrix has eigenvalue {lo} below -{EIG_FLOOR}"
-            )
+        tr = m.trace(axis1=-2, axis2=-1)
+        _refuse(tr, abs(tr - 1.0) <= ALGEBRA_TOL, f"density matrix trace %s != 1 to {ALGEBRA_TOL}")
+        lo = np.linalg.eigvalsh(m).min(axis=-1)
+        _refuse(lo, lo >= -EIG_FLOOR, f"density matrix has eigenvalue %s below -{EIG_FLOOR}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues with the [-EIG_FLOOR, 0) band clamped to 0."""
@@ -96,15 +112,15 @@ class UnitaryOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_complex(self.entries)
-        if not np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= ALGEBRA_TOL:
+        m = _as_square_complex(self.entries, stack=True)
+        if not np.max(np.abs(_dagger(m) @ m - np.eye(m.shape[-1]))) <= ALGEBRA_TOL:
             raise InvalidStateError(f"matrix is not unitary to {ALGEBRA_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 def beta_value(beta) -> float:
@@ -150,15 +166,14 @@ class ClassicalDistribution:
 
 def clamp_spectrum(eigs: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues in [-EIG_FLOOR, 0) to 0; reject anything below or NaN."""
-    lo = float(np.min(eigs))
-    if not lo >= -EIG_FLOOR:
-        raise InvalidStateError(f"eigenvalue {lo} below -{EIG_FLOOR}: not a valid state")
+    lo = eigs.min(axis=-1)
+    _refuse(lo, lo >= -EIG_FLOOR, f"eigenvalue %s below -{EIG_FLOOR}: not a valid state")
     return np.where(eigs < 0.0, 0.0, eigs)
 
 
 def _check_same_dim(a, b):
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatchError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
 
 
 def _check_support(outside: np.ndarray):
@@ -192,27 +207,37 @@ def gibbs_state(h: HermitianOperator, beta) -> DensityOperator:
 
     Computed in the eigenbasis of H with the minimum of beta*E_i subtracted
     before exponentiating, so the result is shift-invariant and overflow-safe.
+    A stack of H takes one beta, or one per matrix.
     """
-    b = beta_value(beta)
+    b = beta_value(beta) if np.ndim(beta) == 0 else np.reshape(
+        [beta_value(x) for x in np.ravel(beta)], np.shape(beta) + (1,))
     energies, basis = np.linalg.eigh(h.entries)
     exponent = -b * energies
-    weights = np.exp(exponent - exponent.max())
-    probs = weights / weights.sum()
-    rho = (basis * probs) @ basis.conj().T
-    return DensityOperator((rho + rho.conj().T) / 2.0)
+    weights = np.exp(exponent - exponent.max(axis=-1, keepdims=True))
+    probs = weights / weights.sum(axis=-1, keepdims=True)
+    rho = (basis * probs[..., None, :]) @ _dagger(basis)
+    return DensityOperator((rho + _dagger(rho)) / 2.0)
 
 
 def apply_unitary(rho: DensityOperator, u: UnitaryOperator) -> DensityOperator:
     """One collision: rho -> U rho U† (trace and spectrum preserved)."""
     _check_same_dim(rho.entries, u.entries)
-    out = u.entries @ rho.entries @ u.entries.conj().T
-    return DensityOperator((out + out.conj().T) / 2.0)
+    out = u.entries @ rho.entries @ _dagger(u.entries)
+    return DensityOperator((out + _dagger(out)) / 2.0)
 
 
-def entropy_of_spectrum(eigs: np.ndarray) -> float:
-    """-sum p ln p over a nonnegative spectrum, with 0 ln 0 = 0."""
-    pos = eigs[eigs > 0.0]
-    return float(-math.fsum(pos * np.log(pos)))
+def _fsum(terms: np.ndarray, keep: np.ndarray):
+    """math.fsum of each row's kept terms; fsum is exact, so zeros for the rest cost no bits."""
+    if terms.ndim == 1:
+        return math.fsum(terms[keep])
+    rows = np.where(keep, terms, 0.0)
+    return np.reshape([math.fsum(r) for r in rows.reshape(-1, rows.shape[-1])], rows.shape[:-1])
+
+
+def entropy_of_spectrum(eigs: np.ndarray):
+    """-sum p ln p over a nonnegative spectrum, with 0 ln 0 = 0; one per row of a stack."""
+    pos = eigs > 0.0
+    return -_fsum(eigs * np.log(np.where(pos, eigs, 1.0)), pos)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -239,51 +264,53 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     rho_eigs = clamp_spectrum(rho_eigs)
     # sigma's weight on each eigenvector of rho
     weights = np.real(np.einsum(
-        "ij,jk,ki->i", rho_basis.conj().T, sigma.entries, rho_basis
+        "...ij,...jk,...ki->...i", _dagger(rho_basis), sigma.entries, rho_basis
     ))
     weights = np.where((weights < 0.0) & (weights > -EIG_FLOOR), 0.0, weights)
     zero = rho_eigs <= 0.0
     _check_support(weights[zero])
+    s_sigma = von_neumann_entropy(sigma)
     if weights[zero].any():
-        basis = rho_basis[:, ~zero]
-        block = basis.conj().T @ sigma.entries @ basis
-        block /= block.trace().real
-        s_sigma = entropy_of_spectrum(clamp_spectrum(np.linalg.eigvalsh(block)))
-        weights, rho_eigs = block.diagonal().real, rho_eigs[~zero]
-    else:
-        s_sigma = von_neumann_entropy(sigma)
+        s_sigma = np.array(s_sigma)
+        for i in map(tuple, np.argwhere(np.any(zero & (weights != 0.0), axis=-1))):
+            basis = rho_basis[i][:, ~zero[i]]
+            block = _dagger(basis) @ sigma.entries[i] @ basis
+            block /= block.trace().real
+            s_sigma[i] = entropy_of_spectrum(clamp_spectrum(np.linalg.eigvalsh(block)))
+            weights[i][~zero[i]] = block.diagonal().real
     supported = (rho_eigs > 0.0) & (weights > 0.0)
-    cross = -math.fsum(weights[supported] * np.log(rho_eigs[supported]))
-    return cross - s_sigma
+    cross = -_fsum(weights * np.log(np.where(supported, rho_eigs, 1.0)), supported)
+    return _per_matrix(cross - s_sigma)
 
 
 def energy_mean(rho: DensityOperator, h: HermitianOperator) -> float:
     """tr(rho H); the imaginary residue must be below ENERGY_IMAG_TOL."""
     _check_same_dim(rho.entries, h.entries)
-    val = complex(np.trace(rho.entries @ h.entries))
-    if abs(val.imag) >= ENERGY_IMAG_TOL:
-        raise InvalidStateError(f"tr(rho H) has imaginary residue {val.imag}")
-    return val.real
+    val = (rho.entries @ h.entries).trace(axis1=-2, axis2=-1)
+    _refuse(val.imag, ~(abs(val.imag) >= ENERGY_IMAG_TOL), "tr(rho H) has imaginary residue %s")
+    return _per_matrix(val.real)
 
 
-def random_hermitian(seed: int, d: int) -> HermitianOperator:
-    """Seeded (A + A†)/2 with A of independent standard complex Gaussians."""
+def _complex_gaussians(seed, d: int) -> np.ndarray:
+    """d x d standard complex Gaussians from default_rng(seed); a stack for a seed sequence."""
     if d < 2:
         raise ValueError(f"need dimension d >= 2, got {d}")
-    rng = np.random.default_rng(seed)
-    a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    return HermitianOperator((a + a.conj().T) / 2.0)
+    rngs = [np.random.default_rng(s) for s in np.ravel(seed)]
+    a = np.array([r.standard_normal((d, d)) + 1j * r.standard_normal((d, d)) for r in rngs])
+    return (a / math.sqrt(2)).reshape(np.shape(seed) + (d, d))
 
 
-def random_haar_unitary(seed: int, d: int) -> UnitaryOperator:
-    """Seeded Haar-random unitary via QR with phase-normalized R diagonal."""
-    if d < 2:
-        raise ValueError(f"need dimension d >= 2, got {d}")
-    rng = np.random.default_rng(seed)
-    a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(a)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return UnitaryOperator(q * phases)
+def random_hermitian(seed, d: int) -> HermitianOperator:
+    """Seeded (A + A†)/2 with A of independent standard complex Gaussians, one per seed."""
+    a = _complex_gaussians(seed, d)
+    return HermitianOperator((a + _dagger(a)) / 2.0)
+
+
+def random_haar_unitary(seed, d: int) -> UnitaryOperator:
+    """Seeded Haar-random unitary via QR with phase-normalized R diagonal, one per seed."""
+    q, r = np.linalg.qr(_complex_gaussians(seed, d))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return UnitaryOperator(q * (diag / np.abs(diag))[..., None, :])
 
 
 def nats_to_bits(x: float) -> float:

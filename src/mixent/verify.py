@@ -112,32 +112,34 @@ def _c1_dissipation(cfg):
     rel_tol = DEFAULT_TOLERANCES["dissipation_rel"]
     comm_floor = DEFAULT_TOLERANCES["commutator_floor"]
     gap_floor = DEFAULT_TOLERANCES["state_gap_floor"]
-    rng = np.random.default_rng(cfg.seed)
+    betas = np.random.default_rng(cfg.seed).uniform(0.05, 5.0, size=100)
 
     max_rel = 0.0
     positivity_checked = 0
     positivity_ok = True
-    for i in range(100):
-        d = 2 + i % 5
-        beta = float(rng.uniform(0.05, 5.0))
-        h_raw = random_hermitian(cfg.seed + i, d)
-        # fix the spectral range at 2 so beta*range <= 10 and the smallest
+    # one stack per d = 2 + i % 5; beta_i is default_rng(seed)'s i-th draw, and
+    # H_i and U_i come from default_rng(seed + i) and default_rng(seed + 10_000 + i)
+    for d in range(2, 7):
+        ids = range(d - 2, 100, 5)
+        beta = betas[ids]
+        h_raw = random_hermitian([cfg.seed + i for i in ids], d)
+        # fix each spectral range at 2 so beta*range <= 10 and the smallest
         # Gibbs eigenvalue stays resolvable by a double-precision eigensolve
         energies = np.linalg.eigvalsh(h_raw.entries)
-        h = HermitianOperator(h_raw.entries * (2.0 / (energies[-1] - energies[0])))
-        u = random_haar_unitary(cfg.seed + 10_000 + i, d)
+        scale = 2.0 / (energies[:, -1] - energies[:, 0])
+        h = HermitianOperator(h_raw.entries * scale[:, None, None])
+        u = random_haar_unitary([cfg.seed + 10_000 + i for i in ids], d)
         rho = gibbs_state(h, beta)
         sigma = apply_unitary(rho, u)
         de = collision_energy_transfer(rho, u, h)
         s_rel = relative_entropy(sigma, rho)
-        rel_err = abs(beta * de - s_rel) / max(s_rel, 1e-300)
-        max_rel = max(max_rel, rel_err)
-        if (
-            commutator_norm(u, h) > comm_floor
-            and float(np.max(np.abs(sigma.entries - rho.entries))) > gap_floor
-        ):
-            positivity_checked += 1
-            positivity_ok = positivity_ok and de > 0.0
+        rel_err = np.abs(beta * de - s_rel) / np.maximum(s_rel, 1e-300)
+        max_rel = float(np.maximum(max_rel, rel_err.max()))
+        checked = (commutator_norm(u, h) > comm_floor) & (
+            np.abs(sigma.entries - rho.entries).max(axis=(-2, -1)) > gap_floor
+        )
+        positivity_checked += int(checked.sum())
+        positivity_ok = positivity_ok and bool(np.all(de[checked] > 0.0))
 
     ok = max_rel < rel_tol and positivity_ok and positivity_checked > 0
     return _status(ok), {

@@ -12,9 +12,19 @@ from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from mixent import verify
+from mixent import (
+    HermitianOperator,
+    apply_unitary,
+    gibbs_state,
+    random_haar_unitary,
+    random_hermitian,
+    relative_entropy,
+    verify,
+)
+from mixent.collisions import collision_energy_transfer, commutator_norm
 from mixent.cli import main
 from mixent.errors import CapExceededError
 from mixent.verify import (
@@ -50,6 +60,37 @@ def test_criterion_1_dissipation_identity(outcome):
     assert result.details["instances"] == 100
     assert result.details["max_rel_err"] < 1e-9
     assert result.details["positivity_ok"]
+
+
+def _c1_one_instance_at_a_time(seed):
+    """Criterion 1's details from 2-D calls, instance by instance: the oracle."""
+    rng = np.random.default_rng(seed)
+    max_rel, checked, positivity_ok = 0.0, 0, True
+    for i in range(100):
+        d = 2 + i % 5
+        beta = float(rng.uniform(0.05, 5.0))
+        h_raw = random_hermitian(seed + i, d)
+        energies = np.linalg.eigvalsh(h_raw.entries)
+        h = HermitianOperator(h_raw.entries * (2.0 / (energies[-1] - energies[0])))
+        u = random_haar_unitary(seed + 10_000 + i, d)
+        rho = gibbs_state(h, beta)
+        sigma = apply_unitary(rho, u)
+        de = collision_energy_transfer(rho, u, h)
+        s_rel = relative_entropy(sigma, rho)
+        max_rel = max(max_rel, abs(beta * de - s_rel) / max(s_rel, 1e-300))
+        gap = float(np.max(np.abs(sigma.entries - rho.entries)))
+        if commutator_norm(u, h) > 1e-6 and gap > 1e-8:
+            checked += 1
+            positivity_ok = positivity_ok and de > 0.0
+    return {"instances": 100, "max_rel_err": max_rel, "rel_tol": 1e-9,
+            "positivity_checked": checked, "positivity_ok": positivity_ok}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9, 17, 59])
+def test_criterion_1_stacks_match_one_instance_at_a_time(seed):
+    status, details = verify._c1_dissipation(VerifyConfig(seed=seed))
+    assert status == "pass"
+    assert details == _c1_one_instance_at_a_time(seed)
 
 
 def test_criterion_2_reversibility_baseline(outcome):

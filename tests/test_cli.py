@@ -769,12 +769,13 @@ print("scipy" in sys.modules)
 """
 
 
-def _imports_scipy(tmp_path, argv=()):
-    """Whether a fresh process importing mixent.cli (and running argv) imports scipy."""
+def _imports_scipy(tmp_path, argv=(), probe=SCIPY_PROBE):
+    """Whether a fresh process running probe (by default: import mixent.cli, run argv)
+    imports scipy."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     ).stdout
     return out.splitlines()[-1] == "True"
@@ -782,6 +783,25 @@ def _imports_scipy(tmp_path, argv=()):
 
 def test_importing_the_cli_imports_no_scipy(tmp_path):
     assert not _imports_scipy(tmp_path)
+
+
+PREPARE_PROBE = """
+import sys
+import numpy as np
+from mixent import DensityOperator
+from mixent.mixing import _prepare
+method = sys.argv[1]
+off = 0.0 if method == "classical-exact" else 0.2 + 0.1j
+sigma = DensityOperator([[0.3, off], [np.conj(off), 0.7]])
+_prepare(sigma, DensityOperator(np.diag([0.7, 0.3])), method)
+print("scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("method,expected", [("classical-exact", True), ("dense", False)])
+def test_a_type_class_pair_imports_scipy_when_prepared(tmp_path, method, expected):
+    # so the import shows in a sweep's timings_ms.prepare, not in its first record
+    assert _imports_scipy(tmp_path, [method], PREPARE_PROBE) is expected
 
 
 QUBIT_PAIR = {

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +24,15 @@ from mixent import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from mixent.collisions import collision_energy_transfer, commutator_norm
 from mixent.combinatorics import classical_mixing_increase_formula
-from mixent.mixing import dense_state_entropy, mixing_entropy, type_class_spectrum
-from mixent.states import beta_value, clamp_spectrum
+from mixent.mixing import (
+    dense_state_entropy,
+    mixing_entropy,
+    permutation_twirl_dense,
+    type_class_spectrum,
+)
+from mixent.states import beta_value, clamp_spectrum, entropy_of_spectrum
 from conftest import seeded_density
 
 
@@ -421,3 +428,149 @@ def test_random_generators_reject_small_dims():
         random_hermitian(0, 1)
     with pytest.raises(ValueError):
         random_haar_unitary(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# stacks: a (k, d, d) stack gives each matrix the bits of its own 2-D call
+# ---------------------------------------------------------------------------
+
+def _value(x):
+    return x.entries if hasattr(x, "entries") else x
+
+
+def _row(x, j):
+    """Row j of a stacked argument, an operator rebuilt from its 2-D entries."""
+    return type(x)(x.entries[j]) if hasattr(x, "entries") else x[j]
+
+
+def _assert_rows(fn, *args):
+    """Row j of fn on stacks holds the bits of fn on each argument's row j."""
+    stacked = _value(fn(*args))
+    for j in range(len(stacked)):
+        one = _value(fn(*(_row(a, j) for a in args)))
+        # a 2-D call still returns a float, not a 0-d array
+        assert np.ndim(one) > 0 or type(one) is float
+        assert np.asarray(stacked[j]).tobytes() == np.asarray(one, stacked.dtype).tobytes(), j
+
+
+def _stacked_pair(d, k, seed=0):
+    h = random_hermitian(np.arange(100 + seed, 100 + seed + k), d)
+    beta = np.linspace(0.1, 4.0, k)
+    return h, beta, gibbs_state(h, beta)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("d", range(2, 7))
+def test_stacked_calls_give_each_row_its_own_bits(d, k):
+    h, beta, rho = _stacked_pair(d, k)
+    u = random_haar_unitary(np.arange(200, 200 + k), d)
+    sigma = apply_unitary(rho, u)
+    for fn, *args in [
+        (lambda s: random_hermitian(s, d), np.arange(100, 100 + k)),
+        (lambda s: random_haar_unitary(s, d), np.arange(200, 200 + k)),
+        (HermitianOperator, h.entries),
+        (UnitaryOperator, u.entries),
+        (DensityOperator, sigma.entries),
+        (gibbs_state, h, beta),
+        (apply_unitary, rho, u),
+        (DensityOperator.eigenvalues, sigma),
+        (clamp_spectrum, np.linalg.eigvalsh(sigma.entries)),
+        (entropy_of_spectrum, sigma.eigenvalues()),
+        (von_neumann_entropy, sigma),
+        (energy_mean, sigma, h),
+        (relative_entropy, sigma, rho),
+        (collision_energy_transfer, rho, u, h),
+        (commutator_norm, u, h),
+    ]:
+        _assert_rows(fn, *args)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_a_stacked_row_off_rho_support_takes_the_projection_on_its_own(d):
+    # row 1: sigma holds 1e-13 off rho's support, which is rounding, dropped
+    # from both terms; the other rows are full rank and keep von_neumann_entropy
+    rho = _stacked_pair(d, 3, seed=d)[2].entries.copy()
+    sigma = _stacked_pair(d, 3, seed=10 + d)[2].entries.copy()
+    rho[1] = np.diag(np.append(np.full(d - 1, 1.0 / (d - 1)), 0.0))
+    sigma[1] = np.diag(np.append(np.full(d - 1, (1.0 - 1e-13) / (d - 1)), 1e-13))
+    rho, sigma = DensityOperator(rho), DensityOperator(sigma)
+    assert rho.eigenvalues()[1, 0] == 0.0 and rho.eigenvalues()[[0, 2], 0].min() > 0.0
+    _assert_rows(relative_entropy, sigma, rho)
+    assert relative_entropy(sigma, rho)[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def _stack_with(rows, j, bad):
+    stack = np.array(rows, dtype=complex)
+    stack[j] = bad
+    return stack
+
+
+QUBIT_STATES = [np.diag([0.3, 0.7]), np.diag([0.5, 0.5]), np.diag([0.9, 0.1])]
+
+
+@pytest.mark.parametrize("build,bad", [
+    (HermitianOperator, [[0.0, 1.0], [0.0, 0.0]]),
+    (DensityOperator, [[0.5, 1.0], [0.0, 0.5]]),
+    (DensityOperator, [[0.5, 0.0], [0.0, 0.6]]),
+    (DensityOperator, [[1.1, 0.0], [0.0, -0.1]]),
+    (DensityOperator, [[np.nan, 0.0], [0.0, 1.0]]),
+    (UnitaryOperator, [[1.0, 0.0], [0.0, 2.0]]),
+], ids=["hermitian", "density-hermitian", "density-trace", "density-eigenvalue",
+        "density-nan", "unitary"])
+@pytest.mark.parametrize("j", range(3))
+def test_a_stack_with_one_invalid_row_raises_that_rows_message(build, bad, j):
+    with pytest.raises(InvalidStateError) as single:
+        build(np.array(bad, dtype=complex))
+    with pytest.raises(InvalidStateError) as stacked:
+        build(_stack_with(QUBIT_STATES, j, bad))
+    assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("j", range(3))
+def test_a_stack_of_spectra_names_the_failing_rows_minimum(j):
+    spectra = np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])
+    spectra[j] = [-2e-10, 1.0]
+    with pytest.raises(InvalidStateError) as single:
+        clamp_spectrum(spectra[j])
+    with pytest.raises(InvalidStateError) as stacked:
+        clamp_spectrum(spectra)
+    assert str(stacked.value) == str(single.value)
+    assert str(single.value) == "eigenvalue -2e-10 below -1e-10: not a valid state"
+
+
+def test_a_stack_of_betas_names_the_nonfinite_one():
+    with pytest.raises(ValueError, match=r"^inverse temperature must be finite, got nan$"):
+        gibbs_state(random_hermitian([1, 2, 3], 2), [1.0, math.nan, 2.0])
+
+
+@pytest.mark.parametrize("build", [HermitianOperator, DensityOperator, UnitaryOperator])
+@pytest.mark.parametrize("entries,shape", [
+    (np.ones(3), "(3,)"),
+    (np.ones((2, 3)), "(2, 3)"),
+    (np.ones((2, 3, 4)), "(2, 3, 4)"),
+    (np.float64(1.0), "()"),
+])
+def test_operator_types_refuse_what_is_no_square_matrix_or_stack(build, entries, shape):
+    message = f"expected a square matrix, got shape {shape}"
+    with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+        build(entries)
+
+
+def test_the_twirl_still_refuses_a_stack():
+    message = r"^expected a square matrix, got shape \(2, 4, 4\)$"
+    with pytest.raises(InvalidStateError, match=message):
+        permutation_twirl_dense(np.ones((2, 4, 4)), 2)
+
+
+def test_dim_and_the_dimension_check_read_the_last_axis(qubit_h):
+    # shape[0] would read each stack's length: 3 for h, and for a (2, 3, 3)
+    # stack of states 2, which would let a qubit H through the check
+    h = random_hermitian([1, 2, 3], 4)
+    assert h.dim == 4 and random_haar_unitary([5, 6, 7], 2).dim == 2
+    rho = gibbs_state(h, 1.0)
+    assert rho.dim == 4
+    two = gibbs_state(random_hermitian([1, 2], 3), 1.0)
+    with pytest.raises(DimensionMismatchError, match=r"^dimension mismatch: 3 vs 2$"):
+        energy_mean(two, qubit_h)
+    qubits = gibbs_state(random_hermitian([1, 2, 3], 2), 1.0)
+    assert energy_mean(qubits, qubit_h).shape == (3,)
