@@ -13,6 +13,7 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -522,7 +523,9 @@ def _add_common(parser):
     parser.add_argument("--dense-cap", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mixent parser, built once per process; each parse_args makes its own namespace."""
     parser = argparse.ArgumentParser(
         prog="mixent",
         description="collision-model friction lab: dissipation identities and "

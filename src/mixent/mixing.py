@@ -10,21 +10,20 @@ spectrum of R in rho's eigenbasis, from the k + 1 blocks R splits into
 because swapping the two sites of any of k = (n+1) // 2 site pairs leaves
 it invariant (for commuting states only R's diagonal, R being diagonal in
 their joint eigenbasis); and, for commuting states, the gap first,
-gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}), as a sum of
-nonnegative terms over the type classes, with S_mix = S[sigma|rho] - gap.
-One exact type-class spectrum holds both: its gap() is the route's, its
-entropy() is S[R], the gap's oracle at small n. For m = 1 the gap is an
-expectation under Mult(N, rho), whose mass lies within O(sqrt N) of N rho,
-so the spectrum covers only the types in a Hoeffding box about N rho
-(_typical_box); the types outside add at most GAP_TAIL to the gap.
+gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}), with
+S_mix = S[sigma|rho] - gap. For one sigma the gap is E[L ln L] under
+Mult(N, rho), one integral over t with O(d) work per node at any N
+(gap_integral). The exact type-class spectrum is its oracle at small n: its
+gap() sums the same expectation over the type classes (for m = 1 over a
+Hoeffding box, _typical_box) and its entropy() is S[R].
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho];
 for commuting states gap_series gives the rate, the first three terms of the
 gap's series in 1/N. The type-class route also spreads m sigma factors over
 N = n + m systems, the mixture after m collisions, whose candidate limit is
 m S[sigma|rho]; there S_mix = m S[sigma|rho] - gap, and the acceptance
 matrix asserts its leading term m^2 a1/N.
-scipy is imported on the first call to gammaln, so only the type-class routes
-pay for it, when they prepare a pair.
+scipy is imported on the first call to gammaln, so only the type-class
+spectrum pays for it: m >= 2 records and the oracles.
 """
 
 from __future__ import annotations
@@ -71,6 +70,9 @@ TYPE_CLASS_BUDGET = 5_000_000
 TYPE_BLOCK_CELLS = 2**15
 # the most the types outside _typical_box add to an m = 1 gap
 GAP_TAIL = 1e-20
+GAP_STEP, GAP_X_MIN = 0.25, -40.0   # gap_integral's trapezoid rule in x = ln t
+# 1/k!, k = 13 down to 2: e^y - 1 - y = y^2 polyval(G_SERIES, y) to 2e-18 for |y| < 1/4
+G_SERIES = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
 COMMUTE_TOL = 1e-10
 NORMALIZATION_TOL = 1e-9
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -551,6 +553,57 @@ def gap_series(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tupl
     return k2 / 2, k2**2 / 4 - k3 / 6, k4 / 12 - k2 * k3 / 2 + k2**3 / 2
 
 
+def gap_integral(sigma_p: np.ndarray, rho_p: np.ndarray, n_total: int) -> float:
+    """The m = 1 gap E[L ln L] under Mult(N, rho), L the mean of N draws of r = sigma/rho.
+
+    The pair is on rho's support (_supported_pair). By Frullani's ln L = int (e^-t -
+    e^-tL) dt/t (Knessl, Appl. Math. Lett. 11, 1998), with E[L e^-tL] = psi phi^(N-1),
+    psi and phi = sigma and rho . e^-sr, s = t/N: gap = int e^-t (-expm1(w)) dx, t =
+    e^x, w = v + (N-1) u, u = ln phi + s = log1p(rho . g), v = ln psi + s =
+    log1p(sigma . g - s chi2), g = e^y - 1 - y, y = -s delta, delta = (sigma - rho)/rho,
+    chi2 = rho . delta^2. Where |w| > 1 the integrand is e^-t - E[L e^-tL], E's log
+    past s = 1 by log-sum-exps. Trapezoid rule in x (Trefethen & Weideman, SIAM Rev.
+    56, 2014) from GAP_X_MIN - ln r_max, below which the integrand is t chi2/N, to ln 60
+    + max(0, ln N - ln r_min), past which it is below e^-60: a positive L is >= r_min/N.
+    """
+    delta = (sigma_p - rho_p) / rho_p
+    chi2, n_rho = float((rho_p * delta) @ delta), float(n_total - 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_pair = np.log([sigma_p, rho_p])
+        log_r, log_n = log_pair[0] - log_pair[1], math.log(n_total)
+        x_max = max(log_n - float(log_r[sigma_p > 0.0].min()), 0.0) + math.log(60.0)
+        x_min = GAP_X_MIN - GAP_STEP * math.ceil(float(log_r.max()) / GAP_STEP)
+        x = x_min + GAP_STEP * np.arange(math.ceil((x_max - x_min) / GAP_STEP) + 1)
+        t = np.exp(x)
+        s = t / n_total
+        y = np.multiply.outer(-s, delta)
+        em = np.expm1(y)
+        h = np.where(np.abs(y) < 0.25, np.polyval(G_SERIES, y), (em - y) / y / y)
+        # past s max|delta| = 1: sigma . expm1(y), taking sigma . delta as chi2, or ln(sigma . e^y)
+        z = em @ sigma_p + s * float(rho_p @ delta)
+        v = np.where(s * float(np.abs(delta).max()) < 1.0,
+                     np.log1p((h * y * y) @ sigma_p - s * chi2),
+                     np.where(z > -0.5, np.log1p(z), np.log(np.exp(y) @ sigma_p)))
+        # (N-1) log1p(s q), s q = rho . g: (N-1) s q below 1e-20, where s q may underflow
+        q = s * (h @ (rho_p * delta * delta))
+        w = v + np.where(s * q < 1e-20, (n_rho * s) * q, n_rho * np.log1p(s * q))
+        f = np.exp(-t)
+        near = np.abs(w) <= 1.0
+        f[near] *= -np.expm1(w[near])
+        # w - t rounds by eps t, below the log-sum-exps' (N - 1) eps, while s < 1;
+        # past it w - t can cancel to nothing
+        log_e = w - t
+        lse = ~near & (s >= 1.0)
+        terms = log_pair[:, None, :] - np.exp(np.add.outer(x[lse] - log_n, log_r))
+        log_psi, log_phi = np.logaddexp.reduce(terms, axis=2)
+        log_e[lse] = log_psi + n_rho * log_phi
+        f[~near] -= np.exp(log_e[~near])
+    gap = GAP_STEP * math.fsum(f.tolist())
+    if not math.isfinite(gap):
+        raise InvalidStateError(f"gap integral is not finite: {gap}")
+    return gap
+
+
 def _log_choose(n: int, k: int) -> float:
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
@@ -684,8 +737,9 @@ def classical_mixing_entropy_exact(
 ) -> MixingRecord:
     """Exact S_mix for m_sigma sigma factors among n rho factors, commuting states.
 
-    The gap comes first, from the type classes of N = n + m_sigma systems
-    (TypeClassSpectrum.gap), and S_mix = m S[sigma|rho] - gap; the record's
+    The gap comes first, for N = n + m_sigma systems: for m = 1 from
+    gap_integral, with no budget at any N, and for m >= 2 from the type
+    classes (TypeClassSpectrum.gap); S_mix = m S[sigma|rho] - gap. The record's
     S_rel column holds m S[sigma|rho], the candidate n -> infinity limit,
     and its gap column the route's gap itself. For m = 1 the gap follows
     gap_series; for m >= 2 its leading term is m^2 a1/N.
@@ -704,7 +758,10 @@ def _classical_record(
     """classical_mixing_entropy_exact's record, given s_rel = S[sigma|rho]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    gap = type_class_spectrum(sigma, rho, n + m_sigma, m_sigma).gap()
+    if m_sigma == 1:
+        gap = gap_integral(*_supported_pair(sigma, rho), n + 1)
+    else:
+        gap = type_class_spectrum(sigma, rho, n + m_sigma, m_sigma).gap()
     s_rel = m_sigma * s_rel
     method = "classical-exact" if m_sigma == 1 else f"classical-multi(m_sigma={m_sigma})"
     return MixingRecord(n=n, s_mix=s_rel - gap, s_rel=s_rel, gap=gap, method=method)
@@ -846,12 +903,13 @@ def _prepare(sigma: StateLike, rho: StateLike, method: str):
     record(n, dense_cap) is the MixingRecord for one n. The commutator
     check, the joint diagonalization and S[sigma|rho] are the pair's, and
     for the dense routes also rho's eigenbasis, S[rho] and S[sigma]; only R's
-    spectrum, or the type-class gap, depends on n.
+    spectrum, or the gap integral, depends on n. A stack of states is refused.
     """
     sigma_op = sigma.as_density() if isinstance(sigma, ClassicalDistribution) else sigma
     rho_op = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    _as_square_complex(sigma_op.entries), _as_square_complex(rho_op.entries)
     _check_same_dim(sigma_op.entries, rho_op.entries)
     commute = _commutator_max(sigma_op, rho_op) <= COMMUTE_TOL
     if method == "auto":
@@ -859,7 +917,6 @@ def _prepare(sigma: StateLike, rho: StateLike, method: str):
     if method == "classical-exact" or commute:
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
     if method == "classical-exact":
-        gammaln(1.0)   # scipy's import is the pair's cost, not its first record's
         s_rel = relative_entropy(sigma_dist.as_density(), rho_dist.as_density())
         return lambda n, dense_cap: _classical_record(sigma_dist, rho_dist, s_rel, n)
 
@@ -904,7 +961,8 @@ def mixing_entropy(
     to COMMUTE_TOL, R is diagonal in their joint eigenbasis and only its
     d^(n+1) diagonal entries are built, by kron_sum on the two spectra
     simultaneous_classical_pair gives;
-    'classical-exact' requires commuting states and enumerates type classes;
+    'classical-exact' requires commuting states and takes the gap first
+    (classical_mixing_entropy_exact);
     'auto' picks classical-exact when the states commute, else dense.
     The pair's share of the work is _prepare's, which convergence_sweep
     does once for all its n.

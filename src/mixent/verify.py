@@ -37,6 +37,7 @@ from .errors import CapExceededError
 from .mixing import (
     classical_mixing_entropy_exact,
     convergence_sweep,
+    gap_integral,
     gap_series,
     graceful_checks,
     mixing_entropy,
@@ -62,7 +63,7 @@ DEFAULT_TOLERANCES = {
     "state_gap_floor": 1e-8,      # max|sigma-rho| above which dE > 0 is demanded
     "graceful_residual": 1e-10,   # energy, commutation and state residuals
     "oracle_equivalence": 1e-9,   # |S_mix dense - S_mix classical|
-    "spectrum_rel": 1e-12,        # type-class mass in R vs string enumeration
+    "spectrum_rel": 1e-12,        # type-class mass in R vs strings; gap_integral vs gap()
     "series_remainder": 2.0,      # |gap - a1/N - a2/N^2| / (|a3|/N^3), n >= 64
     "typicality_final": 5e-4,     # deficit at n = 10^4
     "increase_formula": 1e-12,    # appendix formula vs relative entropy
@@ -214,7 +215,7 @@ def _c3_gracefulness(cfg):
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: dense vs classical-exact; type classes vs string enumeration
+# criterion 4: dense vs classical-exact; type classes vs strings and the integral
 # ---------------------------------------------------------------------------
 
 C4_FAMILIES = [
@@ -264,9 +265,10 @@ def _c4_oracle_equivalence(cfg):
             ran.append(f"d={d},n={n}")
 
     # each type's mass in R, from the arrays gap() sums, against string
-    # enumeration; weight = mult rho^t, so the mass checks the multiplicity too
+    # enumeration (weight = mult rho^t, so it checks the multiplicity too); gap()
+    # is the oracle of the records' gap_integral
     types_exact = True
-    max_mass_rel = 0.0
+    max_mass_rel = max_gap_rel = 0.0
     for d, n_max, (rho_p, sig_p) in C4_FAMILIES:
         n_total = n_max + 1
         spec = type_class_spectrum(
@@ -280,10 +282,13 @@ def _c4_oracle_equivalence(cfg):
         if not np.array_equal(types, spec.counts):
             types_exact = False
             continue
+        oracle = spec.gap()
+        max_gap_rel = max(max_gap_rel, abs(gap_integral(spec.sigma_p, spec.rho_p, n_total)
+                                           - oracle) / oracle)
         mass = np.bincount(of_type, weights=q)
         rel = np.abs(spec.weight * (1.0 + spec.excess) - mass) / np.maximum(mass, 1e-300)
         max_mass_rel = max(max_mass_rel, float(rel.max()))
-    spectrum_ok = types_exact and max_mass_rel < spec_tol
+    spectrum_ok = types_exact and max_mass_rel < spec_tol and max_gap_rel < spec_tol
 
     details = {
         "dense_vs_classical_cases": len(ran),
@@ -291,6 +296,7 @@ def _c4_oracle_equivalence(cfg):
         "tol": tol,
         "types_exact": types_exact,
         "max_type_mass_rel_err": max_mass_rel,
+        "max_integral_vs_type_gap_rel": max_gap_rel,
     }
     if skipped:
         details["skipped_cases"] = skipped

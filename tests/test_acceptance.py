@@ -174,7 +174,7 @@ def test_criterion_9_determinism(outcome, tmp_path):
 
 # sha256 of the report bytes as RunWriter.write_json writes them (numpy 2.4.6,
 # scipy 1.17.1, the versions CI pins)
-VERIFY_REPORT_SHA256 = "bb851a3f13578187535a1c5015f93081c72f2cc6581efee70ecad27f9b1c17c8"
+VERIFY_REPORT_SHA256 = "f39b5c7a4b831d1713c1dc4d7e7d4d9df1823a891ce14c4ebcca9c7372079e7c"
 APPENDIX_REPORT_SHA256 = {
     None: "73f1ee56947fbbc8e7db2a32806e4f3fb3945b7b657990c24447f5bf5d522f51",
     9: "88adaa0a5f9e0442454cf8b2ecadeb2eeeeeb7d741e4f907452563ff58124dbe",
@@ -264,6 +264,14 @@ def test_criterion_4_fails_on_a_wrong_type_class_spectrum(monkeypatch, fault):
     if fault == "one-weight":
         assert result.details["max_type_mass_rel_err"] > 1e-11
     assert result.details["max_dense_vs_classical"] < 1e-9
+
+
+def test_criterion_4_fails_on_a_gap_integral_off_its_type_class_oracle(monkeypatch):
+    real = verify.gap_integral
+    monkeypatch.setattr(verify, "gap_integral", lambda *a: real(*a) * (1.0 + 1e-11))
+    (result,) = run_acceptance(VerifyConfig(seed=SEED), only=(4,)).results
+    assert result.status == "fail"
+    assert 5e-12 < result.details["max_integral_vs_type_gap_rel"] < 2e-11
 
 
 def test_criterion_6_bounds_the_records_of_the_criteria_that_ran():

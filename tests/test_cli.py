@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mixent import (
+    CapExceededError,
     ClassicalDistribution,
     DensityOperator,
     HermitianOperator,
@@ -19,9 +20,10 @@ from mixent import (
     classical_mixing_entropy_exact,
     random_haar_unitary,
     random_hermitian,
+    type_class_spectrum,
     verify,
 )
-from mixent import cli
+from mixent import cli, mixing
 from mixent.cli import _operator_param, main
 from mixent.mixing import TYPE_CLASS_BUDGET
 from conftest import series_remainder_ratios, verify_manifest
@@ -312,21 +314,31 @@ def test_mix_sweep_rejects_repeated_or_no_n(tmp_path, capsys, grid, message):
     assert not out.exists()
 
 
-def test_mix_sweep_past_the_weights_precision_fails_loudly(tmp_path, capsys):
-    # n = 2^21 is within TYPE_CLASS_BUDGET, but each weight's eps ln N!
-    # rounding (ROADMAP item 3) leaves their sum 2.5e-9 off 1, past
-    # NORMALIZATION_TOL: the route refuses, and mix-sweep writes nothing
-    sig, rho = ClassicalDistribution([0.3, 0.7]), ClassicalDistribution([0.7, 0.3])
-    assert 2**21 + 2 <= TYPE_CLASS_BUDGET
-    with pytest.raises(InvalidStateError, match="type weights sum to 1.00000000"):
-        classical_mixing_entropy_exact(sig, rho, 2**21)
+def _sweep_and_series_gap(tmp_path, n, method="classical-exact"):
+    """mix-sweep's gap_nats for sigma = (0.3, 0.7), rho = (0.7, 0.3) at one n, and the series'."""
     out = tmp_path / "o"
     flags = ["--sigma", write_json(tmp_path / "s.json", {"p": [0.3, 0.7]}),
              "--rho", write_json(tmp_path / "r.json", {"p": [0.7, 0.3]}),
-             "--n-list", str(2**21), "--method", "classical-exact", "--out-dir", str(out)]
-    assert main(["mix-sweep"] + flags) == 2
-    assert "type weights sum to" in capsys.readouterr().err
-    assert not out.exists()
+             "--n-list", str(n), "--method", method, "--out-dir", str(out)]
+    assert main(["mix-sweep"] + flags) == 0
+    (row,) = (out / "records.csv").read_text().strip().split("\n")[1:]
+    a1, a2, a3 = mixing.gap_series(ClassicalDistribution([0.3, 0.7]),
+                                   ClassicalDistribution([0.7, 0.3]))
+    big_n = n + 1
+    return float(row.split(",")[4]), a1 / big_n + a2 / big_n**2 + a3 / big_n**3
+
+
+def test_mix_sweep_past_the_weights_precision_fails_loudly(tmp_path):
+    # N = 2^21 + 1 is within TYPE_CLASS_BUDGET, but each weight's eps ln N!
+    # rounding leaves their sum 2.5e-9 off 1, past NORMALIZATION_TOL: the
+    # type-class spectrum refuses. mix-sweep's m = 1 records come from the
+    # gap integral, which has no such limit
+    sig, rho = ClassicalDistribution([0.3, 0.7]), ClassicalDistribution([0.7, 0.3])
+    assert 2**21 + 2 <= TYPE_CLASS_BUDGET
+    with pytest.raises(InvalidStateError, match="type weights sum to 1.00000000"):
+        type_class_spectrum(sig, rho, 2**21 + 1)
+    gap, series = _sweep_and_series_gap(tmp_path, 2**21)
+    assert abs(gap - series) <= 1e-12 * series
 
 
 def test_mix_sweep_dense_far_past_the_cap_exits_3(tmp_path, capsys):
@@ -341,16 +353,15 @@ def test_mix_sweep_dense_far_past_the_cap_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["auto", "classical-exact"])
-def test_mix_sweep_tables_past_the_type_budget_exit_3(tmp_path, capsys, method):
+def test_mix_sweep_tables_past_the_type_budget_exit_3(tmp_path, method):
     # the window keeps about 1e5 types at n = 10^8, but each symbol's table
-    # would hold n + 2 entries, past TYPE_CLASS_BUDGET: refused before allocating
-    out = tmp_path / "o"
-    flags = ["--sigma", write_json(tmp_path / "s.json", {"p": [0.3, 0.7]}),
-             "--rho", write_json(tmp_path / "r.json", {"p": [0.7, 0.3]}),
-             "--n-list", str(10**8), "--method", method, "--out-dir", str(out)]
-    assert main(["mix-sweep"] + flags) == 3
-    assert "per-symbol tables of 100000002 entries exceed" in capsys.readouterr().err
-    assert not out.exists()
+    # would hold n + 2 entries, past TYPE_CLASS_BUDGET: the type-class
+    # spectrum refuses before allocating. mix-sweep's m = 1 records have no budget
+    sig, rho = ClassicalDistribution([0.3, 0.7]), ClassicalDistribution([0.7, 0.3])
+    with pytest.raises(CapExceededError, match="per-symbol tables of 100000002 entries exceed"):
+        type_class_spectrum(sig, rho, 10**8 + 1)
+    gap, series = _sweep_and_series_gap(tmp_path, 10**8, method)
+    assert abs(gap - series) <= 1e-12 * series
 
 
 def test_mix_sweep_non_list_distribution_exits_2(tmp_path, capsys):
@@ -757,7 +768,7 @@ def test_appendix_rho_from_a_path_matches_inline(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# import cost: scipy is imported only by the type-class routes
+# import cost: scipy is imported only by the type-class spectrum (m >= 2)
 # ---------------------------------------------------------------------------
 
 SCIPY_PROBE = """
@@ -798,9 +809,9 @@ print("scipy" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("method,expected", [("classical-exact", True), ("dense", False)])
+@pytest.mark.parametrize("method,expected", [("classical-exact", False), ("dense", False)])
 def test_a_type_class_pair_imports_scipy_when_prepared(tmp_path, method, expected):
-    # so the import shows in a sweep's timings_ms.prepare, not in its first record
+    # an m = 1 pair's records come from the gap integral, which needs no gammaln
     assert _imports_scipy(tmp_path, [method], PREPARE_PROBE) is expected
 
 
@@ -815,13 +826,32 @@ QUBIT_PAIR = {
     (["collide", "--dim", "3", "--beta", "0.7", "--collisions", "2",
       "--reservoir-size", "3", "--seed", "21"], None, False),
     (["mix-sweep"], {**QUBIT_PAIR, "n_list": [1, 2, 3], "method": "dense"}, False),
-    # the probe's positive control: a type-class sweep needs gammaln
     (["mix-sweep"], {**QUBIT_PAIR, "sigma": {"p": [0.3, 0.7]}, "n_list": [1, 2, 3],
-                     "method": "classical-exact"}, True),
-], ids=["appendix", "collide", "dense-sweep", "classical-sweep"])
+                     "method": "classical-exact"}, False),
+    # the probe's positive control: criterion 8's m = 2 records need gammaln
+    (["verify", "--seed", "9"], {"criteria": [8]}, True),
+], ids=["appendix", "collide", "dense-sweep", "classical-sweep", "verify-criterion-8"])
 def test_only_type_class_routes_import_scipy(tmp_path, argv, params, expected):
     argv = list(argv) + ["--out-dir", str(tmp_path / "out")]
     if params is not None:
         cfg = {"command": {"name": argv[0], "params": params}}
         argv += ["--config", write_json(tmp_path / "cfg.json", cfg)]
     assert _imports_scipy(tmp_path, argv) is expected
+
+
+def test_two_main_calls_in_one_process_parse_independently(tmp_path, monkeypatch):
+    # build_parser is built once per process; no flag of one call reaches the next
+    seen = []
+    _, help_text, params = cli.PARAMS["gibbs"]
+    monkeypatch.setitem(cli.PARAMS, "gibbs", (lambda cfg: seen.append(cfg) or 0, help_text, params))
+    assert cli.build_parser() is cli.build_parser()
+    first_argv = ["gibbs", "--beta", "0.5", "--seed", "4", "--units", "bits",
+                  "--dense-cap", "100", "--out-dir", str(tmp_path / "a")]
+    second_argv = ["gibbs", "--out-dir", str(tmp_path / "b")]
+    assert main(first_argv) == 0
+    assert main(second_argv) == 0
+    fresh = cli.build_parser.__wrapped__    # an uncached parser per call
+    assert seen == [cli.resolve_config(fresh().parse_args(argv))
+                    for argv in (first_argv, second_argv)]
+    assert (seen[0].seed, seen[0].units, seen[0].params) == (4, "bits", {"beta": 0.5})
+    assert (seen[1].seed, seen[1].units, seen[1].params) == (None, "nats", {})

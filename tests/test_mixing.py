@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -35,12 +36,14 @@ from mixent.mixing import (
     TYPE_CLASS_BUDGET,
     _type_count_matrix,
     dense_state_entropy,
+    gap_integral,
     kron_all,
     records_to_csv,
     simultaneous_classical_pair,
 )
 from mixent.states import (
     EIG_FLOOR,
+    _supported_pair,
     clamp_spectrum,
     entropy_of_spectrum,
     von_neumann_entropy,
@@ -661,11 +664,11 @@ def test_gap_route_never_builds_the_d_symbol_count_matrix(monkeypatch):
     monkeypatch.setattr(
         mixing, "_type_count_matrix", lambda *a: calls.append(a) or real_count_matrix(*a)
     )
-    classical_mixing_entropy_exact(*_c4_pair(3), 2048)
+    type_class_spectrum(*_c4_pair(3), 2049)
     assert calls == []
     # d >= 4 gathers from the (d-1)-symbol matrix alone
     sig, rho = (ClassicalDistribution(p) for p in MULTI_PAIRS[2])
-    classical_mixing_entropy_exact(sig, rho, 80)
+    type_class_spectrum(sig, rho, 81)
     assert calls == [(81, [0, 0, 0], [81, 81, 81])]
 
 
@@ -690,8 +693,8 @@ def _spectrum_s_mix(sig, rho, n):
 
 
 # s_mix of the criterion-4 pairs as exact reprs, so that any change in how a
-# classical route rounds (enumeration order, log-gamma, sums) fails here: the
-# S[R] oracle's and the gap-first route's
+# classical route rounds (enumeration order, log-gamma, sums, the integral's
+# nodes) fails here: the S[R] oracle's and the gap-first route's
 PINNED_S_MIX = {
     (2, 1): "0.17237007772836943",
     (2, 64): "0.3634919645504153",
@@ -701,8 +704,8 @@ PINNED_S_MIX = {
     (3, 2048): "0.2354909694950269",
 }
 PINNED_GAP_FIRST_S_MIX = {
-    (2, 1): "0.1723700777283695",
-    (2, 64): "0.3634919645507889",
+    (2, 1): "0.17237007772836954",
+    (2, 64): "0.36349196455078886",
     (2, 2048): "0.3690892316122944",
     (3, 1): "0.11110346672429744",
     (3, 64): "0.23175707921075173",
@@ -993,6 +996,16 @@ def test_mixing_entropy_rejects_a_dimension_mismatch(method):
         mixing_entropy(seeded_density(0, 2), seeded_density(0, 3), 2, method=method)
 
 
+@pytest.mark.parametrize("method", mixing.METHODS)
+def test_mixing_entropy_refuses_stacked_states(method):
+    # two valid (2, 2, 2) stacks of states, refused by shape, not as
+    # "not Hermitian" or "do not commute"
+    sigma = gibbs_state(random_hermitian([1, 2], 2), 1.0)
+    rho = gibbs_state(random_hermitian([3, 4], 2), 0.5)
+    with pytest.raises(InvalidStateError, match=r"expected a square matrix, got shape \(2, 2, 2\)"):
+        mixing_entropy(sigma, rho, 2, method=method)
+
+
 def test_auto_dispatch():
     rho = gibbs_state(HermitianOperator(np.diag([0.0, 1.0])), 1.0)
     commuting = mixing_entropy(SIGMA_CLASSICAL.as_density(), rho, 2, method="auto")
@@ -1110,9 +1123,8 @@ LARGE_N_PAIRS = {"c5": ([0.3, 0.7], [0.7, 0.3]), "c8": ([0.2, 0.8], [0.6, 0.4])}
 
 @pytest.mark.parametrize("pair,n", [
     ("c5", 2**15), ("c5", 2**17), ("c5", 2**20), ("c8", 2**15), ("c8", 2**17),
-    # off by -2.49e-10: the log weights carry eps * ln N! (ROADMAP item 3)
-    pytest.param("c8", 2**20, marks=pytest.mark.xfail(
-        strict=True, reason="type weights lose precision at large N; ROADMAP item 3")),
+    # the type-class route was 2.49e-10 off here: its log weights carry eps ln N!
+    ("c8", 2**20),
 ])
 def test_large_n_gap_matches_the_cumulant_series(pair, n):
     # the remainder O(N^-4) is below 1e-15 of the gap from N = 2^15 on,
@@ -1133,6 +1145,141 @@ def test_identical_states_have_a_gap_of_exactly_zero():
     rho = ClassicalDistribution([0.7, 0.3])
     for n in (4096, 2**15):
         assert classical_mixing_entropy_exact(rho, rho, n).gap == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the m = 1 gap integral, against the type classes, the series and mpmath
+# ---------------------------------------------------------------------------
+
+def _integral_gap(sig_p, rho_p, n_total):
+    return gap_integral(*_supported_pair(ClassicalDistribution(sig_p),
+                                         ClassicalDistribution(rho_p)), n_total)
+
+
+def _random_pair(rng, d, zero_in_sigma=False):
+    sig_p, rho_p = rng.uniform(0.05, 1.0, size=d), rng.uniform(0.05, 1.0, size=d)
+    if zero_in_sigma:
+        sig_p[0] = 0.0
+    return sig_p / sig_p.sum(), rho_p / rho_p.sum()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("zero_in_sigma", [False, True])
+def test_gap_integral_is_the_type_class_gap(d, zero_in_sigma):
+    rng = np.random.default_rng(700 + d)
+    for n_total in (2, 3, 17, 64, 200 if d <= 3 else 90):
+        sig_p, rho_p = _random_pair(rng, d, zero_in_sigma)
+        oracle = type_class_spectrum(ClassicalDistribution(sig_p),
+                                     ClassicalDistribution(rho_p), n_total).gap()
+        assert abs(_integral_gap(sig_p, rho_p, n_total) - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gap_integral_is_the_series_at_large_n(d):
+    # the series misses the gap by O(N^-4), below 1e-18 of it from N = 2^20
+    rng = np.random.default_rng(800 + d)
+    for _ in range(3):
+        sig_p, rho_p = _random_pair(rng, d)
+        a1, a2, a3 = mixing.gap_series(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p))
+        for n_total in (2**20, 10**9, 10**12, 10**15, 10**18):
+            series = a1 / n_total + a2 / n_total**2 + a3 / n_total**3
+            assert abs(_integral_gap(sig_p, rho_p, n_total) - series) <= 1e-14 * series
+
+
+@pytest.mark.parametrize("n_total", [10**30, 10**100, 10**200])
+def test_gap_integral_keeps_its_precision_far_past_1e18(n_total):
+    # ln E[L e^-tL] as (N - 1) ln phi would round by (N - 1) eps: at N = 1e100
+    # the chi2 = 4e-14 pair's gap came out as -60
+    n = float(n_total)
+    for sig_p, rho_p in ([[0.3, 0.7], [0.7, 0.3]], [[0.5 + 1e-7, 0.5 - 1e-7], [0.5, 0.5]],
+                         [[0.0, 0.25, 0.75], [0.4, 0.35, 0.25]]):
+        a1, a2, _ = mixing.gap_series(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p))
+        series = a1 / n + a2 / n / n
+        assert abs(_integral_gap(sig_p, rho_p, n_total) - series) <= 1e-14 * series
+
+
+def test_gap_integral_of_identical_states_is_exactly_zero():
+    for p in ([0.7, 0.3], [0.2, 0.3, 0.5], [0.0, 0.25, 0.75]):
+        for n_total in (2, 65, 10**6, 10**18):
+            assert _integral_gap(p, p, n_total) == 0.0
+
+
+@pytest.mark.parametrize("tiny", [3.84e-84, 5e-324])
+def test_gap_integral_keeps_a_tiny_sigma_entry_finite(tiny):
+    # n = 1: L is 2, about 1 or about 0 with weights 1/4, 1/2, 1/4, so the
+    # gap is ln(2)/2. At 3.84e-84 an integrand formed as exp(w - t) once
+    # cancelled to 0 on about 600 nodes and gave -153.65; at 5e-324 the
+    # upper limit ln N - ln(r_min) + ln 60 is only finite taken in logs
+    sig = ClassicalDistribution(np.array([1.0, tiny]) / (1.0 + tiny))
+    rec = classical_mixing_entropy_exact(sig, ClassicalDistribution([0.5, 0.5]), 1)
+    assert rec.gap == pytest.approx(math.log(2.0) / 2, rel=1e-15)
+    assert -1e-10 <= rec.s_mix <= math.log(2.0) + 1e-10
+
+
+def test_gap_integral_reaches_ratios_near_the_float_limit():
+    # r up to 1e300: chi2 and the series' y^2 are formed so as not to overflow
+    for sig_p, rho_p in ([[0.5, 0.5], [1e-300, 1.0]], [[1e-200, 1.0], [1.0, 1e-200]]):
+        sig, rho = ClassicalDistribution(sig_p), ClassicalDistribution(rho_p)
+        for n_total in (2, 6, 51):
+            oracle = type_class_spectrum(sig, rho, n_total).gap()
+            assert abs(_integral_gap(sig_p, rho_p, n_total) - oracle) <= 1e-13 * oracle
+
+
+MPMATH_PAIRS = [
+    ([0.3, 0.7], [0.7, 0.3]),
+    ([0.0, 1.0], [0.5, 0.5]),               # sigma with a zero
+    ([0.999, 0.001], [0.001, 0.999]),       # r_max = 999
+    ([0.5, 0.5], [1e-4, 1.0 - 1e-4]),       # rho_min = 1e-4
+    ([0.5 + 1e-7, 0.5 - 1e-7], [0.5, 0.5]),  # chi2 = 4e-14
+    ([0.2, 0.3, 0.5], [0.4, 0.35, 0.25]),
+    # sigma's only ratio, 8.2, is above N = 2: the upper limit is at least ln 60
+    ([1.0, 0.0], [0.12235068071227148, 0.8776493192877285]),
+    # r_max = 5e11: below x = -40 the integrand is still t chi2/N, not negligible
+    ([0.5, 0.5], [1e-12, 1.0 - 1e-12]),
+    # chi2 = 4.7e-10 from rho's tiny entry: past s max|delta| = 1, sigma . delta
+    # rounded off chi2 gave 3e-9 at N = 2
+    ([0.0, 1.0], [4.708733344648631e-10, 0.9999999995291267]),
+]
+
+
+def _mpmath_gap(mp, sig_p, rho_p, n_total):
+    """E[L ln L] under Mult(N, rho) by type enumeration at 40 digits, both states
+    normalized in mpmath."""
+    sig = [mp.mpf(x) for x in sig_p]
+    rho = [mp.mpf(x) for x in rho_p]
+    sig = [x / mp.fsum(sig) for x in sig]
+    rho = [x / mp.fsum(rho) for x in rho]
+    ratios = [a / b for a, b in zip(sig, rho)]
+    gap = mp.mpf(0)
+    for counts in full_count_matrix(n_total, len(rho)).tolist():
+        ell = mp.fsum(c * r for c, r in zip(counts, ratios)) / n_total
+        if ell > 0:
+            log_w = mp.loggamma(n_total + 1) + mp.fsum(
+                c * mp.log(p) - mp.loggamma(c + 1) for c, p in zip(counts, rho))
+            gap += mp.exp(log_w) * ell * mp.log(ell)
+    return gap
+
+
+@pytest.mark.parametrize("pair", MPMATH_PAIRS, ids=lambda p: str(p[0]))
+def test_gap_integral_against_mpmath(pair):
+    mp = pytest.importorskip("mpmath")
+    sig_p, rho_p = pair
+    for n_total in (2, 3, 10, 64, 400 if len(rho_p) == 2 else 40):
+        with mp.workdps(40):
+            oracle = _mpmath_gap(mp, sig_p, rho_p, n_total)
+        got = _integral_gap(np.array(sig_p), np.array(rho_p), n_total)
+        assert abs(got - oracle) <= 1e-14 * oracle, n_total
+
+
+def test_a_record_at_n_1e18_takes_under_10_ms():
+    sig, rho = ClassicalDistribution([0.2, 0.3, 0.5]), ClassicalDistribution([0.4, 0.35, 0.25])
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        rec = classical_mixing_entropy_exact(sig, rho, 10**18)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.010
+    assert rec.gap > 0.0
 
 
 def test_mixing_gap_monotone_classical_pow2():
@@ -1227,9 +1374,10 @@ def test_gap_route_refuses_weights_or_mean_ratio_off_one(monkeypatch):
     real_gammaln, real_factors = mixing.gammaln, mixing._placement_factors
     with monkeypatch.context() as patch:
         patch.setattr(mixing, "gammaln", lambda x: real_gammaln(x) * (1.0 + 1e-6))
-        for m_sigma in (1, 2):
-            with pytest.raises(InvalidStateError, match="type weights sum to"):
-                classical_mixing_entropy_exact(sig, rho, 6, m_sigma)
+        with pytest.raises(InvalidStateError, match="type weights sum to"):
+            type_class_spectrum(sig, rho, 7)
+        with pytest.raises(InvalidStateError, match="type weights sum to"):
+            classical_mixing_entropy_exact(sig, rho, 6, 2)
     # an e_m 2% off leaves the weights alone but not E[L] = 1
     monkeypatch.setattr(mixing, "_placement_factors", lambda *a: 1.01 * real_factors(*a))
     with pytest.raises(InvalidStateError, match=r"E\[L\] is 1\.02"):
