@@ -14,8 +14,8 @@ gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}), with
 S_mix = S[sigma|rho] - gap. For one sigma the gap is E[L ln L] under
 Mult(N, rho), one integral over t with O(d) work per node at any N
 (gap_integral). The exact type-class spectrum is its oracle at small n: its
-gap() sums the same expectation over the type classes (for m = 1 over a
-Hoeffding box, _typical_box) and its entropy() is S[R].
+gap() sums the same expectation over every type class and its entropy() is
+S[R].
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho];
 for commuting states gap_series gives the rate, the first three terms of the
 gap's series in 1/N. The type-class route also spreads m sigma factors over
@@ -68,8 +68,6 @@ TYPE_CLASS_BUDGET = 5_000_000
 # the most cells of a d = 3 run's rectangle (see _type_runs), which bounds
 # its temporaries and the cells its mask drops
 TYPE_BLOCK_CELLS = 2**15
-# the most the types outside _typical_box add to an m = 1 gap
-GAP_TAIL = 1e-20
 GAP_STEP, GAP_X_MIN = 0.25, -40.0   # gap_integral's trapezoid rule in x = ln t
 # 1/k!, k = 13 down to 2: e^y - 1 - y = y^2 polyval(G_SERIES, y) to 2e-18 for |y| < 1/4
 G_SERIES = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
@@ -111,17 +109,13 @@ class MixingRecord:
 class TypeClassSpectrum:
     """Spectrum of a classical symmetrized mixture, one entry per type class.
 
-    The types are the kept ones, those in _typical_box, in _type_runs's
-    lexicographic order. Every string of type t has the eigenvalue
-    q(t) = rho^t L(t) (see type_class_spectrum). weight[t] = mult(t) rho^t
-    is the type's probability under Mult(N, rho), excess[t] = L(t) - 1 and
-    log_l[t] = ln L(t). gap() is D(R || rho^{(x)N}) from these. For m >= 2
-    every type is kept; for m = 1 the types outside the box move the gap by
-    at most 2 GAP_TAIL. counts[t], the symbol-count vector of type t, is
-    built on first use, as are what entropy(), S[R], the gap's oracle at
-    small N, reads from it: the log-eigenvalue log_q (-inf for eigenvalue 0)
-    and the log multiplicity log_mult, formed from counts and the supported
-    sigma_p and rho_p.
+    The types are every count vector of the supported symbols with sum N, in
+    _type_runs's order; each string of type t has the eigenvalue q(t) = rho^t
+    L(t) (see type_class_spectrum). weight[t] = mult(t) rho^t is the type's
+    probability under Mult(N, rho), excess[t] = L(t) - 1 and log_l[t] =
+    ln L(t); gap() is D(R || rho^{(x)N}) from these. counts[t], type t's
+    symbol counts, is built on first use, as are log_q (-inf for q = 0) and
+    log_mult, which entropy(), S[R], the gap's oracle at small N, reads.
     """
 
     n_total: int
@@ -134,8 +128,7 @@ class TypeClassSpectrum:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        box = _typical_box(self.sigma_p, self.rho_p, self.n_total, self.m_sigma)
-        return _type_count_matrix(self.n_total, *box)
+        return _type_count_matrix(self.n_total, len(self.rho_p))
 
     @cached_property
     def log_mult(self) -> np.ndarray:
@@ -152,13 +145,10 @@ class TypeClassSpectrum:
             return log_rho_t + np.log(self.counts @ (self.sigma_p / self.rho_p) / self.n_total)
 
     def entropy(self) -> float:
-        """S[R] = -sum_t mult(t) q(t) ln q(t) over the kept types, in nats.
+        """S[R] = -sum_t mult(t) q(t) ln q(t) over every type, in nats.
 
-        A type's terms sum to w (L ln(1/rho^t) - L ln L), w its weight. For
-        m = 1 the types outside the box weigh at most eps (see _typical_box),
-        and there L <= r_max, the largest ratio sigma_a/rho_a, -L ln L <= 1/e
-        and ln(1/rho^t) <= N ln(1/rho_min). So the S[R] they hold is at most
-        eps (r_max N ln(1/rho_min) + 1/e). For m >= 2 every type is kept.
+        Terms with q(t) = 0 are left out. Each term carries the rounding of
+        ln N!, about eps ln N! relative, which gap() cancels and this does not.
         """
         finite = np.isfinite(self.log_q)
         lq = self.log_q[finite]
@@ -185,9 +175,8 @@ class TypeClassSpectrum:
         return gap
 
     def validate(self):
-        """One entry per kept type; the weights and E[L] = sum(mult q) are 1."""
-        box = _typical_box(self.sigma_p, self.rho_p, self.n_total, self.m_sigma)
-        num_types = _num_types(self.n_total, *box)
+        """One entry per type; the weights and E[L] = sum(mult q) are 1."""
+        num_types = _num_types(self.n_total, len(self.rho_p))
         if len(self.weight) != num_types:
             raise InvalidStateError(
                 f"{len(self.weight)} type weights for {num_types} type classes"
@@ -324,29 +313,17 @@ def gammaln(x):
     return scipy_gammaln(x)
 
 
-def _num_types(n_total: int, lo: Sequence[int], hi: Sequence[int]) -> int:
-    """Count vectors with sum N in the box lo_a <= c_a <= hi_a, refused past
-    TYPE_CLASS_BUDGET.
-
-    Inclusion-exclusion over the symbols whose upper bound binds, in Python
-    integers, so that nothing is allocated; the full box [0, N]^d has
-    C(N + d - 1, d - 1). The per-symbol tables of length N + 1 that every
-    enumeration indexes are held to the budget too, as a box of few types
-    may still have a large N.
+def _num_types(n_total: int, d: int) -> int:
+    """C(N + d - 1, d - 1), the types of d symbols with sum N, refused past
+    TYPE_CLASS_BUDGET, as are the per-symbol tables of N + 1 entries that
+    every enumeration indexes; nothing is allocated.
     """
     if n_total + 1 > TYPE_CLASS_BUDGET:
         raise CapExceededError(
             f"per-symbol tables of {n_total + 1} entries exceed the enumeration "
             f"budget {TYPE_CLASS_BUDGET}"
         )
-    d, free = len(lo), n_total - sum(lo)
-    widths = [h - l + 1 for l, h in zip(lo, hi) if h - l < free]
-    num_types = sum(
-        (-1) ** k * math.comb(free - sum(over) + d - 1, d - 1)
-        for k in range(len(widths) + 1)
-        for over in itertools.combinations(widths, k)
-        if sum(over) <= free
-    )
+    num_types = math.comb(n_total + d - 1, d - 1)
     if num_types > TYPE_CLASS_BUDGET:
         raise CapExceededError(
             f"{num_types} type classes exceed the enumeration budget {TYPE_CLASS_BUDGET}"
@@ -354,29 +331,19 @@ def _num_types(n_total: int, lo: Sequence[int], hi: Sequence[int]) -> int:
     return num_types
 
 
-def _type_count_matrix(n_total: int, lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
-    """The count vectors with sum N in the box lo_a <= c_a <= hi_a, as
-    C-contiguous int64.
+def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
+    """Every count vector of d symbols with sum N, as C-contiguous int64.
 
     Filled run by run from _type_runs, in its order: symbol a's column takes
     the counts its lookup picks from 0..N. The budget is checked before
-    anything is allocated. TypeClassSpectrum.counts builds it for the kept
-    box on request, and _type_runs for d - 1 symbols over [0, N]^(d-1) at
-    d >= 4.
+    anything is allocated.
     """
-    counts = np.empty((_num_types(n_total, lo, hi), len(lo)), np.int64)
-    c = [np.arange(n_total + 1)] * len(lo)
-    for rows, keep, lookup in _type_runs(n_total, lo, hi):
+    counts = np.empty((_num_types(n_total, d), d), np.int64)
+    c = [np.arange(n_total + 1)] * d
+    for rows, keep, lookup in _type_runs(n_total, d):
         for a, picked in enumerate(lookup(c)):
             counts[rows, a] = _kept(picked, keep)
     return counts
-
-
-def _span(first: int, last: int) -> slice:
-    """The counts first..last, descending when last < first."""
-    if last >= first:
-        return slice(first, last + 1)
-    return slice(first, last - 1 if last > 0 else None, -1)
 
 
 def _lookup(index: list, tables) -> list:
@@ -390,38 +357,27 @@ def _gather(index: list, tables) -> list:
     return [table.take(i, axis=-1) for table, i in zip(tables, index)]
 
 
-def _anti_diagonal(table: np.ndarray, top: int, shape: tuple) -> np.ndarray:
-    """table[..., top - i - j] over the cells (i, j) of shape, 0 where top - i - j < 0.
-
-    Row i is a window of the reversed table (sliding_window_view), so
-    nothing is gathered; only when some top - i - j < 0 are the h + w - 1
-    entries the windows read copied, with their zero padding.
-    """
-    height, width = shape
-    span = height + width - 1
-    reversed_run = table[..., top::-1][..., :span]
-    pad = span - reversed_run.shape[-1]
-    if pad:
-        zeros = np.zeros(reversed_run.shape[:-1] + (pad,), reversed_run.dtype)
-        reversed_run = np.concatenate([reversed_run, zeros], axis=-1)
-    return np.lib.stride_tricks.sliding_window_view(reversed_run, width, axis=-1)
-
-
-def _block_lookup(c0s: slice, c1s: slice, top: int, shape: tuple, tables) -> list:
-    """A d = 3 block's lookups: c0 down the rows, c1 across, c2 = N - c0 - c1."""
+def _block_lookup(c0s: slice, shape: tuple, tables) -> list:
+    """A d = 3 block's lookups over its (height, width) cells (i, j): c0 down
+    the rows, c1 = j across and c2 = width - 1 - i - j, 0 where that is < 0,
+    each row a window of symbol 2's table reversed from width - 1 and padded
+    with height - 1 zeros (sliding_window_view), so nothing is gathered."""
     t0, t1, t2 = tables
-    return [t0[..., c0s, None], t1[..., None, c1s], _anti_diagonal(t2, top, shape)]
+    height, width = shape
+    run = t2[..., width - 1::-1]
+    run = np.concatenate([run, np.zeros(run.shape[:-1] + (height - 1,), run.dtype)], axis=-1)
+    return [t0[..., c0s, None], t1[..., None, :width],
+            np.lib.stride_tricks.sliding_window_view(run, width, axis=-1)]
 
 
 def _kept(values: np.ndarray, keep) -> np.ndarray:
-    """A run's values, broadcast over its cells, at its kept types in row order."""
+    """A run's values, broadcast over its cells, at its types (keep's cells) in row order."""
     return values if keep is None else np.broadcast_to(values, keep.shape)[keep]
 
 
-def _type_runs(n_total: int, lo: Sequence[int], hi: Sequence[int]):
-    """Yield (rows, keep, lookup) per run of the types in the box lo_a <= c_a <= hi_a.
+def _type_runs(n_total: int, d: int):
+    """Yield (rows, keep, lookup) per run of the types of d symbols with sum N = n_total.
 
-    d = len(lo) symbols and N = n_total; the box [0, N]^d is every type.
     lookup(tables), for per-symbol tables whose last axis has length N + 1,
     gives each symbol's entries for the run's cells: arrays that broadcast
     together, each tables[a] looked up at symbol a's count. keep is None
@@ -429,92 +385,43 @@ def _type_runs(n_total: int, lo: Sequence[int], hi: Sequence[int]):
     whose row-major compression gives them. The types are in lexicographic
     order, the order of the stars-and-bars bar positions
     itertools.combinations(range(N + d - 1), d - 1) lists, and rows number
-    the box's types alone. d = 1 is its single type, and d = 2 one run, c0
-    against N - c0, c0 clipped to both symbols' bounds. At d = 3 a run is a
-    block of consecutive first counts c0, a rectangle of cells (c0, c1)
-    with at most TYPE_BLOCK_CELLS cells unless a single c0 is wider: c0 is a
-    column, c1 a row clipped to its bounds and c2's, and c2 = N - c0 - c1
-    an anti-diagonal view of symbol 2's reversed table (_anti_diagonal);
-    keep holds the cells with c2 in its bounds. At d >= 4 a run is the types
-    with one first count c0, the last C(N - c0 + d - 2, d - 2) rows of the
-    (d-1)-symbol count matrix for N with its first column less c0, a gather
-    from that small matrix, itself filled from these runs for d - 1; only
-    the first symbol may be bounded there (see _typical_box), and a box
-    that bounds another is refused.
+    them. d = 1 is its single type, and d = 2 one run, c0 against N - c0.
+    At d = 3 a run is a block of consecutive first counts c0, a rectangle of
+    cells (c0, c1) with at most TYPE_BLOCK_CELLS cells unless a single c0 is
+    wider (_block_lookup); keep holds the cells with c2 = N - c0 - c1 >= 0.
+    At d >= 4 a run is the types with one first count c0, the last
+    C(N - c0 + d - 2, d - 2) rows of the (d-1)-symbol count matrix for N
+    with its first column less c0, a gather from that small matrix, itself
+    filled from these runs for d - 1.
     """
-    d = len(lo)
-    if d >= 4 and (any(lo[1:]) or any(h != n_total for h in hi[1:])):
-        raise ValueError(f"only the first of {d} symbols may be bounded, got {lo}..{hi}")
     if d == 1:
         yield slice(0, 1), None, partial(_lookup, [n_total])
         return
     if d == 2:
-        first, last = max(lo[0], n_total - hi[1]), min(hi[0], n_total - lo[1])
-        index = [_span(first, last), _span(n_total - first, n_total - last)]
-        yield slice(0, last - first + 1), None, partial(_lookup, index)
+        index = [slice(0, n_total + 1), slice(n_total, None, -1)]
+        yield slice(0, n_total + 1), None, partial(_lookup, index)
         return
     start = 0
     if d == 3:
-        c = np.arange(n_total + 1)
-        c2_inside = (c >= lo[2]) & (c <= hi[2])
-        top_c0 = lo[0]
-        while top_c0 <= hi[0]:
-            # c1's most is the top row's, and its least falls row by row
-            most = min(hi[1], n_total - top_c0 - lo[2])
-            last_c0 = top_c0
-            while last_c0 < hi[0] and (last_c0 + 2 - top_c0) * (
-                most - max(lo[1], n_total - last_c0 - 1 - hi[2]) + 1
-            ) <= TYPE_BLOCK_CELLS:
-                last_c0 += 1
-            least = max(lo[1], n_total - last_c0 - hi[2])
-            if least <= most:
-                top = n_total - top_c0 - least
-                shape = (last_c0 - top_c0 + 1, most - least + 1)
-                keep = _anti_diagonal(c2_inside, top, shape)
-                size = int(np.count_nonzero(keep))
-                yield (slice(start, start + size), keep,
-                       partial(_block_lookup, slice(top_c0, last_c0 + 1),
-                               slice(least, most + 1), top, shape))
-                start += size
-            top_c0 = last_c0 + 1
+        top_c0 = 0
+        while top_c0 <= n_total:
+            # c1 runs to the top row's N - c0; past a lower row's own, c2 < 0
+            width = n_total - top_c0 + 1
+            height = min(width, max(1, TYPE_BLOCK_CELLS // width))
+            keep = np.add.outer(np.arange(height), np.arange(width)) < width
+            size = int(np.count_nonzero(keep))
+            yield (slice(start, start + size), keep,
+                   partial(_block_lookup, slice(top_c0, top_c0 + height), (height, width)))
+            start += size
+            top_c0 += height
         return
-    # the (d-1)-symbol matrix by symbol, so that each gathered column is
-    # contiguous; lo[1:] and hi[1:] are its full box [0, N]^(d-1) here
-    tail = np.ascontiguousarray(_type_count_matrix(n_total, lo[1:], hi[1:]).T)
-    for c0 in range(lo[0], hi[0] + 1):
+    # the (d-1)-symbol matrix by symbol, so that each gathered column is contiguous
+    tail = np.ascontiguousarray(_type_count_matrix(n_total, d - 1).T)
+    for c0 in range(n_total + 1):
         size = math.comb(n_total - c0 + d - 2, d - 2)
         run = tail[:, tail.shape[1] - size:]
         yield slice(start, start + size), None, partial(_gather, [c0, run[0] - c0, *run[1:]])
         start += size
-
-
-def _typical_box(sigma_p: np.ndarray, rho_p: np.ndarray, n_total: int, m_sigma: int) -> tuple:
-    """(lo, hi): the per-symbol count bounds of the types a spectrum keeps.
-
-    For m = 1 the gap is E[f(L)] under Mult(N, rho), f(L) = L ln L - L + 1
-    with f(0) = 1, and L is a mean of the ratios r = sigma/rho, so f being
-    convex every term is at most B = max(f(r_min), f(r_max)). By Hoeffding's
-    inequality (JASA 58, 1963) and a union over the d symbols, at most
-    eps = GAP_TAIL / max(1, B) of Mult(N, rho) lies outside the box
-    |c_a - N rho_a| < t, t = sqrt(N/2 ln(2d/eps)), whose bounds are rounded
-    outward. So the types outside add at most GAP_TAIL to the gap, and once
-    the kept weights are normalized the gap moves by at most 2 GAP_TAIL. At
-    d >= 4 only the first symbol is bounded, the one bound _type_runs takes
-    there; the kept types still hold the box. For m >= 2 the box is
-    [0, N]^d: the overflow refusals are defined over every type.
-    """
-    d = len(rho_p)
-    lo, hi = [0] * d, [n_total] * d
-    if m_sigma > 1:
-        return lo, hi
-    ratios = sigma_p / rho_p
-    bound = max(1.0, *(r * math.log(r) - r + 1.0 if r > 0.0 else 1.0
-                       for r in (float(ratios.min()), float(ratios.max()))))
-    t = math.sqrt(n_total / 2 * math.log(2 * d * bound / GAP_TAIL))
-    for a in range(1 if d >= 4 else d):
-        lo[a] = math.floor(max(0.0, n_total * rho_p[a] - t))
-        hi[a] = math.ceil(min(n_total, n_total * rho_p[a] + t))
-    return lo, hi
 
 
 def _fold(out: np.ndarray, rows: slice, keep, first: float, picked: list):
@@ -533,6 +440,16 @@ def _fold(out: np.ndarray, rows: slice, keep, first: float, picked: list):
         out[rows] = cells[keep]
 
 
+def _ratio_excess(sigma_p: np.ndarray, rho_p: np.ndarray) -> np.ndarray:
+    """(sigma - rho)/rho on rho's support, the ratios less 1; refused past the double range."""
+    with np.errstate(over="ignore"):
+        delta = (sigma_p - rho_p) / rho_p
+    if not np.isfinite(delta).all():
+        s, r = (float(p[np.argmin(np.isfinite(delta))]) for p in (sigma_p, rho_p))
+        raise CapExceededError(f"ratio sigma/rho = {s!r}/{r!r} overflows float range")
+    return delta
+
+
 def gap_series(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tuple:
     """(a1, a2, a3): gap = a1/N + a2/N^2 + a3/N^3 + O(N^-4) for m = 1.
 
@@ -547,7 +464,7 @@ def gap_series(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tupl
     a1 = chi2(sigma, rho)/2. sigma = rho gives (0, 0, 0), as the gap is 0.
     """
     sigma_p, rho_p = _supported_pair(sigma, rho)
-    y = (sigma_p - rho_p) / rho_p
+    y = _ratio_excess(sigma_p, rho_p)
     k2, k3 = float(rho_p @ y**2), float(rho_p @ y**3)
     k4 = float(rho_p @ y**4) - 3.0 * k2**2
     return k2 / 2, k2**2 / 4 - k3 / 6, k4 / 12 - k2 * k3 / 2 + k2**3 / 2
@@ -566,7 +483,7 @@ def gap_integral(sigma_p: np.ndarray, rho_p: np.ndarray, n_total: int) -> float:
     56, 2014) from GAP_X_MIN - ln r_max, below which the integrand is t chi2/N, to ln 60
     + max(0, ln N - ln r_min), past which it is below e^-60: a positive L is >= r_min/N.
     """
-    delta = (sigma_p - rho_p) / rho_p
+    delta = _ratio_excess(sigma_p, rho_p)
     chi2, n_rho = float((rho_p * delta) @ delta), float(n_total - 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_pair = np.log([sigma_p, rho_p])
@@ -647,24 +564,20 @@ def type_class_spectrum(
         q(t) = (prod_a rho_a^{t_a}) * L(t),   L = e_m(ratio multiset) / C(N, m)
 
     with ratios sigma_a / rho_a and multiplicity N!/prod t_a!; E[L] = 1 under
-    Mult(N, rho). Types come run by run from _type_runs, in its order, over
-    the symbols rho holds (see _supported_pair), with no d-symbol count
-    matrix: one run at d = 2, blocks of consecutive first-symbol counts at
-    d = 3 and one run per first-symbol count at d >= 4. For m = 1 only the
-    types in _typical_box, within O(sqrt N) of N rho, are enumerated, which
-    moves the gap by at most 2 GAP_TAIL; for m >= 2 every type is.
-    Each run's entries are left folds (_fold), symbol by symbol, of lookups
-    in per-symbol tables of length N + 1, broadcast over the run's cells
-    and then compressed to its types; a type's entry takes the same
-    operations in the same order whatever run holds it. They give every
-    kept type's log weight ln N! + sum_a (c_a ln rho_a - ln c_a!), from one
+    Mult(N, rho). Every type of the symbols rho holds (see _supported_pair)
+    comes run by run from _type_runs, in its order, with no d-symbol count
+    matrix. Each run's entries are left folds (_fold), symbol by symbol, of
+    lookups in per-symbol tables of length N + 1, broadcast over the run's
+    cells and then compressed to its types, so a type's entry takes the
+    same operations in the same order whatever run holds it. They give each
+    type's log weight ln N! + sum_a (c_a ln rho_a - ln c_a!), from one
     gammaln call, and, for m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) /
     (rho_a N), so that ln L = log1p(L - 1) with no cancellation. For m >= 2
     the placement polynomial prod_a (1 + r_a x)^{c_a}, truncated at x^m, is
     multiplied up symbol by symbol, its ratios scaled by their maximum so
-    that every coefficient stays at or below C(N, k). The budget bounds both the kept
-    types and the tables' N + 1 entries and is checked before anything is
-    allocated; the spectrum is validated before it is used.
+    that every coefficient stays at or below C(N, k). The budget
+    (_num_types) is checked before anything is allocated, and the spectrum
+    is validated before it is used.
     """
     if not 1 <= m_sigma < n_total:
         raise ValueError(
@@ -672,6 +585,7 @@ def type_class_spectrum(
             f"got m_sigma={m_sigma}, n_total={n_total}"
         )
     sigma_p, rho_p = _supported_pair(sigma, rho)
+    delta = _ratio_excess(sigma_p, rho_p)
     overflow = (f"e_{m_sigma} or the placement mean L = e_{m_sigma} / C(N, {m_sigma}) "
                 "overflows float range")
     # the type with every count on the largest ratio has scaled coefficients
@@ -679,14 +593,13 @@ def type_class_spectrum(
     # double range by more than log-gamma's rounding
     if m_sigma > 1 and _log_choose(n_total, min(m_sigma, n_total // 2)) > LOG_FLOAT_MAX + 1.0:
         raise CapExceededError(overflow)
-    lo, hi = _typical_box(sigma_p, rho_p, n_total, m_sigma)
-    num_types = _num_types(n_total, lo, hi)
+    num_types = _num_types(n_total, len(rho_p))
     c = np.arange(n_total + 1)
     lgamma = gammaln(np.arange(n_total + 2))    # ln k! = lgamma[k + 1]
     log_w_table = np.log(rho_p)[:, None] * c - lgamma[1:]
     log_w = np.empty(num_types)
     if m_sigma == 1:
-        shift = ((sigma_p - rho_p) / rho_p)[:, None] * c    # c (ratio - 1), unrounded
+        shift = delta[:, None] * c    # c (ratio - 1), unrounded
         excess = np.empty(num_types)
     else:
         ratios = sigma_p / rho_p
@@ -694,7 +607,7 @@ def type_class_spectrum(
         with np.errstate(over="ignore", invalid="ignore"):
             factors = _placement_factors(ratios / scale, n_total, m_sigma)
         e_m = np.empty(num_types)
-    for rows, keep, lookup in _type_runs(n_total, lo, hi):
+    for rows, keep, lookup in _type_runs(n_total, len(rho_p)):
         _fold(log_w, rows, keep, lgamma[n_total + 1], lookup(log_w_table))
         if m_sigma == 1:
             _fold(excess, rows, keep, 0.0, lookup(shift))

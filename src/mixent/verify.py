@@ -241,6 +241,22 @@ def _string_probs(sig_p, rho_p, n_total: int, m_sigma: int = 1) -> tuple:
     return sites.T, q / math.comb(n_total, m_sigma)
 
 
+def _type_mass_rel_err(spec, sig_p, rho_p, n_total: int, m_sigma: int = 1):
+    """The worst relative error of each type's mass in R, weight (1 + excess),
+    against string enumeration (so of each multiplicity too, as weight =
+    mult rho^t); None when the spectrum's types are not the strings'.
+    """
+    strings, q = _string_probs(sig_p, rho_p, n_total, m_sigma)
+    counts = np.stack([np.count_nonzero(strings == a, axis=1) for a in range(len(rho_p))],
+                      axis=1)
+    types, of_type = np.unique(counts, axis=0, return_inverse=True)
+    if not np.array_equal(types, spec.counts):
+        return None
+    mass = np.bincount(of_type, weights=q)
+    rel = np.abs(spec.weight * (1.0 + spec.excess) - mass) / np.maximum(mass, 1e-300)
+    return float(rel.max())
+
+
 def _c4_oracle_equivalence(cfg):
     tol = DEFAULT_TOLERANCES["oracle_equivalence"]
     spec_tol = DEFAULT_TOLERANCES["spectrum_rel"]
@@ -264,9 +280,8 @@ def _c4_oracle_equivalence(cfg):
             records.extend([dense, classical])
             ran.append(f"d={d},n={n}")
 
-    # each type's mass in R, from the arrays gap() sums, against string
-    # enumeration (weight = mult rho^t, so it checks the multiplicity too); gap()
-    # is the oracle of the records' gap_integral
+    # each type's mass in R against string enumeration; gap() is the oracle of
+    # the records' gap_integral
     types_exact = True
     max_mass_rel = max_gap_rel = 0.0
     for d, n_max, (rho_p, sig_p) in C4_FAMILIES:
@@ -274,20 +289,14 @@ def _c4_oracle_equivalence(cfg):
         spec = type_class_spectrum(
             ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n_total
         )
-        strings, q = _string_probs(sig_p, rho_p, n_total)
-        counts = np.stack(
-            [np.count_nonzero(strings == a, axis=1) for a in range(d)], axis=1
-        )
-        types, of_type = np.unique(counts, axis=0, return_inverse=True)
-        if not np.array_equal(types, spec.counts):
+        mass_rel = _type_mass_rel_err(spec, sig_p, rho_p, n_total)
+        if mass_rel is None:
             types_exact = False
             continue
         oracle = spec.gap()
         max_gap_rel = max(max_gap_rel, abs(gap_integral(spec.sigma_p, spec.rho_p, n_total)
                                            - oracle) / oracle)
-        mass = np.bincount(of_type, weights=q)
-        rel = np.abs(spec.weight * (1.0 + spec.excess) - mass) / np.maximum(mass, 1e-300)
-        max_mass_rel = max(max_mass_rel, float(rel.max()))
+        max_mass_rel = max(max_mass_rel, mass_rel)
     spectrum_ok = types_exact and max_mass_rel < spec_tol and max_gap_rel < spec_tol
 
     details = {
@@ -397,15 +406,21 @@ def _brute_multi_mixing(sig: ClassicalDistribution, rho: ClassicalDistribution,
 
 def _c8_multi(cfg):
     tol = DEFAULT_TOLERANCES["multi_brute"]
+    spec_tol = DEFAULT_TOLERANCES["spectrum_rel"]
     rate_tol = DEFAULT_TOLERANCES["m_sigma_rate"]
     rho = ClassicalDistribution([0.6, 0.4])
     sig = ClassicalDistribution([0.2, 0.8])
 
-    max_diff = 0.0
+    max_diff = max_mass_rel = 0.0
     for n_total, m_sigma in [(3, 1), (4, 1), (4, 2), (5, 2), (6, 2)]:
         rec = classical_mixing_entropy_exact(sig, rho, n_total - m_sigma, m_sigma)
         oracle = _brute_multi_mixing(sig, rho, n_total, m_sigma)
         max_diff = max(max_diff, abs(rec.s_mix - oracle))
+        if m_sigma > 1:
+            # each m = 2 type's mass in R, as criterion 4 checks m = 1's
+            spec = type_class_spectrum(sig, rho, n_total, m_sigma)
+            mass_rel = _type_mass_rel_err(spec, sig.p, rho.p, n_total, m_sigma)
+            max_mass_rel = max(max_mass_rel, math.inf if mass_rel is None else mass_rel)
 
     # the gap to 2 S[sigma|rho] falls as m^2 a1/N, with a 1/N correction
     a1 = gap_series(sig, rho)[0]
@@ -416,10 +431,11 @@ def _c8_multi(cfg):
                       "ratio": n_total * rec.gap / (2**2 * a1)})
     max_rate = max(t["n_total"] * abs(t["ratio"] - 1.0) for t in trend)
 
-    ok = max_diff < tol and max_rate <= rate_tol
+    ok = max_diff < tol and max_mass_rel < spec_tol and max_rate <= rate_tol
     return _status(ok), {
         "max_brute_diff": max_diff,
         "tol": tol,
+        "max_type_mass_rel_err": max_mass_rel,
         "trend_m_sigma_2": trend,
         "max_rate": max_rate,
         "rate_tol": rate_tol,

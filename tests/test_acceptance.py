@@ -136,6 +136,7 @@ def test_criterion_7_appendix_combinatorics(outcome):
 def test_criterion_8_multi_collision_variant(outcome):
     result = _check(outcome, 8)
     assert result.details["max_brute_diff"] < 1e-10
+    assert result.details["max_type_mass_rel_err"] < 1e-12
     trend = result.details["trend_m_sigma_2"]
     assert [t["n_total"] for t in trend] == [8, 16, 32, 64, 128]
     assert all(t["n_total"] * abs(t["ratio"] - 1.0) <= 0.25 for t in trend)
@@ -174,7 +175,7 @@ def test_criterion_9_determinism(outcome, tmp_path):
 
 # sha256 of the report bytes as RunWriter.write_json writes them (numpy 2.4.6,
 # scipy 1.17.1, the versions CI pins)
-VERIFY_REPORT_SHA256 = "f39b5c7a4b831d1713c1dc4d7e7d4d9df1823a891ce14c4ebcca9c7372079e7c"
+VERIFY_REPORT_SHA256 = "2933892fb2da5fd1704c4dfd61e5da2319f8f477a7097a7e543b755f870c2b1e"
 APPENDIX_REPORT_SHA256 = {
     None: "73f1ee56947fbbc8e7db2a32806e4f3fb3945b7b657990c24447f5bf5d522f51",
     9: "88adaa0a5f9e0442454cf8b2ecadeb2eeeeeb7d741e4f907452563ff58124dbe",
@@ -264,6 +265,27 @@ def test_criterion_4_fails_on_a_wrong_type_class_spectrum(monkeypatch, fault):
     if fault == "one-weight":
         assert result.details["max_type_mass_rel_err"] > 1e-11
     assert result.details["max_dense_vs_classical"] < 1e-9
+
+
+@pytest.mark.parametrize("fault", ["dropped-type", "one-weight"])
+def test_criterion_8_fails_on_a_wrong_m2_type_class_spectrum(monkeypatch, fault):
+    real = verify.type_class_spectrum
+
+    def wrong(*args):
+        spec = real(*args)
+        if fault == "dropped-type":
+            return SimpleNamespace(counts=spec.counts[1:], weight=spec.weight[1:],
+                                   excess=spec.excess[1:])
+        # a fault the brute-force S_mix lets through
+        weight = spec.weight.copy()
+        weight[len(weight) // 2] *= 1.0 + 1e-10
+        return replace(spec, weight=weight)
+
+    monkeypatch.setattr(verify, "type_class_spectrum", wrong)
+    (result,) = run_acceptance(VerifyConfig(seed=SEED), only=(8,)).results
+    assert result.status == "fail"
+    assert result.details["max_type_mass_rel_err"] > 1e-11
+    assert result.details["max_brute_diff"] < 1e-10
 
 
 def test_criterion_4_fails_on_a_gap_integral_off_its_type_class_oracle(monkeypatch):

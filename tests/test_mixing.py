@@ -30,6 +30,7 @@ from mixent import (
     symmetrized_state_dense,
     type_class_spectrum,
     apply_unitary,
+    classical_mixing_increase_formula,
 )
 from mixent import mixing
 from mixent.mixing import (
@@ -376,10 +377,9 @@ def test_every_method_refuses_sigma_off_rho_support_alike(method):
                        3, method=method)
 
 
-# the spectrum keeps the types in its Hoeffding box, and indexes tables of
-# N + 1 entries per symbol. d=2 at N = TYPE_CLASS_BUDGET keeps about 2.2e4
-# types, but its tables pass the budget, as at N = 10^8 with about 1e5 kept;
-# d=3 at N = 10^5 keeps 7184269 types, past the budget
+# the spectrum enumerates every type, and indexes tables of N + 1 entries
+# per symbol: at d=2 the tables pass the budget (N = TYPE_CLASS_BUDGET and
+# 10^8), and at d=3, N = 10^5 the C(10^5 + 2, 2) = 5.0e9 types do
 PAST_BUDGET = [(2, TYPE_CLASS_BUDGET), (2, 10**8), (3, 10**5)]
 
 
@@ -394,57 +394,39 @@ def _budget_pair(d):
     return (SIGMA_CLASSICAL, RHO_CLASSICAL) if d == 2 else _c4_pair(d)
 
 
-def test_type_class_budget_checked_before_allocating(monkeypatch):
+def _forbid_allocating(monkeypatch):
+    """Make numpy's allocators and the log-gamma table fail from here on."""
     def enumerated(*args, **kwargs):
         raise AssertionError("enumerated past the budget")
 
     for name in ("arange", "column_stack", "empty", "full", "repeat", "zeros"):
         monkeypatch.setattr(np, name, enumerated)
     monkeypatch.setattr(mixing, "gammaln", enumerated)
+
+
+def test_type_class_budget_checked_before_allocating(monkeypatch):
+    _forbid_allocating(monkeypatch)
     # every type: n_total + 1 at d=2, and C(3165, 2) = 5006630 at d=3
     for n_total, d in [(TYPE_CLASS_BUDGET, 2), (3163, 3)]:
         with pytest.raises(CapExceededError):
-            full_count_matrix(n_total, d)
+            _type_count_matrix(n_total, d)
     for d, n_total in PAST_BUDGET:
         with pytest.raises(CapExceededError):
             type_class_spectrum(*_budget_pair(d), n_total)
 
 
-def test_type_runs_refuse_a_bound_past_the_first_symbol_at_d4():
-    # at d >= 4 _type_runs clips the first symbol alone
-    lo, hi = [0, 1, 0, 0], [10] * 4
-    with pytest.raises(ValueError, match="only the first of 4 symbols"):
-        next(mixing._type_runs(10, lo, hi))
-
-
-def full_count_matrix(n_total, d):
-    """Every type of N = n_total over d symbols: the box [0, N]^d."""
-    return _type_count_matrix(n_total, [0] * d, [n_total] * d)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_type_count_matrix_of_a_box_is_the_full_matrix_inside_it(data):
-    # any bounds at d <= 3, the first symbol's alone at d >= 4; the box
-    # holds the type `inside`, so it is never empty
+def test_type_count_matrix_is_stars_and_bars_at_every_block_size(data):
     d = data.draw(st.integers(1, 5), label="d")
     n_total = data.draw(st.integers(1, 24 if d <= 3 else 10), label="n_total")
-    inside = []
-    for _ in range(d - 1):
-        inside.append(data.draw(st.integers(0, n_total - sum(inside))))
-    inside.append(n_total - sum(inside))
-    lo, hi = [0] * d, [n_total] * d
-    for a in range(d if d <= 3 else 1):
-        lo[a] = data.draw(st.integers(0, inside[a]), label=f"lo[{a}]")
-        hi[a] = data.draw(st.integers(inside[a], n_total), label=f"hi[{a}]")
-    full = full_count_matrix(n_total, d)
-    # a d = 3 box in blocks of any size, down to one c0 per block
+    # a d = 3 enumeration in blocks of any size, down to one c0 per block
     cells = data.draw(st.sampled_from([1, 7, 64, mixing.TYPE_BLOCK_CELLS]), label="cells")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mixing, "TYPE_BLOCK_CELLS", cells)
-        counts = _type_count_matrix(n_total, lo, hi)
-    assert len(counts) == mixing._num_types(n_total, lo, hi)
-    assert np.array_equal(counts, full[((full >= lo) & (full <= hi)).all(axis=1)])
+        counts = _type_count_matrix(n_total, d)
+    assert len(counts) == mixing._num_types(n_total, d) == math.comb(n_total + d - 1, d - 1)
+    assert np.array_equal(counts, _stars_and_bars(n_total, d))
 
 
 def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
@@ -453,7 +435,7 @@ def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
     The construction type_class_spectrum used before it enumerated by runs:
     every symbol's table is looked up by that symbol's column of counts.
     """
-    counts = full_count_matrix(n_total, len(rho_p))
+    counts = _type_count_matrix(n_total, len(rho_p))
     c = np.arange(n_total + 1)
     lgamma = gammaln(np.arange(n_total + 2))
     log_w_table = np.log(rho_p)[:, None] * c - lgamma[1:]
@@ -480,25 +462,16 @@ def count_matrix_arrays(sigma_p, rho_p, n_total, m_sigma):
     return np.exp(log_w), np.expm1(log_l), log_l
 
 
-def kept_rows(sig_p, rho_p, n_total, m_sigma):
-    """Which rows of the full count matrix lie in the spectrum's kept box."""
-    lo, hi = mixing._typical_box(sig_p, rho_p, n_total, m_sigma)
-    counts = full_count_matrix(n_total, len(rho_p))
-    return ((counts >= lo) & (counts <= hi)).all(axis=1)
-
-
 def _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma):
-    """The spectrum's arrays are the count-matrix rows inside the kept box."""
+    """The spectrum's arrays are the count-matrix rows, every type."""
     sig_p, rho_p = np.asarray(sig_p), np.asarray(rho_p)
     spec = type_class_spectrum(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p),
                                n_total, m_sigma)
     oracle = count_matrix_arrays(sig_p, rho_p, n_total, m_sigma)
-    kept = kept_rows(sig_p, rho_p, n_total, m_sigma)
     for got, want in zip((spec.weight, spec.excess, spec.log_l), oracle):
-        assert got.tobytes() == want[kept].tobytes()
+        assert got.tobytes() == want.tobytes()
     # one set of types: counts holds exactly the rows the arrays cover
-    assert len(spec.counts) == len(spec.weight)
-    assert np.array_equal(spec.counts, full_count_matrix(n_total, len(rho_p))[kept])
+    assert spec.counts.tobytes() == _type_count_matrix(n_total, len(rho_p)).tobytes()
 
 
 @pytest.mark.parametrize("d,n_total,m_sigma", [
@@ -519,8 +492,8 @@ LARGE_RUN_CASES = [     # (sigma, rho, N, m)
     *[([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 81, m) for m in (1, 2, 3)],  # 95284
     *[([0.0, 0.2, 0.3, 0.2, 0.3], [0.3, 0.2, 0.1, 0.2, 0.2], 36, m)            # 91390
       for m in (1, 2, 3)],
-    ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], 2049, 1),      # classical-sweep's d=3 pair
-    ([0.3, 0.7], [0.7, 0.3], 2**20 + 1, 1),             # CI's d=2 pair
+    ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], 2049, 1),      # 2102275 types in 68 blocks
+    ([0.3, 0.7], [0.7, 0.3], 2**20 + 1, 1),             # 1048578 types in one run
 ]
 
 
@@ -532,105 +505,48 @@ def test_type_runs_give_the_count_matrix_arrays_bit_for_bit_at_large_n(
     _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma)
 
 
-def _d3_blocks(sig_p, rho_p, n_total, m_sigma):
-    """(keep, c0 + c1) over the cells of each d = 3 run of the spectrum's box."""
-    box = mixing._typical_box(np.asarray(sig_p), np.asarray(rho_p), n_total, m_sigma)
+def _d3_blocks(n_total):
+    """(keep, c0 + c1) over the cells of each d = 3 run."""
     c = [np.arange(n_total + 1)] * 3
-    return [(keep, sum(lookup(c)[:2])) for _, keep, lookup in mixing._type_runs(n_total, *box)]
+    return [(keep, sum(lookup(c)[:2])) for _, keep, lookup in mixing._type_runs(n_total, 3)]
 
 
 D3_PAIR = ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45])
-BLOCK_EDGE_CASES = [    # (sigma, rho, N, m, TYPE_BLOCK_CELLS, edges the blocks show)
-    # c2's window, clipped at 0, is narrower than c1's: both its bounds cut
-    ([0.4, 0.4, 0.2], [0.45, 0.5, 0.05], 200, 1, 2**10, {"corners", "padding"}),
-    ([0.2, 0.3, 0.5], [0.05, 0.15, 0.8], 32, 1, 2**6, {"padding"}),   # CI's vertex pair
-    *[(*D3_PAIR, 24, m, 2**5, {"padding"}) for m in (1, 2, 3)],
-    *[(*D3_PAIR, 90, m, 2**9, {"padding"}) for m in (2, 3)],     # the full triangle
+BLOCK_EDGE_CASES = [    # (sigma, rho, N, m, TYPE_BLOCK_CELLS)
+    ([0.2, 0.3, 0.5], [0.05, 0.15, 0.8], 32, 1, 2**6),   # CI's vertex pair
+    *[(*D3_PAIR, 24, m, 2**5) for m in (1, 2, 3)],
+    *[(*D3_PAIR, 90, m, 2**9) for m in (2, 3)],
 ]
 
 
-@pytest.mark.parametrize("sig_p,rho_p,n_total,m_sigma,cells,edges", BLOCK_EDGE_CASES,
+@pytest.mark.parametrize("sig_p,rho_p,n_total,m_sigma,cells", BLOCK_EDGE_CASES,
                          ids=[f"{c[2]}-m{c[3]}-cells{c[4]}" for c in BLOCK_EDGE_CASES])
 def test_d3_blocks_give_the_count_matrix_arrays_bit_for_bit(
-    monkeypatch, sig_p, rho_p, n_total, m_sigma, cells, edges
+    monkeypatch, sig_p, rho_p, n_total, m_sigma, cells
 ):
-    # "corners": c2's bounds drop both corners of a block's rectangle;
-    # "padding": a block has c0 + c1 > N, where c2's view reads padding
+    # some block has c0 + c1 > N, where c2's view reads padding
     monkeypatch.setattr(mixing, "TYPE_BLOCK_CELLS", cells)
-    blocks = _d3_blocks(sig_p, rho_p, n_total, m_sigma)
+    blocks = _d3_blocks(n_total)
     assert len(blocks) >= 2
     assert all(keep.size <= cells for keep, _ in blocks if keep.shape[0] > 1)
-    if "corners" in edges:
-        assert any(not keep[0, 0] and not keep[-1, -1] for keep, _ in blocks)
-    if "padding" in edges:
-        assert any(c01.max() > n_total for _, c01 in blocks)
+    assert any(c01.max() > n_total for _, c01 in blocks)
     _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma)
 
 
 def test_large_d3_boxes_span_several_blocks():
-    # LARGE_RUN_CASES at the module's own block size: m = 1 at N = 2049, and
-    # the full triangle at N = 401
-    for n_total, m_sigma in [(2049, 1), (401, 2), (401, 3)]:
-        blocks = _d3_blocks(*D3_PAIR, n_total, m_sigma)
+    # LARGE_RUN_CASES' d = 3 enumerations at the module's own block size
+    for n_total in (2049, 401):
+        blocks = _d3_blocks(n_total)
         assert len(blocks) >= 2
         assert all(keep.size <= mixing.TYPE_BLOCK_CELLS for keep, _ in blocks)
 
 
-WINDOW_CASES = [     # (sigma, rho, N), each with types outside the box
-    *[([0.3, 0.7], [0.7, 0.3], n) for n in (64, 513, 2049)],
-    *[([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], n) for n in (65, 401, 2049)],
-    *[([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], n) for n in (81, 161)],
-]
-
-
-def _gap_term(l):
-    """L ln L - L + 1, with 1 at L = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(l > 0.0, l * np.log(l) - l + 1.0, 1.0)
-
-
-@pytest.mark.parametrize("sig_p,rho_p,n_total", WINDOW_CASES,
-                         ids=[f"d{len(c[1])}-{c[2]}" for c in WINDOW_CASES])
-def test_window_gap_is_the_full_gap_within_its_tail_bound(sig_p, rho_p, n_total):
-    sig_p, rho_p = np.array(sig_p), np.array(rho_p)
-    spec = type_class_spectrum(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p),
-                               n_total)
-    weight, excess, log_l = count_matrix_arrays(sig_p, rho_p, n_total, 1)
-    kept = kept_rows(sig_p, rho_p, n_total, 1)
-    assert len(spec.weight) == kept.sum() < len(kept)
-    full_gap = replace(spec, weight=weight, excess=excess, log_l=log_l).gap()
-    assert abs(spec.gap() - full_gap) <= 2 * mixing.GAP_TAIL + 4 * math.ulp(full_gap)
-    # Hoeffding's bound on the dropped Mult(N, rho) mass, from the ratios' end terms
-    ratios = sig_p / rho_p
-    eps = mixing.GAP_TAIL / max(1.0, *_gap_term(np.array([ratios.min(), ratios.max()])))
-    total = weight.sum()
-    assert weight[~kept].sum() / total <= eps
-    assert (weight * _gap_term(1.0 + excess))[~kept].sum() / total <= mixing.GAP_TAIL
-
-
-@pytest.mark.parametrize("sig_p,rho_p,n_total", WINDOW_CASES,
-                         ids=[f"d{len(c[1])}-{c[2]}" for c in WINDOW_CASES])
-def test_box_entropy_is_the_full_entropy_within_its_stated_bound(
-    monkeypatch, sig_p, rho_p, n_total
-):
-    sig, rho = ClassicalDistribution(sig_p), ClassicalDistribution(rho_p)
-    box = type_class_spectrum(sig, rho, n_total).entropy()
-    d = len(rho_p)
-    monkeypatch.setattr(mixing, "_typical_box", lambda s, r, n, m: ([0] * d, [n] * d))
-    full = type_class_spectrum(sig, rho, n_total).entropy()
-    # entropy()'s bound on the S[R] outside the box
-    ratios = np.array(sig_p) / np.array(rho_p)
-    eps = mixing.GAP_TAIL / max(1.0, *_gap_term(np.array([ratios.min(), ratios.max()])))
-    bound = eps * (ratios.max() * n_total * math.log(1.0 / min(rho_p)) + 1.0 / math.e)
-    assert abs(box - full) <= bound + math.ulp(full)
-
-
 def test_counts_and_entropy_cover_the_box_past_the_full_enumeration():
-    # every type at d=3, N = 10^4 + 1 is ten times the budget; the box's are not
+    # every type at d=3, N = 2049: 2102275 of them, within the budget
     sig, rho = _c4_pair(3)
-    n = 10**4
+    n = 2048
     spec = type_class_spectrum(sig, rho, n + 1)
-    assert len(spec.counts) == len(spec.weight) < TYPE_CLASS_BUDGET / 2
+    assert len(spec.counts) == len(spec.weight) == math.comb(n + 3, 2)
     s_r = spec.entropy()
     s_mix = s_r - n * shannon_entropy(rho) - shannon_entropy(sig)
     # every term of S[R] carries the rounding of ln N!, which the gap route cancels
@@ -640,22 +556,24 @@ def test_counts_and_entropy_cover_the_box_past_the_full_enumeration():
 
 def test_window_of_identical_states_has_a_gap_of_exactly_zero():
     rho = _c4_pair(3)[1]
-    spec = type_class_spectrum(rho, rho, 30001)
-    assert len(spec.weight) < math.comb(30003, 2)
+    spec = type_class_spectrum(rho, rho, 2049)
+    assert len(spec.weight) == math.comb(2051, 2)
     assert spec.gap() == 0.0
 
 
 @pytest.mark.parametrize("n", [10**4, 3 * 10**4])
-def test_window_reaches_d3_past_the_full_enumeration(n):
-    # every type would be C(n + 3, 2), ten times the budget or more, while
-    # the box keeps under half of it
+def test_window_reaches_d3_past_the_full_enumeration(monkeypatch, n):
+    # the m = 1 record is the gap integral, with no budget; the C(n + 3, 2)
+    # type classes, ten times the budget or more, are refused before anything
+    # is allocated
     assert math.comb(n + 3, 2) > 10 * TYPE_CLASS_BUDGET
     sig, rho = _c4_pair(3)
-    box = mixing._typical_box(sig.p, rho.p, n + 1, 1)
-    assert mixing._num_types(n + 1, *box) < TYPE_CLASS_BUDGET / 2
     rec = classical_mixing_entropy_exact(sig, rho, n)
     ratios = series_remainder_ratios(sig.p, rho.p, [(n, rec.gap)])
     assert ratios[0] <= DEFAULT_TOLERANCES["series_remainder"]
+    _forbid_allocating(monkeypatch)
+    with pytest.raises(CapExceededError, match="type classes exceed the enumeration budget"):
+        type_class_spectrum(sig, rho, n + 1)
 
 
 def test_gap_route_never_builds_the_d_symbol_count_matrix(monkeypatch):
@@ -669,21 +587,24 @@ def test_gap_route_never_builds_the_d_symbol_count_matrix(monkeypatch):
     # d >= 4 gathers from the (d-1)-symbol matrix alone
     sig, rho = (ClassicalDistribution(p) for p in MULTI_PAIRS[2])
     type_class_spectrum(sig, rho, 81)
-    assert calls == [(81, [0, 0, 0], [81, 81, 81])]
+    assert calls == [(81, 3)]
+
+
+def _stars_and_bars(n_total, d):
+    """The counts between d - 1 bars among n_total + d - 1 slots, in the bars' order."""
+    return np.array([
+        np.diff((-1,) + bars + (n_total + d - 1,)) - 1
+        for bars in itertools.combinations(range(n_total + d - 1), d - 1)
+    ], dtype=np.int64)
 
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_type_count_matrix_is_stars_and_bars_in_order(d):
     for n_total in range(1, 13):
-        # counts are the gaps between the d - 1 bars among n_total + d - 1 slots
-        expected = np.array([
-            np.diff((-1,) + bars + (n_total + d - 1,)) - 1
-            for bars in itertools.combinations(range(n_total + d - 1), d - 1)
-        ], dtype=np.int64)
-        counts = full_count_matrix(n_total, d)
+        counts = _type_count_matrix(n_total, d)
         assert counts.dtype == np.int64
         assert counts.flags.c_contiguous
-        assert np.array_equal(counts, expected)
+        assert np.array_equal(counts, _stars_and_bars(n_total, d))
 
 
 def _spectrum_s_mix(sig, rho, n):
@@ -744,9 +665,8 @@ def test_spectrum_sums_keep_the_per_call_formula_bits(d, zero_in_sigma):
         spec = type_class_spectrum(ClassicalDistribution(sig_p / sig_p.sum()),
                                    ClassicalDistribution(rho_p / rho_p.sum()), n_total)
         finite = np.isfinite(spec.log_q)
-        # the box may leave out the one L = 0 type, every count on symbol 0
-        holds_l0 = zero_in_sigma and (spec.counts[:, 0] == n_total).any()
-        assert finite.all() != holds_l0
+        # the one L = 0 type has every count on symbol 0
+        assert finite.all() != zero_in_sigma
         lq = spec.log_q[finite]
         entropy = math.fsum(-np.exp(spec.log_mult[finite] + lq) * lq)
         assert spec.entropy().hex() == entropy.hex()
@@ -1225,6 +1145,32 @@ def test_gap_integral_reaches_ratios_near_the_float_limit():
             assert abs(_integral_gap(sig_p, rho_p, n_total) - oracle) <= 1e-13 * oracle
 
 
+# sigma_0/rho_0 = 0.5/5e-324 passes the float range
+RATIO_OVERFLOW_PAIR = (ClassicalDistribution([0.5, 0.5]), ClassicalDistribution([5e-324, 1.0]))
+
+
+@pytest.mark.parametrize("route", ["gap-integral", "type-classes", "multi", "gap-series"])
+def test_a_ratio_past_the_float_range_is_refused_by_its_entries(route):
+    # warnings are errors here, so the refusal must come before any overflow
+    sig, rho = RATIO_OVERFLOW_PAIR
+    call = {
+        "gap-integral": lambda: classical_mixing_entropy_exact(sig, rho, 3),
+        "type-classes": lambda: type_class_spectrum(sig, rho, 4),
+        "multi": lambda: classical_mixing_entropy_exact(sig, rho, 2, 2),
+        "gap-series": lambda: mixing.gap_series(sig, rho),
+    }[route]
+    with pytest.raises(CapExceededError,
+                       match=r"^ratio sigma/rho = 0\.5/5e-324 overflows float range$"):
+        call()
+
+
+def test_a_ratio_past_the_float_range_leaves_the_dense_route_and_formula_finite():
+    sig, rho = RATIO_OVERFLOW_PAIR
+    dense = mixing_entropy(sig.as_density(), rho.as_density(), 3, method="dense")
+    assert (dense.s_rel, dense.s_mix) == (371.52688878013066, 0.6931471805599453)
+    assert classical_mixing_increase_formula(sig, rho) == 371.52688878013066
+
+
 MPMATH_PAIRS = [
     ([0.3, 0.7], [0.7, 0.3]),
     ([0.0, 1.0], [0.5, 0.5]),               # sigma with a zero
@@ -1251,7 +1197,7 @@ def _mpmath_gap(mp, sig_p, rho_p, n_total):
     rho = [x / mp.fsum(rho) for x in rho]
     ratios = [a / b for a, b in zip(sig, rho)]
     gap = mp.mpf(0)
-    for counts in full_count_matrix(n_total, len(rho)).tolist():
+    for counts in _type_count_matrix(n_total, len(rho)).tolist():
         ell = mp.fsum(c * r for c, r in zip(counts, ratios)) / n_total
         if ell > 0:
             log_w = mp.loggamma(n_total + 1) + mp.fsum(
@@ -1301,7 +1247,7 @@ def test_multi_reduces_to_single_insertion():
     for d, n_total in [(2, 7), (3, 9), (4, 6)]:
         ratios = np.random.default_rng(d).uniform(0.0, 3.0, size=d)
         factors = mixing._placement_factors(ratios, n_total, 1)
-        counts = full_count_matrix(n_total, d)
+        counts = _type_count_matrix(n_total, d)
         poly = np.ones((1, 1))
         for a, col in enumerate(counts.T):
             poly = mixing._truncated_product(poly, factors[a][:, col])
@@ -1392,9 +1338,9 @@ def _enumerations(monkeypatch) -> list:
     real_runs = mixing._type_runs
     calls = []
 
-    def runs(n_total, lo, hi):
-        calls.append([n_total, len(lo), 0])
-        for rows, keep, lookup in real_runs(n_total, lo, hi):
+    def runs(n_total, d):
+        calls.append([n_total, d, 0])
+        for rows, keep, lookup in real_runs(n_total, d):
             calls[-1][2] += rows.stop - rows.start
             yield rows, keep, lookup
 
