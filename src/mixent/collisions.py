@@ -18,6 +18,7 @@ from .states import (
     DensityOperator,
     HermitianOperator,
     UnitaryOperator,
+    _as_square_complex,
     apply_unitary,
     beta_value,
     energy_mean,
@@ -35,7 +36,7 @@ LEDGER_CSV_HEADER = "collision_index,delta_E,cum_delta_E,dirr_S,cum_dirr_S,reser
 
 @dataclass(frozen=True)
 class CollisionSpec:
-    """A reservoir run: n molecules at (H, beta), k of them collide via U."""
+    """A reservoir run: n molecules at (H, beta), k of them collide via U (no stacks)."""
 
     h: HermitianOperator
     beta: float
@@ -45,6 +46,7 @@ class CollisionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", beta_value(self.beta))
+        _as_square_complex(self.h.entries), _as_square_complex(self.u.entries)
         if self.h.dim != self.u.dim:
             raise DimensionMismatchError(
                 f"H is {self.h.dim}-dimensional but U is {self.u.dim}-dimensional"
@@ -248,5 +250,6 @@ def reservoir_hamiltonian(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _as_square_complex(h.entries)
     # + 0.0 turns the -0.0 that products by 0.0 leave into +0.0: H_R is bit-exact
     return HermitianOperator(kron_sum(np.eye(h.dim), h.entries, n, dense_cap) + 0.0)

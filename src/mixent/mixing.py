@@ -55,7 +55,7 @@ from .states import (
     DensityOperator,
     HermitianOperator,
     _as_square_complex,
-    _check_same_dim,
+    _check_square_pair,
     _supported_pair,
     clamp_spectrum,
     entropy_of_spectrum,
@@ -65,9 +65,6 @@ from .states import (
 
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
-# the most cells of a d = 3 run's rectangle (see _type_runs), which bounds
-# its temporaries and the cells its mask drops
-TYPE_BLOCK_CELLS = 2**15
 GAP_STEP, GAP_X_MIN = 0.25, -40.0   # gap_integral's trapezoid rule in x = ln t
 # 1/k!, k = 13 down to 2: e^y - 1 - y = y^2 polyval(G_SERIES, y) to 2e-18 for |y| < 1/4
 G_SERIES = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
@@ -110,8 +107,9 @@ class TypeClassSpectrum:
     """Spectrum of a classical symmetrized mixture, one entry per type class.
 
     The types are every count vector of the supported symbols with sum N, in
-    _type_runs's order; each string of type t has the eigenvalue q(t) = rho^t
-    L(t) (see type_class_spectrum). weight[t] = mult(t) rho^t is the type's
+    _type_runs's order (one run at d <= 2, one per first count at d >= 3);
+    each string of type t has the eigenvalue q(t) = rho^t L(t) (see
+    type_class_spectrum). weight[t] = mult(t) rho^t is the type's
     probability under Mult(N, rho), excess[t] = L(t) - 1 and log_l[t] =
     ln L(t); gap() is D(R || rho^{(x)N}) from these. counts[t], type t's
     symbol counts, is built on first use, as are log_q (-inf for q = 0) and
@@ -244,7 +242,7 @@ def symmetrized_state_dense(
 
     R is float64 when sigma and rho are both real, complex128 otherwise.
     """
-    _check_same_dim(sigma.entries, rho.entries)
+    _check_square_pair(sigma.entries, rho.entries)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     n_total = n + 1
@@ -289,6 +287,7 @@ def pair_swap_blocks(
     (d(d+1)/2)^k d^(N mod 2). d^N > dense_cap is refused before anything is
     built.
     """
+    _check_square_pair(sigma.entries, rho.entries)
     d, n_total = rho.dim, n + 1
     check_dense_dim(d, n_total, dense_cap)
     k, odd = divmod(n_total, 2)
@@ -340,9 +339,9 @@ def _type_count_matrix(n_total: int, d: int) -> np.ndarray:
     """
     counts = np.empty((_num_types(n_total, d), d), np.int64)
     c = [np.arange(n_total + 1)] * d
-    for rows, keep, lookup in _type_runs(n_total, d):
+    for rows, lookup in _type_runs(n_total, d):
         for a, picked in enumerate(lookup(c)):
-            counts[rows, a] = _kept(picked, keep)
+            counts[rows, a] = picked
     return counts
 
 
@@ -357,87 +356,42 @@ def _gather(index: list, tables) -> list:
     return [table.take(i, axis=-1) for table, i in zip(tables, index)]
 
 
-def _block_lookup(c0s: slice, shape: tuple, tables) -> list:
-    """A d = 3 block's lookups over its (height, width) cells (i, j): c0 down
-    the rows, c1 = j across and c2 = width - 1 - i - j, 0 where that is < 0,
-    each row a window of symbol 2's table reversed from width - 1 and padded
-    with height - 1 zeros (sliding_window_view), so nothing is gathered."""
-    t0, t1, t2 = tables
-    height, width = shape
-    run = t2[..., width - 1::-1]
-    run = np.concatenate([run, np.zeros(run.shape[:-1] + (height - 1,), run.dtype)], axis=-1)
-    return [t0[..., c0s, None], t1[..., None, :width],
-            np.lib.stride_tricks.sliding_window_view(run, width, axis=-1)]
-
-
-def _kept(values: np.ndarray, keep) -> np.ndarray:
-    """A run's values, broadcast over its cells, at its types (keep's cells) in row order."""
-    return values if keep is None else np.broadcast_to(values, keep.shape)[keep]
-
-
 def _type_runs(n_total: int, d: int):
-    """Yield (rows, keep, lookup) per run of the types of d symbols with sum N = n_total.
+    """Yield (rows, lookup) per run of the types of d symbols with sum N = n_total.
 
     lookup(tables), for per-symbol tables whose last axis has length N + 1,
-    gives each symbol's entries for the run's cells: arrays that broadcast
-    together, each tables[a] looked up at symbol a's count. keep is None
-    when the cells are the run's types, else a boolean mask over the cells
-    whose row-major compression gives them. The types are in lexicographic
-    order, the order of the stars-and-bars bar positions
-    itertools.combinations(range(N + d - 1), d - 1) lists, and rows number
-    them. d = 1 is its single type, and d = 2 one run, c0 against N - c0.
-    At d = 3 a run is a block of consecutive first counts c0, a rectangle of
-    cells (c0, c1) with at most TYPE_BLOCK_CELLS cells unless a single c0 is
-    wider (_block_lookup); keep holds the cells with c2 = N - c0 - c1 >= 0.
-    At d >= 4 a run is the types with one first count c0, the last
-    C(N - c0 + d - 2, d - 2) rows of the (d-1)-symbol count matrix for N
-    with its first column less c0, a gather from that small matrix, itself
-    filled from these runs for d - 1.
+    gives each symbol's entries for the run's types, tables[a] looked up at
+    symbol a's count. The types are in lexicographic order, the order of the
+    stars-and-bars bar positions itertools.combinations(range(N + d - 1),
+    d - 1) lists, and rows number them. Runs take two shapes. At d <= 2 one
+    run holds every type and its lookups are views: d = 1 is its single
+    type, d = 2 is c0 against N - c0. At d >= 3 a run is the types with one
+    first count c0, the last C(N - c0 + d - 2, d - 2) rows of the
+    (d-1)-symbol count matrix for N with its first column less c0, a gather
+    from that small matrix, itself filled from these runs for d - 1.
     """
-    if d == 1:
-        yield slice(0, 1), None, partial(_lookup, [n_total])
-        return
-    if d == 2:
-        index = [slice(0, n_total + 1), slice(n_total, None, -1)]
-        yield slice(0, n_total + 1), None, partial(_lookup, index)
-        return
-    start = 0
-    if d == 3:
-        top_c0 = 0
-        while top_c0 <= n_total:
-            # c1 runs to the top row's N - c0; past a lower row's own, c2 < 0
-            width = n_total - top_c0 + 1
-            height = min(width, max(1, TYPE_BLOCK_CELLS // width))
-            keep = np.add.outer(np.arange(height), np.arange(width)) < width
-            size = int(np.count_nonzero(keep))
-            yield (slice(start, start + size), keep,
-                   partial(_block_lookup, slice(top_c0, top_c0 + height), (height, width)))
-            start += size
-            top_c0 += height
+    if d <= 2:
+        index = [n_total] if d == 1 else [slice(0, n_total + 1), slice(n_total, None, -1)]
+        yield slice(0, math.comb(n_total + d - 1, d - 1)), partial(_lookup, index)
         return
     # the (d-1)-symbol matrix by symbol, so that each gathered column is contiguous
     tail = np.ascontiguousarray(_type_count_matrix(n_total, d - 1).T)
+    start = 0
     for c0 in range(n_total + 1):
         size = math.comb(n_total - c0 + d - 2, d - 2)
         run = tail[:, tail.shape[1] - size:]
-        yield slice(start, start + size), None, partial(_gather, [c0, run[0] - c0, *run[1:]])
+        yield slice(start, start + size), partial(_gather, [c0, run[0] - c0, *run[1:]])
         start += size
 
 
-def _fold(out: np.ndarray, rows: slice, keep, first: float, picked: list):
-    """out[rows] = ((first + picked[0]) + picked[1]) + ... at a run's types.
-
-    picked is the run's lookup of per-symbol tables and keep its mask (see
-    _type_runs): the sums are taken over the run's cells, in place in
-    out[rows] when the cells are its types, and each cell's sum symbol by
-    symbol in one order at every d.
-    """
-    cells = out[rows] if keep is None else np.empty(np.broadcast(*picked).shape)
-    np.add(first, picked[0], out=cells)
+def _fold(out: np.ndarray, rows: slice, first: float, picked: list):
+    """out[rows] = ((first + picked[0]) + picked[1]) + ..., in place: picked
+    is a run's lookup (_type_runs), views at d <= 2 and a gather per first
+    count at d >= 3, and each type's sum takes its symbols in one order."""
+    sums = out[rows]
+    np.add(first, picked[0], out=sums)
     for values in picked[1:]:
-        cells += values
-    if keep is not None:
-        out[rows] = cells[keep]
+        sums += values
 
 
 def _ratio_excess(sigma_p: np.ndarray, rho_p: np.ndarray) -> np.ndarray:
@@ -541,7 +495,7 @@ def _placement_factors(ratios: np.ndarray, n_total: int, m_sigma: int) -> np.nda
 def _truncated_product(poly: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """poly * factor truncated at factor's degree; row k is the x^k coefficient.
 
-    Past the first axis the coefficients broadcast over a run's cells.
+    Past the first axis the coefficients run over a run's types.
     """
     product = np.zeros(np.broadcast(poly[0], factor).shape)
     for k, coef in enumerate(poly):
@@ -565,11 +519,11 @@ def type_class_spectrum(
 
     with ratios sigma_a / rho_a and multiplicity N!/prod t_a!; E[L] = 1 under
     Mult(N, rho). Every type of the symbols rho holds (see _supported_pair)
-    comes run by run from _type_runs, in its order, with no d-symbol count
-    matrix. Each run's entries are left folds (_fold), symbol by symbol, of
-    lookups in per-symbol tables of length N + 1, broadcast over the run's
-    cells and then compressed to its types, so a type's entry takes the
-    same operations in the same order whatever run holds it. They give each
+    comes run by run from _type_runs, with no d-symbol count matrix: one run
+    of views into per-symbol tables of length N + 1 at d <= 2, one gathered
+    run per first count c0 at d >= 3. A run's entries are left folds
+    (_fold), symbol by symbol, so a type's entry takes the same operations
+    in the same order whatever run holds it. They give each
     type's log weight ln N! + sum_a (c_a ln rho_a - ln c_a!), from one
     gammaln call, and, for m = 1, L - 1 = sum_a c_a (sigma_a - rho_a) /
     (rho_a N), so that ln L = log1p(L - 1) with no cancellation. For m >= 2
@@ -607,16 +561,16 @@ def type_class_spectrum(
         with np.errstate(over="ignore", invalid="ignore"):
             factors = _placement_factors(ratios / scale, n_total, m_sigma)
         e_m = np.empty(num_types)
-    for rows, keep, lookup in _type_runs(n_total, len(rho_p)):
-        _fold(log_w, rows, keep, lgamma[n_total + 1], lookup(log_w_table))
+    for rows, lookup in _type_runs(n_total, len(rho_p)):
+        _fold(log_w, rows, lgamma[n_total + 1], lookup(log_w_table))
         if m_sigma == 1:
-            _fold(excess, rows, keep, 0.0, lookup(shift))
+            _fold(excess, rows, 0.0, lookup(shift))
         else:
             poly = np.ones(1)
             with np.errstate(over="ignore", invalid="ignore"):
                 for factor in lookup(factors):
                     poly = _truncated_product(poly, factor)
-            e_m[rows] = _kept(poly[m_sigma], keep)
+            e_m[rows] = poly[m_sigma]
     weight = np.exp(log_w, out=log_w)
     if m_sigma == 1:
         excess /= n_total      # L - 1
@@ -759,7 +713,7 @@ def simultaneous_classical_pair(sigma: DensityOperator, rho: DensityOperator) ->
     own rho value, and an exactly degenerate one keeps rho's bits. A block
     of one keeps both diagonal entries as they are.
     """
-    _check_same_dim(sigma.entries, rho.entries)
+    _check_square_pair(sigma.entries, rho.entries)
     if _commutator_max(sigma, rho) > COMMUTE_TOL:
         raise InvalidStateError(
             f"[sigma, rho] exceeds {COMMUTE_TOL}: states do not commute"
@@ -822,8 +776,7 @@ def _prepare(sigma: StateLike, rho: StateLike, method: str):
     rho_op = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    _as_square_complex(sigma_op.entries), _as_square_complex(rho_op.entries)
-    _check_same_dim(sigma_op.entries, rho_op.entries)
+    _check_square_pair(sigma_op.entries, rho_op.entries)
     commute = _commutator_max(sigma_op, rho_op) <= COMMUTE_TOL
     if method == "auto":
         method = "classical-exact" if commute else "dense"

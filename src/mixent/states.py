@@ -176,6 +176,12 @@ def _check_same_dim(a, b):
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
 
 
+def _check_square_pair(a, b):
+    """a and b are single square matrices, a stack refused, of one dimension."""
+    _as_square_complex(a), _as_square_complex(b)
+    _check_same_dim(a, b)
+
+
 def _check_support(outside: np.ndarray):
     """sigma's weights where rho has none may be rounding (SUPPORT_TOL) only."""
     if np.any(outside > SUPPORT_TOL):

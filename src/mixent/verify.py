@@ -241,14 +241,14 @@ def _string_probs(sig_p, rho_p, n_total: int, m_sigma: int = 1) -> tuple:
     return sites.T, q / math.comb(n_total, m_sigma)
 
 
-def _type_mass_rel_err(spec, sig_p, rho_p, n_total: int, m_sigma: int = 1):
+def _type_mass_rel_err(spec, strings, q):
     """The worst relative error of each type's mass in R, weight (1 + excess),
-    against string enumeration (so of each multiplicity too, as weight =
-    mult rho^t); None when the spectrum's types are not the strings'.
+    against the string enumeration (strings, q) of _string_probs (so of each
+    multiplicity too, as weight = mult rho^t); None when the spectrum's types
+    are not the strings'.
     """
-    strings, q = _string_probs(sig_p, rho_p, n_total, m_sigma)
-    counts = np.stack([np.count_nonzero(strings == a, axis=1) for a in range(len(rho_p))],
-                      axis=1)
+    d = int(strings.max()) + 1      # every string of the d symbols is listed
+    counts = np.stack([np.count_nonzero(strings == a, axis=1) for a in range(d)], axis=1)
     types, of_type = np.unique(counts, axis=0, return_inverse=True)
     if not np.array_equal(types, spec.counts):
         return None
@@ -289,7 +289,7 @@ def _c4_oracle_equivalence(cfg):
         spec = type_class_spectrum(
             ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n_total
         )
-        mass_rel = _type_mass_rel_err(spec, sig_p, rho_p, n_total)
+        mass_rel = _type_mass_rel_err(spec, *_string_probs(sig_p, rho_p, n_total))
         if mass_rel is None:
             types_exact = False
             continue
@@ -397,11 +397,12 @@ def _c7_appendix(cfg):
 # ---------------------------------------------------------------------------
 
 def _brute_multi_mixing(sig: ClassicalDistribution, rho: ClassicalDistribution,
-                        n_total: int, m_sigma: int) -> float:
-    probs = _string_probs(sig.p, rho.p, n_total, m_sigma)[1]
-    pos = probs[probs > 0]
+                        strings, q, m_sigma: int) -> float:
+    """S_mix from the string enumeration (strings, q) of _string_probs."""
+    pos = q[q > 0]
     s_r = float(-np.sum(pos * np.log(pos)))
-    return s_r - (n_total - m_sigma) * shannon_entropy(rho) - m_sigma * shannon_entropy(sig)
+    n_rho = strings.shape[1] - m_sigma     # strings are (d^N, N)
+    return s_r - n_rho * shannon_entropy(rho) - m_sigma * shannon_entropy(sig)
 
 
 def _c8_multi(cfg):
@@ -414,12 +415,13 @@ def _c8_multi(cfg):
     max_diff = max_mass_rel = 0.0
     for n_total, m_sigma in [(3, 1), (4, 1), (4, 2), (5, 2), (6, 2)]:
         rec = classical_mixing_entropy_exact(sig, rho, n_total - m_sigma, m_sigma)
-        oracle = _brute_multi_mixing(sig, rho, n_total, m_sigma)
+        strings, q = _string_probs(sig.p, rho.p, n_total, m_sigma)
+        oracle = _brute_multi_mixing(sig, rho, strings, q, m_sigma)
         max_diff = max(max_diff, abs(rec.s_mix - oracle))
         if m_sigma > 1:
             # each m = 2 type's mass in R, as criterion 4 checks m = 1's
             spec = type_class_spectrum(sig, rho, n_total, m_sigma)
-            mass_rel = _type_mass_rel_err(spec, sig.p, rho.p, n_total, m_sigma)
+            mass_rel = _type_mass_rel_err(spec, strings, q)
             max_mass_rel = max(max_mass_rel, math.inf if mass_rel is None else mass_rel)
 
     # the gap to 2 S[sigma|rho] falls as m^2 a1/N, with a 1/N correction

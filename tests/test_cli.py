@@ -354,9 +354,9 @@ def test_mix_sweep_dense_far_past_the_cap_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", ["auto", "classical-exact"])
 def test_mix_sweep_tables_past_the_type_budget_exit_3(tmp_path, method):
-    # the window keeps about 1e5 types at n = 10^8, but each symbol's table
-    # would hold n + 2 entries, past TYPE_CLASS_BUDGET: the type-class
-    # spectrum refuses before allocating. mix-sweep's m = 1 records have no budget
+    # at n = 10^8 each symbol's table would hold n + 2 entries, past
+    # TYPE_CLASS_BUDGET: the type-class spectrum refuses before allocating.
+    # mix-sweep's m = 1 records have no budget
     sig, rho = ClassicalDistribution([0.3, 0.7]), ClassicalDistribution([0.7, 0.3])
     with pytest.raises(CapExceededError, match="per-symbol tables of 100000002 entries exceed"):
         type_class_spectrum(sig, rho, 10**8 + 1)

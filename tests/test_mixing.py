@@ -13,6 +13,7 @@ from scipy.special import gammaln
 from mixent import (
     CapExceededError,
     ClassicalDistribution,
+    CollisionSpec,
     DensityOperator,
     DimensionMismatchError,
     HermitianOperator,
@@ -26,6 +27,8 @@ from mixent import (
     permutation_twirl_dense,
     random_haar_unitary,
     random_hermitian,
+    reservoir_hamiltonian,
+    run_collision_sequence,
     shannon_entropy,
     symmetrized_state_dense,
     type_class_spectrum,
@@ -420,11 +423,7 @@ def test_type_class_budget_checked_before_allocating(monkeypatch):
 def test_type_count_matrix_is_stars_and_bars_at_every_block_size(data):
     d = data.draw(st.integers(1, 5), label="d")
     n_total = data.draw(st.integers(1, 24 if d <= 3 else 10), label="n_total")
-    # a d = 3 enumeration in blocks of any size, down to one c0 per block
-    cells = data.draw(st.sampled_from([1, 7, 64, mixing.TYPE_BLOCK_CELLS]), label="cells")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mixing, "TYPE_BLOCK_CELLS", cells)
-        counts = _type_count_matrix(n_total, d)
+    counts = _type_count_matrix(n_total, d)
     assert len(counts) == mixing._num_types(n_total, d) == math.comb(n_total + d - 1, d - 1)
     assert np.array_equal(counts, _stars_and_bars(n_total, d))
 
@@ -487,12 +486,15 @@ def test_type_runs_give_the_count_matrix_arrays_bit_for_bit(d, n_total, m_sigma)
     _assert_runs_bit_for_bit(sig_p / sig_p.sum(), rho_p / rho_p.sum(), n_total, m_sigma)
 
 
+D3_PAIR = ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45])
 LARGE_RUN_CASES = [     # (sigma, rho, N, m)
-    *[([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], 401, m) for m in (1, 2, 3)],      # 81003 types
+    ([0.2, 0.3, 0.5], [0.05, 0.15, 0.8], 32, 1),        # CI's vertex pair
+    *[(*D3_PAIR, 90, m) for m in (2, 3)],               # 4186 types
+    *[(*D3_PAIR, 401, m) for m in (1, 2, 3)],           # 81003
     *[([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], 81, m) for m in (1, 2, 3)],  # 95284
     *[([0.0, 0.2, 0.3, 0.2, 0.3], [0.3, 0.2, 0.1, 0.2, 0.2], 36, m)            # 91390
       for m in (1, 2, 3)],
-    ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45], 2049, 1),      # 2102275 types in 68 blocks
+    (*D3_PAIR, 2049, 1),                                # 2102275 types in 2050 runs
     ([0.3, 0.7], [0.7, 0.3], 2**20 + 1, 1),             # 1048578 types in one run
 ]
 
@@ -505,43 +507,7 @@ def test_type_runs_give_the_count_matrix_arrays_bit_for_bit_at_large_n(
     _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma)
 
 
-def _d3_blocks(n_total):
-    """(keep, c0 + c1) over the cells of each d = 3 run."""
-    c = [np.arange(n_total + 1)] * 3
-    return [(keep, sum(lookup(c)[:2])) for _, keep, lookup in mixing._type_runs(n_total, 3)]
-
-
-D3_PAIR = ([0.5, 0.3, 0.2], [0.2, 0.35, 0.45])
-BLOCK_EDGE_CASES = [    # (sigma, rho, N, m, TYPE_BLOCK_CELLS)
-    ([0.2, 0.3, 0.5], [0.05, 0.15, 0.8], 32, 1, 2**6),   # CI's vertex pair
-    *[(*D3_PAIR, 24, m, 2**5) for m in (1, 2, 3)],
-    *[(*D3_PAIR, 90, m, 2**9) for m in (2, 3)],
-]
-
-
-@pytest.mark.parametrize("sig_p,rho_p,n_total,m_sigma,cells", BLOCK_EDGE_CASES,
-                         ids=[f"{c[2]}-m{c[3]}-cells{c[4]}" for c in BLOCK_EDGE_CASES])
-def test_d3_blocks_give_the_count_matrix_arrays_bit_for_bit(
-    monkeypatch, sig_p, rho_p, n_total, m_sigma, cells
-):
-    # some block has c0 + c1 > N, where c2's view reads padding
-    monkeypatch.setattr(mixing, "TYPE_BLOCK_CELLS", cells)
-    blocks = _d3_blocks(n_total)
-    assert len(blocks) >= 2
-    assert all(keep.size <= cells for keep, _ in blocks if keep.shape[0] > 1)
-    assert any(c01.max() > n_total for _, c01 in blocks)
-    _assert_runs_bit_for_bit(sig_p, rho_p, n_total, m_sigma)
-
-
-def test_large_d3_boxes_span_several_blocks():
-    # LARGE_RUN_CASES' d = 3 enumerations at the module's own block size
-    for n_total in (2049, 401):
-        blocks = _d3_blocks(n_total)
-        assert len(blocks) >= 2
-        assert all(keep.size <= mixing.TYPE_BLOCK_CELLS for keep, _ in blocks)
-
-
-def test_counts_and_entropy_cover_the_box_past_the_full_enumeration():
+def test_counts_and_entropy_cover_every_type_at_large_n():
     # every type at d=3, N = 2049: 2102275 of them, within the budget
     sig, rho = _c4_pair(3)
     n = 2048
@@ -554,7 +520,7 @@ def test_counts_and_entropy_cover_the_box_past_the_full_enumeration():
     assert s_mix == pytest.approx(classical_mixing_entropy_exact(sig, rho, n).s_mix, abs=tol)
 
 
-def test_window_of_identical_states_has_a_gap_of_exactly_zero():
+def test_identical_states_have_a_type_class_gap_of_exactly_zero():
     rho = _c4_pair(3)[1]
     spec = type_class_spectrum(rho, rho, 2049)
     assert len(spec.weight) == math.comb(2051, 2)
@@ -562,7 +528,7 @@ def test_window_of_identical_states_has_a_gap_of_exactly_zero():
 
 
 @pytest.mark.parametrize("n", [10**4, 3 * 10**4])
-def test_window_reaches_d3_past_the_full_enumeration(monkeypatch, n):
+def test_gap_integral_reaches_d3_past_the_type_class_budget(monkeypatch, n):
     # the m = 1 record is the gap integral, with no budget; the C(n + 3, 2)
     # type classes, ten times the budget or more, are refused before anything
     # is allocated
@@ -582,12 +548,14 @@ def test_gap_route_never_builds_the_d_symbol_count_matrix(monkeypatch):
     monkeypatch.setattr(
         mixing, "_type_count_matrix", lambda *a: calls.append(a) or real_count_matrix(*a)
     )
+    # d >= 3 gathers from the (d-1)-symbol matrix alone, one run per first count
     type_class_spectrum(*_c4_pair(3), 2049)
-    assert calls == []
-    # d >= 4 gathers from the (d-1)-symbol matrix alone
+    assert calls == [(2049, 2)]
+    assert len(list(mixing._type_runs(2049, 3))) == 2050
+    calls.clear()
     sig, rho = (ClassicalDistribution(p) for p in MULTI_PAIRS[2])
     type_class_spectrum(sig, rho, 81)
-    assert calls == [(81, 3)]
+    assert calls == [(81, 3), (81, 2)]
 
 
 def _stars_and_bars(n_total, d):
@@ -926,6 +894,29 @@ def test_mixing_entropy_refuses_stacked_states(method):
         mixing_entropy(sigma, rho, 2, method=method)
 
 
+QUBIT_STACK = gibbs_state(random_hermitian([1, 2], 2), 1.0)     # a valid (2, 2, 2) stack
+H_STACK = random_hermitian([5, 6], 2)
+STACK_ROUTES = {
+    "symmetrized_state_dense": lambda rho: symmetrized_state_dense(QUBIT_STACK, rho, 2),
+    "symmetrized_state_dense-rho": lambda rho: symmetrized_state_dense(rho, QUBIT_STACK, 2),
+    "pair_swap_blocks": lambda rho: mixing.pair_swap_blocks(QUBIT_STACK, rho, 2),
+    "graceful_checks": lambda rho: graceful_checks(QUBIT_STACK, rho, 1, H_STACK),
+    "graceful_checks-h": lambda rho: graceful_checks(rho, rho, 1, H_STACK),
+    "reservoir_hamiltonian": lambda rho: reservoir_hamiltonian(H_STACK, 2),
+    "simultaneous_classical_pair": lambda rho: simultaneous_classical_pair(QUBIT_STACK, rho),
+    "run_collision_sequence": lambda rho: run_collision_sequence(CollisionSpec(
+        h=H_STACK, beta=1.0, u=random_haar_unitary(3, 2), collisions=1, reservoir_size=2)),
+}
+
+
+@pytest.mark.parametrize("route", STACK_ROUTES.values(), ids=STACK_ROUTES)
+def test_two_dimensional_routes_refuse_a_stack(route):
+    # by shape, not by a numpy error or as states that do not commute
+    rho = seeded_density(0, 2)
+    with pytest.raises(InvalidStateError, match=r"expected a square matrix, got shape \(2, 2, 2\)"):
+        route(rho)
+
+
 def test_auto_dispatch():
     rho = gibbs_state(HermitianOperator(np.diag([0.0, 1.0])), 1.0)
     commuting = mixing_entropy(SIGMA_CLASSICAL.as_density(), rho, 2, method="auto")
@@ -977,7 +968,7 @@ def test_near_degenerate_rho_keeps_each_sigma_value_with_its_own():
     rho = ClassicalDistribution([0.3, 0.3 + 5e-9, 0.4 - 5e-9])
     sig_p, rho_p = simultaneous_classical_pair(sig.as_density(), rho.as_density())
     assert sorted(zip(rho_p.p, sig_p.p)) == sorted(zip(rho.p, sig.p))
-    oracle = _brute_multi_mixing(sig, rho, 7, 1)
+    oracle = _brute_multi_mixing(sig, rho, *_string_probs(sig.p, rho.p, 7), 1)
     for method in ("classical-exact", "dense"):
         assert abs(mixing_entropy(sig, rho, 6, method=method).s_mix - oracle) <= 1e-12
 
@@ -1293,7 +1284,8 @@ def test_multi_matches_brute_force_placements(n_total, m_sigma):
     for sig_p, rho_p in MULTI_PAIRS:
         sig, rho = ClassicalDistribution(sig_p), ClassicalDistribution(rho_p)
         # oracle: enumerate all C(N, m) placements and all strings
-        oracle = _brute_multi_mixing(sig, rho, n_total, m_sigma)
+        oracle = _brute_multi_mixing(sig, rho, *_string_probs(sig.p, rho.p, n_total, m_sigma),
+                                     m_sigma)
         rec = classical_mixing_entropy_exact(sig, rho, n_total - m_sigma, m_sigma)
         assert rec.s_mix == pytest.approx(oracle, abs=1e-10)
         # the same spectrum's S[R], the oracle at m >= 2 too
@@ -1340,9 +1332,9 @@ def _enumerations(monkeypatch) -> list:
 
     def runs(n_total, d):
         calls.append([n_total, d, 0])
-        for rows, keep, lookup in real_runs(n_total, d):
+        for rows, lookup in real_runs(n_total, d):
             calls[-1][2] += rows.stop - rows.start
-            yield rows, keep, lookup
+            yield rows, lookup
 
     monkeypatch.setattr(mixing, "_type_runs", runs)
     return calls
