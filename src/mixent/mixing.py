@@ -13,9 +13,9 @@ their joint eigenbasis); and, for commuting states, the gap first,
 gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}), with
 S_mix = S[sigma|rho] - gap. For one sigma the gap is E[L ln L] under
 Mult(N, rho), one integral over t with O(d) work per node at any N
-(gap_integral). The exact type-class spectrum is its oracle at small n: its
-gap() sums the same expectation over every type class and its entropy() is
-S[R].
+(gap_integrals, one pass for all of a sweep's N). The exact type-class
+spectrum is its oracle at small n: its gap() sums the same expectation over
+every type class and its entropy() is S[R].
 The conjectured n -> infinity limit is the relative entropy S[sigma|rho];
 for commuting states gap_series gives the rate, the first three terms of the
 gap's series in 1/N. The type-class route also spreads m sigma factors over
@@ -65,7 +65,8 @@ from .states import (
 
 TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
-GAP_STEP, GAP_X_MIN = 0.25, -40.0   # gap_integral's trapezoid rule in x = ln t
+GAP_STEP, GAP_X_MIN = 0.25, -40.0   # gap_integrals' trapezoid rule in x = ln t
+GAP_BLOCK = 16                      # N per gap_integrals block, which bounds its memory
 # 1/k!, k = 13 down to 2: e^y - 1 - y = y^2 polyval(G_SERIES, y) to 2e-18 for |y| < 1/4
 G_SERIES = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
 COMMUTE_TOL = 1e-10
@@ -424,55 +425,70 @@ def gap_series(sigma: ClassicalDistribution, rho: ClassicalDistribution) -> tupl
     return k2 / 2, k2**2 / 4 - k3 / 6, k4 / 12 - k2 * k3 / 2 + k2**3 / 2
 
 
-def gap_integral(sigma_p: np.ndarray, rho_p: np.ndarray, n_total: int) -> float:
-    """The m = 1 gap E[L ln L] under Mult(N, rho), L the mean of N draws of r = sigma/rho.
+def gap_integrals(sigma_p: np.ndarray, rho_p: np.ndarray, n_totals: Sequence[int]) -> list:
+    """The m = 1 gap E[L ln L] under Mult(N, rho) for each N of n_totals.
 
-    The pair is on rho's support (_supported_pair). By Frullani's ln L = int (e^-t -
-    e^-tL) dt/t (Knessl, Appl. Math. Lett. 11, 1998), with E[L e^-tL] = psi phi^(N-1),
-    psi and phi = sigma and rho . e^-sr, s = t/N: gap = int e^-t (-expm1(w)) dx, t =
-    e^x, w = v + (N-1) u, u = ln phi + s = log1p(rho . g), v = ln psi + s =
-    log1p(sigma . g - s chi2), g = e^y - 1 - y, y = -s delta, delta = (sigma - rho)/rho,
-    chi2 = rho . delta^2. Where |w| > 1 the integrand is e^-t - E[L e^-tL], E's log
-    past s = 1 by log-sum-exps. Trapezoid rule in x (Trefethen & Weideman, SIAM Rev.
+    L is the mean of N draws of r = sigma/rho, the pair on rho's support (_supported_pair).
+    By Frullani's ln L = int (e^-t - e^-tL) dt/t (Knessl, Appl. Math. Lett. 11, 1998), with
+    E[L e^-tL] = psi phi^(N-1), psi and phi = sigma and rho . e^-sr, s = t/N: gap = int
+    e^-t (-expm1(w)) dx, t = e^x, w = v + (N-1) u, u = ln phi + s = log1p(rho . g), v =
+    ln psi + s = log1p(sigma . g - s chi2), g = e^y - 1 - y, y = -s delta, delta = (sigma -
+    rho)/rho, chi2 = rho . delta^2. Where |w| > 1 the integrand is e^-t - E[L e^-tL], E's
+    log past s = 1 by log-sum-exps. Trapezoid rule in x (Trefethen & Weideman, SIAM Rev.
     56, 2014) from GAP_X_MIN - ln r_max, below which the integrand is t chi2/N, to ln 60
     + max(0, ln N - ln r_min), past which it is below e^-60: a positive L is >= r_min/N.
+    x_min does not depend on N, so every N's nodes are a prefix of one lattice. The
+    integrand is evaluated once per node for GAP_BLOCK N at a time, one column each, and
+    each column is fsum-ed over its own nodes: a gap keeps the bits of a one-N call, and
+    memory does not grow with the number of N.
     """
     delta = _ratio_excess(sigma_p, rho_p)
-    chi2, n_rho = float((rho_p * delta) @ delta), float(n_total - 1)
+    chi2, gaps = float((rho_p * delta) @ delta), []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_pair = np.log([sigma_p, rho_p])
-        log_r, log_n = log_pair[0] - log_pair[1], math.log(n_total)
-        x_max = max(log_n - float(log_r[sigma_p > 0.0].min()), 0.0) + math.log(60.0)
+        log_r = log_pair[0] - log_pair[1]
+        log_r_min = float(log_r[sigma_p > 0.0].min())
         x_min = GAP_X_MIN - GAP_STEP * math.ceil(float(log_r.max()) / GAP_STEP)
-        x = x_min + GAP_STEP * np.arange(math.ceil((x_max - x_min) / GAP_STEP) + 1)
-        t = np.exp(x)
-        s = t / n_total
-        y = np.multiply.outer(-s, delta)
-        em = np.expm1(y)
-        h = np.where(np.abs(y) < 0.25, np.polyval(G_SERIES, y), (em - y) / y / y)
-        # past s max|delta| = 1: sigma . expm1(y), taking sigma . delta as chi2, or ln(sigma . e^y)
-        z = em @ sigma_p + s * float(rho_p @ delta)
-        v = np.where(s * float(np.abs(delta).max()) < 1.0,
-                     np.log1p((h * y * y) @ sigma_p - s * chi2),
-                     np.where(z > -0.5, np.log1p(z), np.log(np.exp(y) @ sigma_p)))
-        # (N-1) log1p(s q), s q = rho . g: (N-1) s q below 1e-20, where s q may underflow
-        q = s * (h @ (rho_p * delta * delta))
-        w = v + np.where(s * q < 1e-20, (n_rho * s) * q, n_rho * np.log1p(s * q))
-        f = np.exp(-t)
-        near = np.abs(w) <= 1.0
-        f[near] *= -np.expm1(w[near])
-        # w - t rounds by eps t, below the log-sum-exps' (N - 1) eps, while s < 1;
-        # past it w - t can cancel to nothing
-        log_e = w - t
-        lse = ~near & (s >= 1.0)
-        terms = log_pair[:, None, :] - np.exp(np.add.outer(x[lse] - log_n, log_r))
-        log_psi, log_phi = np.logaddexp.reduce(terms, axis=2)
-        log_e[lse] = log_psi + n_rho * log_phi
-        f[~near] -= np.exp(log_e[~near])
-    gap = GAP_STEP * math.fsum(f.tolist())
-    if not math.isfinite(gap):
-        raise InvalidStateError(f"gap integral is not finite: {gap}")
-    return gap
+        for start in range(0, len(n_totals), GAP_BLOCK):
+            block = n_totals[start:start + GAP_BLOCK]
+            sizes = [math.ceil((max(math.log(n) - log_r_min, 0.0) + math.log(60.0) - x_min)
+                               / GAP_STEP) + 1 for n in block]
+            # node k of N = block[j] at k len(block) + j, up to the longest N's last node
+            cells = len(block) * max(sizes)
+            x = np.repeat(x_min + GAP_STEP * np.arange(max(sizes)), len(block))
+            log_n = np.resize([math.log(n) for n in block], cells)
+            n_rho = np.resize([float(n - 1) for n in block], cells)
+            t = np.exp(x)
+            s = t / np.resize(np.array(block, dtype=float), cells)
+            y = np.multiply.outer(-s, delta)
+            em = np.expm1(y)
+            h = np.where(np.abs(y) < 0.25, np.polyval(G_SERIES, y), (em - y) / y / y)
+            # past s max|delta| = 1: sigma . expm1(y), taking sigma . delta as chi2,
+            # or ln(sigma . e^y)
+            z = em @ sigma_p + s * float(rho_p @ delta)
+            v = np.where(s * float(np.abs(delta).max()) < 1.0,
+                         np.log1p((h * y * y) @ sigma_p - s * chi2),
+                         np.where(z > -0.5, np.log1p(z), np.log(np.exp(y) @ sigma_p)))
+            # (N-1) log1p(s q), s q = rho . g: (N-1) s q below 1e-20, where s q may underflow
+            q = s * (h @ (rho_p * delta * delta))
+            w = v + np.where(s * q < 1e-20, (n_rho * s) * q, n_rho * np.log1p(s * q))
+            f = np.exp(-t)
+            near = np.abs(w) <= 1.0
+            f[near] *= -np.expm1(w[near])
+            # w - t rounds by eps t, below the log-sum-exps' (N - 1) eps, while s < 1;
+            # past it w - t can cancel to nothing
+            log_e = w - t
+            lse = ~near & (s >= 1.0)
+            terms = log_pair[:, None, :] - np.exp(np.add.outer(x[lse] - log_n[lse], log_r))
+            log_psi, log_phi = np.logaddexp.reduce(terms, axis=2)
+            log_e[lse] = log_psi + n_rho[lse] * log_phi
+            f[~near] -= np.exp(log_e[~near])
+            f = f.reshape(-1, len(block))
+            gaps += [GAP_STEP * math.fsum(f[:size, j].tolist()) for j, size in enumerate(sizes)]
+    for gap in gaps:
+        if not math.isfinite(gap):
+            raise InvalidStateError(f"gap integral is not finite: {gap}")
+    return gaps
 
 
 def _log_choose(n: int, k: int) -> float:
@@ -605,33 +621,35 @@ def classical_mixing_entropy_exact(
     """Exact S_mix for m_sigma sigma factors among n rho factors, commuting states.
 
     The gap comes first, for N = n + m_sigma systems: for m = 1 from
-    gap_integral, with no budget at any N, and for m >= 2 from the type
+    gap_integrals, with no budget at any N, and for m >= 2 from the type
     classes (TypeClassSpectrum.gap); S_mix = m S[sigma|rho] - gap. The record's
     S_rel column holds m S[sigma|rho], the candidate n -> infinity limit,
     and its gap column the route's gap itself. For m = 1 the gap follows
     gap_series; for m >= 2 its leading term is m^2 a1/N.
     """
-    return _classical_record(sigma, rho, relative_entropy(sigma.as_density(), rho.as_density()),
-                             n, m_sigma)
+    return _classical_records(sigma, rho, relative_entropy(sigma.as_density(), rho.as_density()),
+                              [n], m_sigma)[0]
 
 
-def _classical_record(
+def _classical_records(
     sigma: ClassicalDistribution,
     rho: ClassicalDistribution,
     s_rel: float,
-    n: int,
+    ns: Sequence[int],
     m_sigma: int = 1,
-) -> MixingRecord:
-    """classical_mixing_entropy_exact's record, given s_rel = S[sigma|rho]."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+) -> list:
+    """classical_mixing_entropy_exact's records for each n of ns, given s_rel =
+    S[sigma|rho]; for m = 1 from one gap_integrals pass."""
+    if min(ns) < 1:
+        raise ValueError(f"need n >= 1, got {min(ns)}")
     if m_sigma == 1:
-        gap = gap_integral(*_supported_pair(sigma, rho), n + 1)
+        gaps = gap_integrals(*_supported_pair(sigma, rho), [n + 1 for n in ns])
     else:
-        gap = type_class_spectrum(sigma, rho, n + m_sigma, m_sigma).gap()
+        gaps = [type_class_spectrum(sigma, rho, n + m_sigma, m_sigma).gap() for n in ns]
     s_rel = m_sigma * s_rel
     method = "classical-exact" if m_sigma == 1 else f"classical-multi(m_sigma={m_sigma})"
-    return MixingRecord(n=n, s_mix=s_rel - gap, s_rel=s_rel, gap=gap, method=method)
+    return [MixingRecord(n=n, s_mix=s_rel - gap, s_rel=s_rel, gap=gap, method=method)
+            for n, gap in zip(ns, gaps)]
 
 
 def permutation_twirl_dense(
@@ -765,12 +783,14 @@ def _in_rho_eigenbasis(sigma: DensityOperator, rho: DensityOperator) -> tuple:
 
 
 def _prepare(sigma: StateLike, rho: StateLike, method: str):
-    """The per-pair work of mixing_entropy's route, done once: returns record.
+    """The per-pair work of mixing_entropy's route, done once: returns (records, one_pass).
 
-    record(n, dense_cap) is the MixingRecord for one n. The commutator
-    check, the joint diagonalization and S[sigma|rho] are the pair's, and
-    for the dense routes also rho's eigenbasis, S[rho] and S[sigma]; only R's
-    spectrum, or the gap integral, depends on n. A stack of states is refused.
+    records(ns, dense_cap) is the MixingRecord list for the n of ns. The
+    commutator check, the joint diagonalization and S[sigma|rho] are the
+    pair's, and for the dense routes also rho's eigenbasis, S[rho] and
+    S[sigma]; only R's spectrum, or the gap integral, depends on n.
+    classical-exact takes all of ns in one gap_integrals pass (one_pass), the
+    dense routes one n at a time. A stack of states is refused.
     """
     sigma_op = sigma.as_density() if isinstance(sigma, ClassicalDistribution) else sigma
     rho_op = rho.as_density() if isinstance(rho, ClassicalDistribution) else rho
@@ -784,7 +804,7 @@ def _prepare(sigma: StateLike, rho: StateLike, method: str):
         sigma_dist, rho_dist = simultaneous_classical_pair(sigma_op, rho_op)
     if method == "classical-exact":
         s_rel = relative_entropy(sigma_dist.as_density(), rho_dist.as_density())
-        return lambda n, dense_cap: _classical_record(sigma_dist, rho_dist, s_rel, n)
+        return lambda ns, dense_cap: _classical_records(sigma_dist, rho_dist, s_rel, ns), True
 
     # refuses sigma off rho's support before R is built
     s_rel = relative_entropy(sigma_op, rho_op)
@@ -807,7 +827,7 @@ def _prepare(sigma: StateLike, rho: StateLike, method: str):
         s_mix = r_entropy(n, dense_cap) - n * s_rho - s_sigma
         return MixingRecord(n=n, s_mix=s_mix, s_rel=s_rel, gap=s_rel - s_mix, method="dense")
 
-    return record
+    return lambda ns, dense_cap: [record(n, dense_cap) for n in ns], False
 
 
 def mixing_entropy(
@@ -831,9 +851,9 @@ def mixing_entropy(
     (classical_mixing_entropy_exact);
     'auto' picks classical-exact when the states commute, else dense.
     The pair's share of the work is _prepare's, which convergence_sweep
-    does once for all its n.
+    does once for all its n: a record is a one-n sweep's.
     """
-    return _prepare(sigma, rho, method)(n, dense_cap)
+    return _prepare(sigma, rho, method)[0]([n], dense_cap)[0]
 
 
 def convergence_sweep(
@@ -846,20 +866,21 @@ def convergence_sweep(
     """One MixingRecord per n, in increasing n, each mixing_entropy's.
 
     n_list names at least one n, and each n once: records.csv is keyed by n.
-    The pair is prepared once (_prepare), so a record's wall_time_ms covers
-    its own n alone.
+    The pair is prepared once (_prepare). A dense record's wall_time_ms
+    covers its own n alone; classical-exact makes every record in one pass,
+    and each of its records holds an equal share of that pass.
     """
     if len(n_list) == 0:
         raise ValueError("sweep lists no n")
     if len(set(n_list)) != len(n_list):
         raise ValueError(f"sweep lists some n more than once: {list(n_list)}")
-    record = _prepare(sigma, rho, method)
-    records = []
-    for n in sorted(n_list):
+    records_of, one_pass = _prepare(sigma, rho, method)
+    ns, records = sorted(n_list), []
+    for chunk in [ns] if one_pass else [[n] for n in ns]:
         t0 = time.perf_counter()
-        rec = record(n, dense_cap)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(replace(rec, wall_time_ms=wall_ms))
+        done = records_of(chunk, dense_cap)
+        share_ms = (time.perf_counter() - t0) * 1e3 / len(chunk)
+        records += [replace(rec, wall_time_ms=share_ms) for rec in done]
     return records
 
 

@@ -35,12 +35,12 @@ from .combinatorics import (
 )
 from .errors import CapExceededError
 from .mixing import (
+    _classical_records,
+    _prepare,
     classical_mixing_entropy_exact,
     convergence_sweep,
-    gap_integral,
     gap_series,
     graceful_checks,
-    mixing_entropy,
     type_class_spectrum,
 )
 from .states import (
@@ -63,7 +63,7 @@ DEFAULT_TOLERANCES = {
     "state_gap_floor": 1e-8,      # max|sigma-rho| above which dE > 0 is demanded
     "graceful_residual": 1e-10,   # energy, commutation and state residuals
     "oracle_equivalence": 1e-9,   # |S_mix dense - S_mix classical|
-    "spectrum_rel": 1e-12,        # type-class mass in R vs strings; gap_integral vs gap()
+    "spectrum_rel": 1e-12,        # type-class mass in R vs strings; gap_integrals vs gap()
     "series_remainder": 2.0,      # |gap - a1/N - a2/N^2| / (|a3|/N^3), n >= 64
     "typicality_final": 5e-4,     # deficit at n = 10^4
     "increase_formula": 1e-12,    # appendix formula vs relative entropy
@@ -249,8 +249,10 @@ def _type_mass_rel_err(spec, strings, q):
     """
     d = int(strings.max()) + 1      # every string of the d symbols is listed
     counts = np.stack([np.count_nonzero(strings == a, axis=1) for a in range(d)], axis=1)
-    types, of_type = np.unique(counts, axis=0, return_inverse=True)
-    if not np.array_equal(types, spec.counts):
+    # a type's key in base N + 1, its first count most significant: keys sort as types do
+    radix = (strings.shape[1] + 1) ** np.arange(d)[::-1]
+    keys, of_type = np.unique(counts @ radix, return_inverse=True)
+    if not np.array_equal(keys, spec.counts @ radix):
         return None
     mass = np.bincount(of_type, weights=q)
     rel = np.abs(spec.weight * (1.0 + spec.excess) - mass) / np.maximum(mass, 1e-300)
@@ -261,41 +263,34 @@ def _c4_oracle_equivalence(cfg):
     tol = DEFAULT_TOLERANCES["oracle_equivalence"]
     spec_tol = DEFAULT_TOLERANCES["spectrum_rel"]
 
-    max_diff = 0.0
+    max_diff = max_mass_rel = max_gap_rel = 0.0
+    types_exact = True
     ran, skipped, records = [], [], []
     for d, n_max, (rho_p, sig_p) in C4_FAMILIES:
         rho = ClassicalDistribution(rho_p)
         sig = ClassicalDistribution(sig_p)
-        for n in range(1, n_max + 1):
+        dense = _prepare(sig.as_density(), rho.as_density(), "dense")[0]
+        s_rel = relative_entropy(sig.as_density(), rho.as_density())
+        classical = _classical_records(sig, rho, s_rel, range(1, n_max + 1))
+        for rec in classical:
             try:
-                dense = mixing_entropy(
-                    sig.as_density(), rho.as_density(), n, method="dense",
-                    dense_cap=cfg.dense_cap,
-                )
+                (dense_rec,) = dense([rec.n], cfg.dense_cap)
             except CapExceededError:
-                skipped.append(f"d={d},n={n}")
+                skipped.append(f"d={d},n={rec.n}")
                 continue
-            classical = classical_mixing_entropy_exact(sig, rho, n)
-            max_diff = max(max_diff, abs(dense.s_mix - classical.s_mix))
-            records.extend([dense, classical])
-            ran.append(f"d={d},n={n}")
+            max_diff = max(max_diff, abs(dense_rec.s_mix - rec.s_mix))
+            records.extend([dense_rec, rec])
+            ran.append(f"d={d},n={rec.n}")
 
-    # each type's mass in R against string enumeration; gap() is the oracle of
-    # the records' gap_integral
-    types_exact = True
-    max_mass_rel = max_gap_rel = 0.0
-    for d, n_max, (rho_p, sig_p) in C4_FAMILIES:
-        n_total = n_max + 1
-        spec = type_class_spectrum(
-            ClassicalDistribution(sig_p), ClassicalDistribution(rho_p), n_total
-        )
-        mass_rel = _type_mass_rel_err(spec, *_string_probs(sig_p, rho_p, n_total))
+        # each type's mass in R against string enumeration; gap() is the oracle
+        # of the records' gap integrals, at N = n_max + 1
+        spec = type_class_spectrum(sig, rho, n_max + 1)
+        mass_rel = _type_mass_rel_err(spec, *_string_probs(sig_p, rho_p, n_max + 1))
         if mass_rel is None:
             types_exact = False
             continue
         oracle = spec.gap()
-        max_gap_rel = max(max_gap_rel, abs(gap_integral(spec.sigma_p, spec.rho_p, n_total)
-                                           - oracle) / oracle)
+        max_gap_rel = max(max_gap_rel, abs(classical[-1].gap - oracle) / oracle)
         max_mass_rel = max(max_mass_rel, mass_rel)
     spectrum_ok = types_exact and max_mass_rel < spec_tol and max_gap_rel < spec_tol
 

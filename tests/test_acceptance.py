@@ -16,15 +16,22 @@ import numpy as np
 import pytest
 
 from mixent import (
+    ClassicalDistribution,
     HermitianOperator,
     apply_unitary,
     gibbs_state,
+    mixing,
     random_haar_unitary,
     random_hermitian,
     relative_entropy,
     verify,
 )
 from mixent.collisions import collision_energy_transfer, commutator_norm
+from mixent.combinatorics import (
+    FORMULA_PAIRS,
+    classical_mixing_increase_formula,
+    random_distribution_pairs,
+)
 from mixent.cli import main
 from mixent.errors import CapExceededError
 from mixent.verify import (
@@ -131,6 +138,18 @@ def test_criterion_7_appendix_combinatorics(outcome):
     assert deficits[-1] < 5e-4
     assert result.details["insertion_bound_ok"]
     assert result.details["max_formula_err"] < 1e-12
+
+
+def test_criterion_7_stacks_match_one_pair_at_a_time():
+    for seed in range(60):
+        max_err = 0.0
+        for sig_p, rho_p in random_distribution_pairs(seed, FORMULA_PAIRS):
+            sigma, rho = ClassicalDistribution(sig_p), ClassicalDistribution(rho_p)
+            operator = relative_entropy(sigma.as_density(), rho.as_density())
+            max_err = max(max_err, abs(classical_mixing_increase_formula(sigma, rho) - operator))
+        status, details = verify._c7_appendix(VerifyConfig(seed=seed))
+        assert status == "pass"
+        assert details["max_formula_err"] == max_err, seed
 
 
 def test_criterion_8_multi_collision_variant(outcome):
@@ -289,8 +308,9 @@ def test_criterion_8_fails_on_a_wrong_m2_type_class_spectrum(monkeypatch, fault)
 
 
 def test_criterion_4_fails_on_a_gap_integral_off_its_type_class_oracle(monkeypatch):
-    real = verify.gap_integral
-    monkeypatch.setattr(verify, "gap_integral", lambda *a: real(*a) * (1.0 + 1e-11))
+    real = mixing.gap_integrals
+    monkeypatch.setattr(mixing, "gap_integrals",
+                        lambda *a: [gap * (1.0 + 1e-11) for gap in real(*a)])
     (result,) = run_acceptance(VerifyConfig(seed=SEED), only=(4,)).results
     assert result.status == "fail"
     assert 5e-12 < result.details["max_integral_vs_type_gap_rel"] < 2e-11

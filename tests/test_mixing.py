@@ -40,7 +40,7 @@ from mixent.mixing import (
     TYPE_CLASS_BUDGET,
     _type_count_matrix,
     dense_state_entropy,
-    gap_integral,
+    gap_integrals,
     kron_all,
     records_to_csv,
     simultaneous_classical_pair,
@@ -420,7 +420,7 @@ def test_type_class_budget_checked_before_allocating(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_type_count_matrix_is_stars_and_bars_at_every_block_size(data):
+def test_type_count_matrix_is_stars_and_bars_for_drawn_d_and_n(data):
     d = data.draw(st.integers(1, 5), label="d")
     n_total = data.draw(st.integers(1, 24 if d <= 3 else 10), label="n_total")
     counts = _type_count_matrix(n_total, d)
@@ -1063,8 +1063,8 @@ def test_identical_states_have_a_gap_of_exactly_zero():
 # ---------------------------------------------------------------------------
 
 def _integral_gap(sig_p, rho_p, n_total):
-    return gap_integral(*_supported_pair(ClassicalDistribution(sig_p),
-                                         ClassicalDistribution(rho_p)), n_total)
+    return gap_integrals(*_supported_pair(ClassicalDistribution(sig_p),
+                                          ClassicalDistribution(rho_p)), [n_total])[0]
 
 
 def _random_pair(rng, d, zero_in_sigma=False):
@@ -1083,6 +1083,42 @@ def test_gap_integral_is_the_type_class_gap(d, zero_in_sigma):
         oracle = type_class_spectrum(ClassicalDistribution(sig_p),
                                      ClassicalDistribution(rho_p), n_total).gap()
         assert abs(_integral_gap(sig_p, rho_p, n_total) - oracle) <= 1e-13 * oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.booleans(),
+       st.lists(st.integers(2, 2**40), min_size=1, max_size=40, unique=True))
+def test_gap_integrals_gives_each_n_its_one_n_bits(seed, d, zero_in_sigma, n_totals):
+    sig_p, rho_p = _random_pair(np.random.default_rng(seed), d, zero_in_sigma)
+    gaps = gap_integrals(sig_p, rho_p, n_totals)
+    assert [g.hex() for g in gaps] == [
+        gap_integrals(sig_p, rho_p, [n])[0].hex() for n in n_totals]
+
+
+def test_a_sweep_over_many_gap_blocks_keeps_the_one_n_bits():
+    sig_p, rho_p = _random_pair(np.random.default_rng(3), 3)
+    n_totals = list(range(2, 3002))
+    assert len(n_totals) > 100 * mixing.GAP_BLOCK
+    gaps = gap_integrals(sig_p, rho_p, n_totals)
+    assert [g.hex() for g in gaps] == [
+        gap_integrals(sig_p, rho_p, [n])[0].hex() for n in n_totals]
+
+
+def test_halving_the_gap_step_moves_no_gap_past_1e_14(monkeypatch):
+    # the trapezoid rule converges geometrically: step 0.25 is within 1.3e-15
+    # of step 0.125 on these random pairs and 1.1e-15 on the near-equal ones
+    n_totals = [2, 7, 64, 2**20, 10**12]
+    rng = np.random.default_rng(11)
+    pairs = []
+    for i in range(150):
+        sig_p, rho_p = _random_pair(rng, 2 + i % 3)
+        near = rho_p * (1.0 + 1e-4 * rng.standard_normal(len(rho_p)))
+        pairs += [(sig_p, rho_p), (near / near.sum(), rho_p)]
+    coarse = [gap_integrals(sig_p, rho_p, n_totals) for sig_p, rho_p in pairs]
+    monkeypatch.setattr(mixing, "GAP_STEP", 0.125)
+    for (sig_p, rho_p), gaps in zip(pairs, coarse):
+        for gap, fine in zip(gaps, gap_integrals(sig_p, rho_p, n_totals)):
+            assert abs(gap - fine) <= 1e-14 * gap
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
