@@ -67,6 +67,9 @@ TWIRL_FACTORIAL_CAP = 8      # N! permutations enumerated explicitly
 TYPE_CLASS_BUDGET = 5_000_000
 GAP_STEP, GAP_X_MIN = 0.25, -40.0   # gap_integrals' trapezoid rule in x = ln t
 GAP_BLOCK = 16                      # N per gap_integrals block, which bounds its memory
+# gap_integrals refuses a gap that the rounding of ln E[L e^-tL] as w - t, about
+# eps (|w| + t) (GAP_ROUND is four times that), may move by more than GAP_REL_ERR of itself
+GAP_ROUND, GAP_REL_ERR = 4 * sys.float_info.epsilon, 1e-12
 # 1/k!, k = 13 down to 2: e^y - 1 - y = y^2 polyval(G_SERIES, y) to 2e-18 for |y| < 1/4
 G_SERIES = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
 COMMUTE_TOL = 1e-10
@@ -440,7 +443,8 @@ def gap_integrals(sigma_p: np.ndarray, rho_p: np.ndarray, n_totals: Sequence[int
     x_min does not depend on N, so every N's nodes are a prefix of one lattice. The
     integrand is evaluated once per node for GAP_BLOCK N at a time, one column each, and
     each column is fsum-ed over its own nodes: a gap keeps the bits of a one-N call, and
-    memory does not grow with the number of N.
+    memory does not grow with the number of N. A gap that is not finite, or that w - t's
+    rounding may move past GAP_REL_ERR of itself, is refused (CapExceededError).
     """
     delta = _ratio_excess(sigma_p, rho_p)
     chi2, gaps = float((rho_p * delta) @ delta), []
@@ -483,11 +487,18 @@ def gap_integrals(sigma_p: np.ndarray, rho_p: np.ndarray, n_totals: Sequence[int
             log_psi, log_phi = np.logaddexp.reduce(terms, axis=2)
             log_e[lse] = log_psi + n_rho[lse] * log_phi
             f[~near] -= np.exp(log_e[~near])
+            # the most that rounding can move each w - t node's term
+            far, slack = ~near & ~lse, np.zeros(cells)
+            moved = log_e[far] + GAP_ROUND * (np.abs(w[far]) + t[far])
+            slack[far] = np.exp(moved) - np.exp(log_e[far])
             f = f.reshape(-1, len(block))
-            gaps += [GAP_STEP * math.fsum(f[:size, j].tolist()) for j, size in enumerate(sizes)]
-    for gap in gaps:
-        if not math.isfinite(gap):
-            raise InvalidStateError(f"gap integral is not finite: {gap}")
+            slack = np.where(np.arange(len(f))[:, None] < sizes, slack.reshape(f.shape), 0.0)
+            for j, (n, size, bound) in enumerate(zip(block, sizes, slack.sum(axis=0).tolist())):
+                gap, bound = GAP_STEP * math.fsum(f[:size, j].tolist()), GAP_STEP * bound
+                if not (math.isfinite(gap) and bound <= GAP_REL_ERR * abs(gap)):
+                    raise CapExceededError(f"gap integral at N = {n} is {gap!r}, but rounding may "
+                                           f"move it by {bound!r}: past {GAP_REL_ERR} of itself")
+                gaps.append(gap)
     return gaps
 
 
@@ -642,6 +653,9 @@ def _classical_records(
     S[sigma|rho]; for m = 1 from one gap_integrals pass."""
     if min(ns) < 1:
         raise ValueError(f"need n >= 1, got {min(ns)}")
+    if max(ns) + m_sigma > sys.float_info.max:
+        raise CapExceededError(f"N = 10^{math.log10(max(ns) + m_sigma):.1f} passes the "
+                               f"float range {sys.float_info.max!r}")
     if m_sigma == 1:
         gaps = gap_integrals(*_supported_pair(sigma, rho), [n + 1 for n in ns])
     else:

@@ -19,6 +19,7 @@ from mixent import (
     ClassicalDistribution,
     HermitianOperator,
     apply_unitary,
+    collisions,
     gibbs_state,
     mixing,
     random_haar_unitary,
@@ -293,8 +294,9 @@ def test_criterion_8_fails_on_a_wrong_m2_type_class_spectrum(monkeypatch, fault)
     def wrong(*args):
         spec = real(*args)
         if fault == "dropped-type":
+            # the real spectrum's gap: the fault reaches the mass check alone
             return SimpleNamespace(counts=spec.counts[1:], weight=spec.weight[1:],
-                                   excess=spec.excess[1:])
+                                   excess=spec.excess[1:], gap=spec.gap)
         # a fault the brute-force S_mix lets through
         weight = spec.weight.copy()
         weight[len(weight) // 2] *= 1.0 + 1e-10
@@ -305,6 +307,30 @@ def test_criterion_8_fails_on_a_wrong_m2_type_class_spectrum(monkeypatch, fault)
     assert result.status == "fail"
     assert result.details["max_type_mass_rel_err"] > 1e-11
     assert result.details["max_brute_diff"] < 1e-10
+
+
+def test_criteria_1_and_8_compute_each_oracle_once(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (verify, mixing):
+        counted(module, "type_class_spectrum")
+        counted(module, "relative_entropy")
+    counted(verify, "apply_unitary")
+    counted(collisions, "apply_unitary")
+    assert verify._c8_multi(VerifyConfig(seed=SEED))[0] == "pass"
+    # one spectrum per m = 2 case (3) and per trend point (5); S[sigma|rho] once
+    assert calls == {"type_class_spectrum": 8, "relative_entropy": 1}
+    calls.clear()
+    assert verify._c1_dissipation(VerifyConfig(seed=SEED))[0] == "pass"
+    assert calls == {"apply_unitary": 5, "relative_entropy": 5}   # one per d = 2..6 stack
 
 
 def test_criterion_4_fails_on_a_gap_integral_off_its_type_class_oracle(monkeypatch):

@@ -352,6 +352,22 @@ def test_mix_sweep_dense_far_past_the_cap_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma, rho, n, message", [
+    # n = 10^400 passes the float range: refused before the gap integral
+    ([0.3, 0.7], [0.7, 0.3], "1" + "0" * 400, "N = 10^400.0 passes the float range"),
+    # w - t rounds by about eps t: this gap came out as -3.8e110
+    ([1e-20, 1.0], [1.0, 1e-20], "10000000000000000000", "N = 10000000000000000001 is"),
+])
+def test_mix_sweep_past_the_gap_integrals_reach_exits_3(tmp_path, capsys, sigma, rho, n, message):
+    out = tmp_path / "o"
+    flags = ["--sigma", write_json(tmp_path / "s.json", {"p": sigma}),
+             "--rho", write_json(tmp_path / "r.json", {"p": rho}),
+             "--n-list", n, "--method", "classical-exact", "--out-dir", str(out)]
+    assert main(["mix-sweep"] + flags) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["auto", "classical-exact"])
 def test_mix_sweep_tables_past_the_type_budget_exit_3(tmp_path, method):
     # at n = 10^8 each symbol's table would hold n + 2 entries, past

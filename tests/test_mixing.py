@@ -27,6 +27,7 @@ from mixent import (
     permutation_twirl_dense,
     random_haar_unitary,
     random_hermitian,
+    relative_entropy,
     reservoir_hamiltonian,
     run_collision_sequence,
     shannon_entropy,
@@ -1137,9 +1138,12 @@ def test_gap_integral_is_the_series_at_large_n(d):
 def test_gap_integral_keeps_its_precision_far_past_1e18(n_total):
     # ln E[L e^-tL] as (N - 1) ln phi would round by (N - 1) eps: at N = 1e100
     # the chi2 = 4e-14 pair's gap came out as -60
+    # (1e-k, 1) against its mirror, k = 5, 10: ratios up to 1e10, which the refusal
+    # of w - t's rounding lets through
     n = float(n_total)
     for sig_p, rho_p in ([[0.3, 0.7], [0.7, 0.3]], [[0.5 + 1e-7, 0.5 - 1e-7], [0.5, 0.5]],
-                         [[0.0, 0.25, 0.75], [0.4, 0.35, 0.25]]):
+                         [[0.0, 0.25, 0.75], [0.4, 0.35, 0.25]],
+                         _extreme_ratio_pair(5)[:2], _extreme_ratio_pair(10)[:2]):
         a1, a2, _ = mixing.gap_series(ClassicalDistribution(sig_p), ClassicalDistribution(rho_p))
         series = a1 / n + a2 / n / n
         assert abs(_integral_gap(sig_p, rho_p, n_total) - series) <= 1e-14 * series
@@ -1170,6 +1174,46 @@ def test_gap_integral_reaches_ratios_near_the_float_limit():
         for n_total in (2, 6, 51):
             oracle = type_class_spectrum(sig, rho, n_total).gap()
             assert abs(_integral_gap(sig_p, rho_p, n_total) - oracle) <= 1e-13 * oracle
+
+
+def _extreme_ratio_pair(k):
+    sig_p = np.array([10.0**-k, 1.0]) / (1.0 + 10.0**-k)
+    s_rel = relative_entropy(ClassicalDistribution(sig_p).as_density(),
+                             ClassicalDistribution(sig_p[::-1]).as_density())
+    return sig_p, sig_p[::-1].copy(), s_rel
+
+
+@pytest.mark.parametrize("k", [20, 50, 100, 200])
+def test_an_extreme_ratio_gap_is_within_its_bounds_or_refused(k):
+    # where s < 1, ln E[L e^-tL] = w - t rounds by about eps (|w| + t), hundreds of nats
+    # once t passes 1e17: such gaps came out as -3.8e110, or S_mix above ln N
+    sig_p, rho_p, s_rel = _extreme_ratio_pair(k)
+    for n_total in (10**e for e in range(12, 31)):
+        try:
+            (gap,) = gap_integrals(sig_p, rho_p, [n_total])
+        except CapExceededError:
+            continue
+        # S_mix <= ln N, to the 1e-12 of the gap that the refusal keeps
+        assert s_rel - math.log(n_total) - 1e-12 * s_rel <= gap <= s_rel, n_total
+
+
+@pytest.mark.parametrize("k, n_total", [(20, 10**18), (50, 10**19)])
+def test_a_gap_that_rounding_could_move_is_refused(k, n_total):
+    sig_p, rho_p, _ = _extreme_ratio_pair(k)
+    with pytest.raises(CapExceededError, match=f"^gap integral at N = {n_total} is "):
+        gap_integrals(sig_p, rho_p, [n_total])
+
+
+@pytest.mark.parametrize("route", ["exact", "exact-m2", "mixing-entropy"])
+def test_n_past_the_float_range_is_refused_by_name(route):
+    sig, rho = ClassicalDistribution([0.3, 0.7]), ClassicalDistribution([0.7, 0.3])
+    call = {
+        "exact": lambda: classical_mixing_entropy_exact(sig, rho, 10**400),
+        "exact-m2": lambda: classical_mixing_entropy_exact(sig, rho, 10**400, 2),
+        "mixing-entropy": lambda: mixing_entropy(sig, rho, 10**400),
+    }[route]
+    with pytest.raises(CapExceededError, match=r"^N = 10\^400\.0 passes the float range"):
+        call()
 
 
 # sigma_0/rho_0 = 0.5/5e-324 passes the float range
