@@ -487,14 +487,13 @@ def gap_integrals(sigma_p: np.ndarray, rho_p: np.ndarray, n_totals: Sequence[int
             log_psi, log_phi = np.logaddexp.reduce(terms, axis=2)
             log_e[lse] = log_psi + n_rho[lse] * log_phi
             f[~near] -= np.exp(log_e[~near])
-            # the most that rounding can move each w - t node's term
-            far, slack = ~near & ~lse, np.zeros(cells)
-            moved = log_e[far] + GAP_ROUND * (np.abs(w[far]) + t[far])
-            slack[far] = np.exp(moved) - np.exp(log_e[far])
             f = f.reshape(-1, len(block))
-            slack = np.where(np.arange(len(f))[:, None] < sizes, slack.reshape(f.shape), 0.0)
-            for j, (n, size, bound) in enumerate(zip(block, sizes, slack.sum(axis=0).tolist())):
-                gap, bound = GAP_STEP * math.fsum(f[:size, j].tolist()), GAP_STEP * bound
+            # the most that rounding can move each w - t node's term
+            r = GAP_ROUND * (np.abs(w) + t)
+            slack = np.where(~near & ~lse, np.exp(log_e + r) * -np.expm1(-r), 0.0).reshape(f.shape)
+            for j, (n, size) in enumerate(zip(block, sizes)):
+                gap = GAP_STEP * math.fsum(f[:size, j].tolist())
+                bound = GAP_STEP * float(slack[:size, j].sum())
                 if not (math.isfinite(gap) and bound <= GAP_REL_ERR * abs(gap)):
                     raise CapExceededError(f"gap integral at N = {n} is {gap!r}, but rounding may "
                                            f"move it by {bound!r}: past {GAP_REL_ERR} of itself")
