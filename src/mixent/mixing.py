@@ -458,12 +458,12 @@ def gap_integrals(sigma_p: np.ndarray, rho_p: np.ndarray, n_totals: Sequence[int
             sizes = [math.ceil((max(math.log(n) - log_r_min, 0.0) + math.log(60.0) - x_min)
                                / GAP_STEP) + 1 for n in block]
             # node k of N = block[j] at k len(block) + j, up to the longest N's last node
-            cells = len(block) * max(sizes)
-            x = np.repeat(x_min + GAP_STEP * np.arange(max(sizes)), len(block))
-            log_n = np.resize([math.log(n) for n in block], cells)
-            n_rho = np.resize([float(n - 1) for n in block], cells)
+            rows = max(sizes)
+            x = np.repeat(x_min + GAP_STEP * np.arange(rows), len(block))
+            log_n = np.tile([math.log(n) for n in block], rows)
+            n_rho = np.tile([float(n - 1) for n in block], rows)
             t = np.exp(x)
-            s = t / np.resize(np.array(block, dtype=float), cells)
+            s = t / np.tile(np.array(block, dtype=float), rows)
             y = np.multiply.outer(-s, delta)
             em = np.expm1(y)
             h = np.where(np.abs(y) < 0.25, np.polyval(G_SERIES, y), (em - y) / y / y)
@@ -477,7 +477,8 @@ def gap_integrals(sigma_p: np.ndarray, rho_p: np.ndarray, n_totals: Sequence[int
             q = s * (h @ (rho_p * delta * delta))
             w = v + np.where(s * q < 1e-20, (n_rho * s) * q, n_rho * np.log1p(s * q))
             f = np.exp(-t)
-            near = np.abs(w) <= 1.0
+            abs_w = np.abs(w)
+            near = abs_w <= 1.0
             f[near] *= -np.expm1(w[near])
             # w - t rounds by eps t, below the log-sum-exps' (N - 1) eps, while s < 1;
             # past it w - t can cancel to nothing
@@ -488,12 +489,12 @@ def gap_integrals(sigma_p: np.ndarray, rho_p: np.ndarray, n_totals: Sequence[int
             log_e[lse] = log_psi + n_rho[lse] * log_phi
             f[~near] -= np.exp(log_e[~near])
             f = f.reshape(-1, len(block))
-            # the most that rounding can move each w - t node's term
-            r = GAP_ROUND * (np.abs(w) + t)
-            slack = np.where(~near & ~lse, np.exp(log_e + r) * -np.expm1(-r), 0.0).reshape(f.shape)
-            for j, (n, size) in enumerate(zip(block, sizes)):
-                gap = GAP_STEP * math.fsum(f[:size, j].tolist())
-                bound = GAP_STEP * float(slack[:size, j].sum())
+            # the most that rounding can move each w - t node's term, exp(log_e + r) (1 - e^-r);
+            # past an N's last node s > 60, so a column's sum is over its own nodes
+            r = GAP_ROUND * (abs_w + t)
+            slack = np.where(near | lse, 0.0, np.exp(log_e + r) * -np.expm1(-r)).reshape(f.shape)
+            for j, (n, size, bound) in enumerate(zip(block, sizes, slack.sum(axis=0).tolist())):
+                gap, bound = GAP_STEP * math.fsum(f[:size, j].tolist()), GAP_STEP * bound
                 if not (math.isfinite(gap) and bound <= GAP_REL_ERR * abs(gap)):
                     raise CapExceededError(f"gap integral at N = {n} is {gap!r}, but rounding may "
                                            f"move it by {bound!r}: past {GAP_REL_ERR} of itself")
