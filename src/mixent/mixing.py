@@ -6,10 +6,11 @@ One sigma-molecule loses its identity among n rho-molecules:
 
 and the entropy of mixing S_mix = S[R] - n S[rho] - S[sigma] is computed by
 two independent routes so each can serve as the other's oracle: the dense
-spectrum of R in rho's eigenbasis, from the k + 1 blocks R splits into
-because swapping the two sites of any of k = (n+1) // 2 site pairs leaves
-it invariant (for commuting states only R's diagonal, R being diagonal in
-their joint eigenbasis); and, for commuting states, the gap first,
+spectrum of R in rho's eigenbasis, from the k + 1 blocks, k = (n+1) // 2,
+R splits into because it commutes with every site permutation (spin blocks
+for qubits, pair-swap blocks past d = 2 and as the qubits' oracle; for
+commuting states only R's diagonal, R being diagonal in their joint
+eigenbasis); and, for commuting states, the gap first,
 gap = S[sigma|rho] - S_mix = D(R || rho^{(x)(n+1)}), with
 S_mix = S[sigma|rho] - gap. For one sigma the gap is E[L ln L] under
 Mult(N, rho), one integral over t with O(d) work per node at any N
@@ -220,8 +221,8 @@ def dense_state_entropy(matrix: np.ndarray) -> float:
     so a non-finite entry is refused first, by its sum: that needs no
     D x D temporary, and no state's entries (all within [-1, 1]) sum to an
     overflow. mixing_entropy brings it each of R's symmetry blocks (see
-    pair_swap_blocks), never a commuting pair's diagonal R: it builds only
-    that diagonal.
+    spin_blocks and pair_swap_blocks), never a commuting pair's diagonal R:
+    it builds only that diagonal.
     """
     total = matrix.sum()
     if not np.isfinite(total):
@@ -289,7 +290,8 @@ def pair_swap_blocks(
     pair factors, k - a symmetric ones and the leftover (rho, sigma), over N.
     So S[R] = sum_a C(k, a) S[block_a], and no block is wider than
     (d(d+1)/2)^k d^(N mod 2). d^N > dense_cap is refused before anything is
-    built.
+    built. mixing_entropy takes these blocks for d >= 3; for qubits they are
+    spin_blocks' oracle.
     """
     _check_square_pair(sigma.entries, rho.entries)
     d, n_total = rho.dim, n + 1
@@ -307,6 +309,50 @@ def pair_swap_blocks(
          site_kron_sum([anti_site] * a + [sym_site] * (k - a) + [(r, s)] * odd) / n_total)
         for a in range(k + 1)
     ]
+
+
+def spin_blocks(
+    sigma: DensityOperator,
+    rho: DensityOperator,
+    n: int,
+    dense_cap: int = DENSE_DIM_CAP,
+) -> list:
+    """[(C(N, a) - C(N, a - 1), block_a) for a = 0..N // 2]: a qubit R by total spin.
+
+    By Schur-Weyl duality (Bacon, Chuang & Harrow, quant-ph/0407082) the N = n + 1
+    qubits hold C(N, a) - C(N, a - 1) copies of spin j = N/2 - a, and R, which commutes
+    with every site permutation, acts alike on each copy, as block_a in the |j, m> basis,
+    w = N/2 - m the number of ones. rho = diag(p0, p1), as _in_rho_eigenbasis gives it;
+    sigma's diagonal is (s00, s11) and c is the modulus of its corner, whose phase a
+    diagonal unitary, commuting with rho, takes off. block_a is (2j+1)-wide and
+    tridiagonal: R's value on a string with w ones, [(N-w) s00 p0^(N-w-1) p1^w + w s11
+    p0^(N-w) p1^(w-1)] / N, on the diagonal, and c p0^(N-1-w) p1^w sqrt(j(j+1) - m(m-1))
+    / N between w and w + 1, the site sum of sigma's corner being J_-; j(j+1) - m(m-1) =
+    (N - a - w)(w - a + 1). The powers are integer powers, and the zero w = 0 and w = N
+    terms come from their factor. So S[R] = sum_a mult_a S[block_a], in N // 2 + 1
+    blocks no wider than N + 1. 2^N > dense_cap is refused before anything is built.
+    """
+    s, r = sigma.entries, rho.entries
+    _check_square_pair(s, r)
+    if rho.dim != 2 or r[0, 1] != 0.0:
+        raise ValueError(f"spin blocks need a qubit pair with rho diagonal, got rho {r.tolist()}")
+    n_total = n + 1
+    check_dense_dim(2, n_total, dense_cap)
+    w = np.arange(n_total)
+    # p0^(N-1-w) p1^w / N: the rho factors of N - 1 sites that hold w ones, over N
+    rest = r[0, 0].real ** (n_total - 1 - w) * r[1, 1].real ** w / n_total
+    diagonal = np.zeros(n_total + 1)
+    diagonal[:-1] = (n_total - w) * s[0, 0].real * rest
+    diagonal[1:] += (w + 1) * s[1, 1].real * rest
+    corner = abs(s[0, 1]) * rest
+    blocks = []
+    for a in range(n_total // 2 + 1):
+        i = np.arange(n_total - 2 * a)    # w = a + i couples to w + 1
+        block = np.diag(diagonal[a:n_total - a + 1])
+        block[i, i + 1] = block[i + 1, i] = (
+            corner[a:n_total - a] * np.sqrt((n_total - 2 * a - i) * (i + 1)))
+        blocks.append((math.comb(n_total, a) - math.comb(n_total, a - 1) if a else 1, block))
+    return blocks
 
 
 def gammaln(x):
@@ -466,7 +512,9 @@ def gap_integrals(sigma_p: np.ndarray, rho_p: np.ndarray, n_totals: Sequence[int
             s = t / np.tile(np.array(block, dtype=float), rows)
             y = np.multiply.outer(-s, delta)
             em = np.expm1(y)
-            h = np.where(np.abs(y) < 0.25, np.polyval(G_SERIES, y), (em - y) / y / y)
+            h = (em - y) / y / y
+            small = np.abs(y) < 0.25
+            h[small] = np.polyval(G_SERIES, y[small])
             # past s max|delta| = 1: sigma . expm1(y), taking sigma . delta as chi2,
             # or ln(sigma . e^y)
             z = em @ sigma_p + s * float(rho_p @ delta)
@@ -802,7 +850,9 @@ def _prepare(sigma: StateLike, rho: StateLike, method: str):
     records(ns, dense_cap) is the MixingRecord list for the n of ns. The
     commutator check, the joint diagonalization and S[sigma|rho] are the
     pair's, and for the dense routes also rho's eigenbasis, S[rho] and
-    S[sigma]; only R's spectrum, or the gap integral, depends on n.
+    S[sigma]; only R's spectrum, or the gap integral, depends on n. A
+    non-commuting pair's R comes in spin_blocks for d = 2 and in
+    pair_swap_blocks for d >= 3, each block through dense_state_entropy.
     classical-exact takes all of ns in one gap_integrals pass (one_pass), the
     dense routes one n at a time. A stack of states is refused.
     """
@@ -832,7 +882,7 @@ def _prepare(sigma: StateLike, rho: StateLike, method: str):
         pair = _in_rho_eigenbasis(sigma_op, rho_op)
 
         def r_entropy(n, dense_cap):
-            blocks = pair_swap_blocks(*pair, n, dense_cap)
+            blocks = (spin_blocks if rho_op.dim == 2 else pair_swap_blocks)(*pair, n, dense_cap)
             return math.fsum(weight * dense_state_entropy(block) for weight, block in blocks)
 
     def record(n, dense_cap):
@@ -855,9 +905,10 @@ def mixing_entropy(
 
     method 'dense' takes the exact spectrum of the d^(n+1)-dimensional R,
     in rho's eigenbasis with sigma's row 0 made real (same spectrum; a qubit
-    pair's R is real there, so its eigensolves are real symmetric), from the
-    k + 1 pair-swap blocks of pair_swap_blocks, each through
-    dense_state_entropy; R itself is never formed. When the states commute
+    pair's R is real there, so its eigensolves are real symmetric), from its
+    k + 1 symmetry blocks, k = (n+1) // 2, each through dense_state_entropy:
+    a qubit pair's spin_blocks, no wider than n + 2, and for d >= 3 the
+    pair_swap_blocks; R itself is never formed. When the states commute
     to COMMUTE_TOL, R is diagonal in their joint eigenbasis and only its
     d^(n+1) diagonal entries are built, by kron_sum on the two spectra
     simultaneous_classical_pair gives;

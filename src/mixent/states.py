@@ -301,8 +301,9 @@ def _complex_gaussians(seed, d: int) -> np.ndarray:
     """d x d standard complex Gaussians from default_rng(seed); a stack for a seed sequence."""
     if d < 2:
         raise ValueError(f"need dimension d >= 2, got {d}")
-    rngs = [np.random.default_rng(s) for s in np.ravel(seed)]
-    a = np.array([r.standard_normal((d, d)) + 1j * r.standard_normal((d, d)) for r in rngs])
+    # one draw per generator, real part then imaginary part, as two draws of (d, d) give them
+    g = np.array([np.random.default_rng(s).standard_normal((2, d, d)) for s in np.ravel(seed)])
+    a = g[:, 0] + 1j * g[:, 1]
     return (a / math.sqrt(2)).reshape(np.shape(seed) + (d, d))
 
 

@@ -271,7 +271,8 @@ def test_dense_entropy_reads_diagonal_r_without_eigensolve(monkeypatch):
     shapes, built = [], []
     solver = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or solver(m))
-    monkeypatch.setattr(mixing, "pair_swap_blocks", lambda *a, **k: built.append(a))
+    for builder in ("spin_blocks", "pair_swap_blocks"):
+        monkeypatch.setattr(mixing, builder, lambda *a, **k: built.append(a))
     rec = mixing_entropy(SIGMA_CLASSICAL, RHO_CLASSICAL, 4, method="dense")
     assert built == [] and set(shapes) <= {(2, 2)}
     assert rec.s_mix == pytest.approx(
@@ -696,10 +697,12 @@ def _original_basis_s_mix(sigma, rho, n):
 
 
 def _dense_route(monkeypatch, sigma, rho, n):
-    """The dense record, the pair handed to R's block build, the dtypes R's
-    blocks were eigensolved in, and the width of every eigvalsh input."""
+    """The dense record, the pair handed to R's block build (spin_blocks for
+    qubits, pair_swap_blocks past d = 2), the dtypes R's blocks were
+    eigensolved in, and the width of every eigvalsh input."""
     built, dtypes, widths, in_block = [], [], [], []
-    build, solver = mixing.pair_swap_blocks, np.linalg.eigvalsh
+    builder = "spin_blocks" if rho.dim == 2 else "pair_swap_blocks"
+    build, solver = getattr(mixing, builder), np.linalg.eigvalsh
     block_entropy = mixing.dense_state_entropy
 
     def spy_build(s, r, n, *args, **kwargs):
@@ -720,7 +723,7 @@ def _dense_route(monkeypatch, sigma, rho, n):
         return solver(m)
 
     with monkeypatch.context() as patch:
-        patch.setattr(mixing, "pair_swap_blocks", spy_build)
+        patch.setattr(mixing, builder, spy_build)
         patch.setattr(mixing, "dense_state_entropy", spy_entropy)
         patch.setattr(np.linalg, "eigvalsh", spy_solver)
         rec = mixing_entropy(sigma, rho, n, method="dense")
@@ -760,8 +763,9 @@ def _degenerate_rho_qutrit_pair():
 )
 def test_dense_route_builds_r_in_rho_eigenbasis(pair, n_max, dtype, monkeypatch):
     # every qubit pair and every real pair is real there; a Haar qutrit pair,
-    # which no phase makes real, stays complex. Each of R's k + 1 pair-swap
-    # blocks is eigensolved, and none is wider than (d(d+1)/2)^k d^(N mod 2)
+    # which no phase makes real, stays complex. Each of R's k + 1 blocks is
+    # eigensolved: a qubit pair's spin blocks are no wider than N + 1, a
+    # qutrit pair's pair-swap blocks no wider than (d(d+1)/2)^k d^(N mod 2)
     sigma, rho = pair
     d = rho.dim
     for n in range(1, n_max + 1):
@@ -770,7 +774,7 @@ def test_dense_route_builds_r_in_rho_eigenbasis(pair, n_max, dtype, monkeypatch)
         rec, built, dtypes, widths = _dense_route(monkeypatch, sigma, rho, n)
         _assert_in_rho_eigenbasis(built)
         assert dtypes == [dtype] * (k + 1)
-        assert max(widths) <= (d * (d + 1) // 2) ** k * d**odd
+        assert max(widths) <= (n + 2 if d == 2 else (d * (d + 1) // 2) ** k * d**odd)
         assert abs(rec.s_mix - expected) <= 1e-13
 
 
@@ -813,6 +817,49 @@ def test_pair_swap_blocks_give_the_full_eigensolve(name):
         rec = mixing_entropy(sigma, rho, n, method="dense")
         assert rec.method == "dense"
         assert abs(rec.s_mix - expected) <= 1e-12
+
+
+def _turned_qubit_pair(p1, angle):
+    """rho = diag(1 - p1, p1) and sigma, rho turned by a real rotation of angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, -s], [s, c]])
+    rho = np.diag([1.0 - p1, p1])
+    return DensityOperator(turn @ rho @ turn.T), DensityOperator(rho)
+
+
+SPIN_ORACLE_PAIRS = {
+    **{name: pair for name, (pair, _) in BLOCK_ORACLE_PAIRS.items() if pair[1].dim == 2},
+    "steep": _turned_qubit_pair(1e-4, 0.3),
+    "near-commuting": _turned_qubit_pair(0.3, 1e-6),
+}
+
+
+def _blocks_entropy(blocks):
+    return math.fsum(mult * dense_state_entropy(block) for mult, block in blocks)
+
+
+@pytest.mark.parametrize("name", sorted(SPIN_ORACLE_PAIRS))
+def test_spin_blocks_give_the_pair_swap_blocks_entropy(name):
+    # the chain of oracles for qubits: spin blocks, pair-swap blocks, the full
+    # eigensolve (test_pair_swap_blocks_give_the_full_eigensolve)
+    pair = mixing._in_rho_eigenbasis(*SPIN_ORACLE_PAIRS[name])
+    for n in range(1, 12):
+        n_total = n + 1
+        blocks = mixing.spin_blocks(*pair, n)
+        assert len(blocks) == n_total // 2 + 1
+        assert [len(block) for _, block in blocks] == list(range(n_total + 1, 0, -2))
+        assert sum(mult * len(block) for mult, block in blocks) == 2**n_total
+        assert abs(math.fsum(mult * np.trace(block) for mult, block in blocks) - 1.0) <= 1e-14
+        expected = _blocks_entropy(mixing.pair_swap_blocks(*pair, n))
+        assert abs(_blocks_entropy(blocks) - expected) <= 1e-12
+
+
+def test_spin_blocks_refuse_a_qutrit_and_an_undiagonal_rho():
+    sigma, rho = _haar_qubit_pair(1)
+    with pytest.raises(ValueError, match="spin blocks need a qubit pair with rho diagonal"):
+        mixing.spin_blocks(sigma, rho, 3)
+    with pytest.raises(ValueError, match="spin blocks need a qubit pair with rho diagonal"):
+        mixing.spin_blocks(*mixing._in_rho_eigenbasis(*_noncommuting_pair(3, real=True)), 3)
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_ORACLE_PAIRS))
@@ -901,6 +948,7 @@ STACK_ROUTES = {
     "symmetrized_state_dense": lambda rho: symmetrized_state_dense(QUBIT_STACK, rho, 2),
     "symmetrized_state_dense-rho": lambda rho: symmetrized_state_dense(rho, QUBIT_STACK, 2),
     "pair_swap_blocks": lambda rho: mixing.pair_swap_blocks(QUBIT_STACK, rho, 2),
+    "spin_blocks": lambda rho: mixing.spin_blocks(QUBIT_STACK, rho, 2),
     "graceful_checks": lambda rho: graceful_checks(QUBIT_STACK, rho, 1, H_STACK),
     "graceful_checks-h": lambda rho: graceful_checks(rho, rho, 1, H_STACK),
     "reservoir_hamiltonian": lambda rho: reservoir_hamiltonian(H_STACK, 2),
